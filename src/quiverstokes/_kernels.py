@@ -1,224 +1,102 @@
 """Integer kernels for the braid-orbit search.
 
-The orbit search walks unipotent integer matrices under the braiding moves,
-which is the only runtime-dominant loop in the package.  The kernels below
-exist in two interchangeable implementations: a numba ``@njit`` version and
-a pure numpy/python fallback.  Selection:
+The orbit search walks unit-diagonal int64 matrices under the braiding moves,
+which is the only runtime-dominant loop in the package.  There is one numpy
+implementation of each kernel, and each works on a stack ``(B, n, n)`` of
+matrices at once; its Python-level loops run over matrix positions, never
+over the stack:
 
-    QUIVERSTOKES_BACKEND=numba   force numba (ImportError if unavailable)
-    QUIVERSTOKES_BACKEND=numpy   force the fallback
-    unset                        numba when importable, else fallback
+* ``braid_apply`` makes one braiding move on every matrix of a stack: an
+  update of rows i, i+1 followed by the same update of columns i, i+1.
+* ``expand_frontier`` applies each of the 2(n-1) moves to a whole frontier.
+* ``sign_canonical`` picks, for every matrix of a stack, the lexicographically
+  least sign conjugate ``d_r d_c a_rc``.  This is a switching-class problem on
+  the signed support graph (Zaslavsky, "Signed graphs", 1982), solved by one
+  row-major scan with a union-find that tracks relative signs: n(n-1) steps,
+  each vectorized over the stack.
 
-Both backends produce byte-identical results; ``benchmarks/bench_braid.py``
-compares their throughput.
+The orbit search canonicalizes the children of ``CHUNK`` frontier states per
+``sign_canonical`` call.  One call per child spends the search's time in the
+interpreter; one call per level holds the temporaries of every child of the
+level at once and raises the peak memory of a search.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV = "QUIVERSTOKES_BACKEND"
+# Frontier states whose children the orbit search canonicalizes in one call.
+CHUNK = 256
 
 
-def _py_braid_apply(mat: np.ndarray, i: int, forward: bool) -> np.ndarray:
-    """Braiding move at rows/cols (i, i+1), 0-based, on an int64 matrix."""
-    n = mat.shape[0]
-    m = int(mat[i, i + 1] + mat[i + 1, i])
-    out = mat.copy()
-    if forward:
-        # X has block [[0, 1], [1, -m]]
-        ri, rj = mat[i].copy(), mat[i + 1].copy()
-        out[i] = rj
-        out[i + 1] = ri - m * rj
-        ci, cj = out[:, i].copy(), out[:, i + 1].copy()
-        out[:, i] = cj
-        out[:, i + 1] = ci - m * cj
-    else:
-        # X has block [[-m, 1], [1, 0]]
-        ri, rj = mat[i].copy(), mat[i + 1].copy()
-        out[i] = -m * ri + rj
-        out[i + 1] = ri
-        ci, cj = out[:, i].copy(), out[:, i + 1].copy()
-        out[:, i] = -m * ci + cj
-        out[:, i + 1] = ci
+def _block(u: np.ndarray, v: np.ndarray, m: np.ndarray, forward: bool):
+    """Rows (or columns) i, i+1 after the 2x2 braid block acts on them."""
+    return (v, u - m * v) if forward else (-m * u + v, u)
+
+
+def braid_apply(stack: np.ndarray, i: int, forward: bool) -> np.ndarray:
+    """Braiding move at rows/cols (i, i+1), 0-based, on a stack of matrices.
+
+    Each matrix A becomes X A X, where X is the identity with the block
+    [[0, 1], [1, -m]] (forward) or [[-m, 1], [1, 0]] (backward) at (i, i+1)
+    and m = A[i, i+1] + A[i+1, i].
+    """
+    m = (stack[:, i, i + 1] + stack[:, i + 1, i])[:, None]
+    out = stack.copy()
+    out[:, i], out[:, i + 1] = _block(stack[:, i], stack[:, i + 1], m, forward)
+    ci, cj = out[:, :, i].copy(), out[:, :, i + 1].copy()
+    out[:, :, i], out[:, :, i + 1] = _block(ci, cj, m, forward)
     return out
 
 
-def _py_sign_canonical(mat: np.ndarray):
-    """Lexicographically minimal sign conjugate; returns (canon, signs)."""
-    n = mat.shape[0]
-    best = mat
-    best_signs = np.ones(n, dtype=np.int64)
-    for mask in range(1, 1 << (n - 1)):
-        d = np.ones(n, dtype=np.int64)
-        for t in range(n - 1):
-            if (mask >> t) & 1:
-                d[t + 1] = -1
-        cand = mat * np.outer(d, d)
-        flat_c = cand.ravel()
-        flat_b = best.ravel()
-        for a, b in zip(flat_c, flat_b):
-            if a < b:
-                best = cand
-                best_signs = d
-                break
-            if a > b:
-                break
-    return best.copy(), best_signs
+def expand_frontier(batch: np.ndarray, entry_bound: int):
+    """All braid neighbours of a stack of states.
 
-
-def _py_expand_frontier(batch: np.ndarray, entry_bound: int):
-    """All braid neighbours of a batch of states.
-
-    Children are ordered: forward braids i = 0..n-2, then backward braids.
-    ``ok[c]`` is False when some entry of the child exceeds the bound.
+    The children of state s are at s * 2(n-1) + k: forward braids i = 0..n-2
+    for k < n-1, then backward braids.  ``ok[c]`` is False when some entry of
+    child c exceeds the bound in absolute value.
     """
     m, n, _ = batch.shape
-    moves = 2 * (n - 1)
-    children = np.zeros((m * moves, n, n), dtype=np.int64)
-    ok = np.zeros(m * moves, dtype=np.bool_)
-    for s in range(m):
-        for k in range(moves):
-            forward = k < (n - 1)
-            i = k if forward else k - (n - 1)
-            child = _py_braid_apply(batch[s], i, forward)
-            idx = s * moves + k
-            children[idx] = child
-            ok[idx] = bool(np.abs(child).max() <= entry_bound)
+    children = np.empty((m, 2 * (n - 1), n, n), dtype=np.int64)
+    for k in range(2 * (n - 1)):
+        forward = k < n - 1
+        children[:, k] = braid_apply(batch, k if forward else k - (n - 1), forward)
+    children = children.reshape(-1, n, n)
+    ok = ((children.max(axis=(1, 2)) <= entry_bound)
+          & (children.min(axis=(1, 2)) >= -entry_bound))
     return children, ok
 
 
-_IMPL = {
-    "braid_apply": _py_braid_apply,
-    "sign_canonical": _py_sign_canonical,
-    "expand_frontier": _py_expand_frontier,
-}
-_BACKEND = "numpy"
+def sign_canonical(stack: np.ndarray):
+    """Lexicographically least sign conjugate of every matrix of a stack.
 
-
-def _try_numba() -> bool:
-    global _IMPL, _BACKEND
-    try:
-        from numba import njit
-    except ImportError:
-        return False
-
-    @njit(cache=True)
-    def nb_braid_apply(mat, i, forward):
-        n = mat.shape[0]
-        m = mat[i, i + 1] + mat[i + 1, i]
-        out = mat.copy()
-        if forward:
-            for c in range(n):
-                out[i, c] = mat[i + 1, c]
-                out[i + 1, c] = mat[i, c] - m * mat[i + 1, c]
-            for r in range(n):
-                a = out[r, i]
-                b = out[r, i + 1]
-                out[r, i] = b
-                out[r, i + 1] = a - m * b
-        else:
-            for c in range(n):
-                out[i, c] = -m * mat[i, c] + mat[i + 1, c]
-                out[i + 1, c] = mat[i, c]
-            for r in range(n):
-                a = out[r, i]
-                b = out[r, i + 1]
-                out[r, i] = -m * a + b
-                out[r, i + 1] = a
-        return out
-
-    @njit(cache=True)
-    def nb_sign_canonical(mat):
-        n = mat.shape[0]
-        best = mat.copy()
-        best_signs = np.ones(n, dtype=np.int64)
-        d = np.ones(n, dtype=np.int64)
-        for mask in range(1, 1 << (n - 1)):
-            for t in range(n):
-                d[t] = 1
-            for t in range(n - 1):
-                if (mask >> t) & 1:
-                    d[t + 1] = -1
-            smaller = False
-            decided = False
-            for r in range(n):
-                for c in range(n):
-                    v = d[r] * d[c] * mat[r, c]
-                    if v < best[r, c]:
-                        smaller = True
-                        decided = True
-                        break
-                    if v > best[r, c]:
-                        decided = True
-                        break
-                if decided:
-                    break
-            if smaller:
-                for r in range(n):
-                    for c in range(n):
-                        best[r, c] = d[r] * d[c] * mat[r, c]
-                for t in range(n):
-                    best_signs[t] = d[t]
-        return best, best_signs
-
-    @njit(cache=True)
-    def nb_expand_frontier(batch, entry_bound):
-        m, n, _ = batch.shape
-        moves = 2 * (n - 1)
-        children = np.zeros((m * moves, n, n), dtype=np.int64)
-        ok = np.zeros(m * moves, dtype=np.bool_)
-        for s in range(m):
-            for k in range(moves):
-                forward = k < (n - 1)
-                i = k if forward else k - (n - 1)
-                child = nb_braid_apply(batch[s], i, forward)
-                idx = s * moves + k
-                children[idx] = child
-                good = True
-                for r in range(n):
-                    for c in range(n):
-                        if child[r, c] > entry_bound or child[r, c] < -entry_bound:
-                            good = False
-                ok[idx] = good
-        return children, ok
-
-    _IMPL = {
-        "braid_apply": nb_braid_apply,
-        "sign_canonical": nb_sign_canonical,
-        "expand_frontier": nb_expand_frontier,
-    }
-    _BACKEND = "numba"
-    return True
-
-
-def _select_backend() -> None:
-    want = os.environ.get(_ENV, "").strip().lower()
-    if want == "numpy":
-        return
-    if want == "numba":
-        if not _try_numba():
-            raise ImportError(f"{_ENV}=numba requested but numba is unavailable")
-        return
-    _try_numba()
-
-
-_select_backend()
-
-
-def backend_name() -> str:
-    return _BACKEND
-
-
-def braid_apply(mat: np.ndarray, i: int, forward: bool) -> np.ndarray:
-    return _IMPL["braid_apply"](mat, i, forward)
-
-
-def sign_canonical(mat: np.ndarray):
-    return _IMPL["sign_canonical"](mat)
-
-
-def expand_frontier(batch: np.ndarray, entry_bound: int):
-    return _IMPL["expand_frontier"](batch, entry_bound)
+    Returns ``(canon, signs)`` with ``canon[b] = signs[b] signs[b]^T * stack[b]``
+    entrywise.  Scanning the off-diagonal entries in row-major order, each
+    nonzero entry that first joins two components of the support graph is
+    made negative; later entries are then forced.  Among the sign vectors
+    giving the least conjugate, ``signs`` is the one a search over all
+    2^(n-1) vectors in increasing bitmask order meets first: vertex 0 keeps
+    +1 and every other component has +1 at its highest-index vertex.
+    """
+    b, n, _ = stack.shape
+    signs = np.ones((b, n), dtype=np.int64)
+    # component label of each vertex: the highest vertex of its component
+    comp = np.tile(np.arange(n), (b, 1))
+    for r in range(n):
+        for c in range(n):
+            entry = np.sign(stack[:, r, c])
+            lr, lc = comp[:, r], comp[:, c]
+            join = (entry != 0) & (lr != lc)
+            if not join.any():
+                continue
+            # flip c's component where the entry would otherwise come out positive
+            flip = join & (entry * signs[:, r] * signs[:, c] > 0)
+            in_c = comp == lc[:, None]
+            signs = np.where(flip[:, None] & in_c, -signs, signs)
+            merged = join[:, None] & (in_c | (comp == lr[:, None]))
+            comp = np.where(merged, np.maximum(lr, lc)[:, None], comp)
+    ref = np.where(comp == comp[:, :1], 0, comp)
+    signs = signs * np.take_along_axis(signs, ref, axis=1)
+    canon = signs[:, :, None] * signs[:, None, :]
+    canon *= stack
+    return canon, signs

@@ -229,10 +229,13 @@ class EquivalenceCertificate:
 class OrbitSearchResult:
     """Outcome of a bounded orbit search.
 
-    status "found" carries a certificate; "exhausted" means every state
-    within the entry bound was explored without a hit (the budget ran out,
-    which says nothing about equivalence); "inconclusive" means the depth
-    limit stopped the search first.
+    status "found" carries a certificate.  "exhausted" means the frontier
+    drained within the entry bound: every state reachable through states
+    whose entries stay within the bound was explored without a hit.  When
+    ``pruned > 0`` that is still no proof that the matrices are inequivalent,
+    since a path through a pruned state may reach the target.
+    "inconclusive" means the depth limit stopped the search while states
+    were still left to expand.
     """
 
     status: str  # "found" | "exhausted" | "inconclusive"
@@ -290,18 +293,14 @@ def _sorting_permutation(a: np.ndarray) -> Optional[tuple]:
     return tuple(sigma)
 
 
+# Permutations conjugated per numpy call when building the target set (6!).
+_PERM_BLOCK = 720
+
+
 def _conj_np(sigma: tuple, a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    out = np.zeros_like(a)
-    for i in range(n):
-        for j in range(n):
-            out[sigma[i] - 1, sigma[j] - 1] = a[i, j]
-    return out
-
-
-def _is_upper(a: np.ndarray) -> bool:
-    n = a.shape[0]
-    return all(a[i, j] == 0 for i in range(n) for j in range(i))
+    """perm_conj on an int64 matrix: entry (i, j) moves to (sigma(i), sigma(j))."""
+    inv = np.argsort(sigma)
+    return a[np.ix_(inv, inv)]
 
 
 def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
@@ -313,7 +312,7 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
     (lexicographically minimal representative); the target set is closed
     under triangularity-preserving permutation conjugations and all sign
     conjugations.  Absence of a certificate within the bounds is reported as
-    inconclusive, never as inequivalence.
+    exhausted or inconclusive, never as inequivalence.
     """
     a1 = _to_int_matrix(S1)
     a2 = _to_int_matrix(S2)
@@ -337,18 +336,21 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
     up2 = _conj_np(tau2, a2)
 
     # Target set: sign-canonical forms of the upper-triangular permutation
-    # conjugates of up2, remembering how to get back.
+    # conjugates of up2, remembering how to get back.  Permutations go
+    # through numpy in blocks, in lexicographic order.
     targets: dict[bytes, tuple] = {}
-    for sigma in itertools.permutations(range(1, n + 1)):
-        cand = _conj_np(sigma, up2)
-        if not _is_upper(cand):
-            continue
-        canon, signs = _kernels.sign_canonical(cand)
-        key = canon.tobytes()
-        if key not in targets:
-            targets[key] = (sigma, tuple(int(s) for s in signs))
+    perms = itertools.permutations(range(1, n + 1))
+    while block := list(itertools.islice(perms, _PERM_BLOCK)):
+        inv = np.argsort(np.array(block), axis=1)
+        cands = up2[inv[:, :, None], inv[:, None, :]]
+        upper = ~np.tril(cands, -1).any(axis=(1, 2))
+        canons, signs = _kernels.sign_canonical(cands[upper])
+        for sigma, canon, sign in zip(itertools.compress(block, upper),
+                                      canons, signs):
+            targets.setdefault(canon.tobytes(),
+                               (sigma, tuple(int(s) for s in sign)))
 
-    canon0, _ = _kernels.sign_canonical(up1)
+    (canon0,), _ = _kernels.sign_canonical(up1[None])
     key0 = canon0.tobytes()
     parents: dict[bytes, Optional[tuple]] = {key0: None}
     pruned = 0
@@ -374,17 +376,15 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
                 moves.append(("perm", tuple(sigma)))
 
         emit_perm(tau1)
-        cur = up1.copy()
+        cur = up1[None]
         for (i, direction) in chain:
-            canon, signs = _kernels.sign_canonical(cur)
-            emit_sign(signs)
-            cur = canon
+            cur, signs = _kernels.sign_canonical(cur)
+            emit_sign(signs[0])
             moves.append(("braid", i, direction))
             cur = _kernels.braid_apply(cur, i - 1, direction > 0)
-        canon, signs = _kernels.sign_canonical(cur)
-        emit_sign(signs)
-        cur = canon
-        sigma, tsigns = targets[cur.tobytes()]
+        cur, signs = _kernels.sign_canonical(cur)
+        emit_sign(signs[0])
+        sigma, tsigns = targets[cur[0].tobytes()]
         emit_sign(tsigns)
         inv = [0] * n
         for k, s in enumerate(sigma):
@@ -402,44 +402,47 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
     if key0 in targets:
         return OrbitSearchResult("found", reconstruct(key0), 0, 1, pruned)
 
-    frontier = [canon0]
+    moves_per = 2 * (n - 1)
+    step = _kernels.CHUNK * moves_per
+    frontier = canon0[None]
     frontier_keys = [key0]
     for level in range(1, depth + 1):
-        if not frontier:
-            return OrbitSearchResult("exhausted", None, level - 1,
-                                     len(parents), pruned)
-        batch = np.stack(frontier)
-        children, ok = _kernels.expand_frontier(batch, entry_bound)
-        moves_per = 2 * (n - 1)
+        children, ok = _kernels.expand_frontier(frontier, entry_bound)
         new_frontier = []
         new_keys = []
-        for idx in range(children.shape[0]):
-            if not ok[idx]:
-                pruned += 1
-                continue
-            s = idx // moves_per
-            k = idx % moves_per
-            direction = 1 if k < n - 1 else -1
-            i = (k if k < n - 1 else k - (n - 1)) + 1
-            canon, _ = _kernels.sign_canonical(children[idx])
-            key = canon.tobytes()
-            if key in parents:
-                continue
-            parents[key] = (frontier_keys[s], (i, direction))
-            if key in targets:
-                return OrbitSearchResult("found", reconstruct(key), level,
-                                         len(parents), pruned)
-            new_frontier.append(canon)
-            new_keys.append(key)
-        frontier = new_frontier
+        for lo in range(0, len(children), step):
+            canons, _ = _kernels.sign_canonical(children[lo:lo + step])
+            fresh = []
+            for j, canon in enumerate(canons):
+                idx = lo + j
+                if not ok[idx]:
+                    pruned += 1
+                    continue
+                key = canon.tobytes()
+                if key in parents:
+                    continue
+                s, k = divmod(idx, moves_per)
+                direction = 1 if k < n - 1 else -1
+                i = (k if k < n - 1 else k - (n - 1)) + 1
+                parents[key] = (frontier_keys[s], (i, direction))
+                if key in targets:
+                    return OrbitSearchResult("found", reconstruct(key), level,
+                                             len(parents), pruned)
+                fresh.append(j)
+                new_keys.append(key)
+            new_frontier.append(canons[fresh])
+        frontier = np.concatenate(new_frontier)
         frontier_keys = new_keys
+        if not new_keys:
+            return OrbitSearchResult("exhausted", None, level, len(parents),
+                                     pruned)
     return OrbitSearchResult("inconclusive", None, depth, len(parents), pruned)
 
 
 def equivalent(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
                entry_bound: int = 64) -> Optional[EquivalenceCertificate]:
     """Shortest-word certificate that S1 and S2 are related, or None when the
-    bounded search is inconclusive."""
+    bounded search ends exhausted or inconclusive."""
     return orbit_search(S1, S2, depth, entry_bound).certificate
 
 

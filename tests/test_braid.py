@@ -1,11 +1,11 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quiverstokes import _kernels
 from quiverstokes.algebra import TruncatedPoly, joyce_point
@@ -158,39 +158,127 @@ class TestOrbitSearch:
         res = orbit_search(big, tgt, depth=3, entry_bound=64)
         assert res.pruned > 0 or res.status == "found"
 
+    def test_drained_at_last_level_is_exhausted(self):
+        s5 = an_stokes(5).evaluate(joyce_point(5))
+        target = F([[1, 9, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                    [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
+        for depth in (7, 8):
+            res = orbit_search(s5, target, depth=depth)
+            assert (res.status, res.depth_reached, res.states, res.pruned) == \
+                ("exhausted", 7, 216, 0)
+        res = orbit_search(s5, target, depth=6)
+        assert (res.status, res.depth_reached) == ("inconclusive", 6)
+
+    # (source, target, depth, entry bound) ->
+    # (status, depth_reached, states, pruned, word), recorded with a search
+    # that canonicalized one child per call: chunking must not change them.
+    PINNED = [
+        (F([[1, 2, -1, 1], [0, 1, 1, -2], [0, 0, 1, -1], [0, 0, 0, 1]]),
+         F([[1, 0, -1, -1], [0, 1, 2, -1], [0, 0, 1, 2], [0, 0, 0, 1]]), 7, 3,
+         ("found", 2, 9, 12,
+          (("sign", (1, -1, 1, -1)), ("braid", 3, -1), ("braid", 2, 1),
+           ("sign", (1, -1, 1, 1)), ("sign", (1, -1, -1, 1)),
+           ("perm", (2, 1, 3, 4))))),
+        # pruned children follow the hit in its level and must not count
+        (F([[1, -2, 0], [0, 1, -1], [0, 0, 1]]),
+         F([[1, 1, 2], [0, 1, 2], [0, 0, 1]]), 7, 3,
+         ("found", 3, 12, 3,
+          (("braid", 1, 1), ("sign", (1, -1, 1)), ("braid", 2, 1),
+           ("braid", 1, 1), ("sign", (1, -1, 1)), ("sign", (1, -1, -1))))),
+        (an_stokes(5).evaluate(joyce_point(5)),
+         F([[1, 0, 0, 0, 1], [0, 1, 1, 1, 0], [0, 0, 1, 1, -1],
+            [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]), 12, 64,
+         ("found", 2, 27, 0,
+          (("braid", 4, 1), ("sign", (1, 1, 1, -1, 1)), ("braid", 2, -1),
+           ("sign", (1, -1, -1, 1, -1)), ("perm", (2, 3, 4, 1, 5))))),
+        # A6 levels hold up to 686 classes, more than one chunk
+        (an_stokes(6).evaluate(joyce_point(6)),
+         F([[1, -1, -1, -1, -1, -1], [0, 1, 1, 1, 1, 1], [0, 0, 1, 1, 1, 1],
+            [0, 0, 0, 1, 1, 1], [0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 1]]), 12, 64,
+         ("found", 6, 1122, 0,
+          (("braid", 1, 1), ("sign", (1, -1, 1, 1, 1, 1)), ("braid", 2, 1),
+           ("braid", 1, 1), ("sign", (1, -1, 1, 1, 1, 1)), ("braid", 4, -1),
+           ("braid", 5, 1), ("braid", 4, -1)))),
+        # the full A6 orbit: 2401 sign classes
+        (an_stokes(6).evaluate(joyce_point(6)),
+         F([[1 if i == j else 9 if (i, j) == (0, 1) else 0 for j in range(6)]
+            for i in range(6)]), 12, 64,
+         ("exhausted", 10, 2401, 0, None)),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(PINNED)))
+    def test_pinned_searches(self, case):
+        source, target, depth, bound, expected = self.PINNED[case]
+        res = orbit_search(source, target, depth=depth, entry_bound=bound)
+        word = res.certificate.word.moves if res.certificate else None
+        assert (res.status, res.depth_reached, res.states, res.pruned,
+                word) == expected
+        if res.certificate is not None:
+            assert res.certificate.verified
+
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
             orbit_search(F([[1, Fraction(1, 2)], [0, 1]]), F([[1, 1], [0, 1]]))
 
 
-class TestKernels:
-    def test_backends_agree(self):
-        rng = np.random.default_rng(5)
-        for n in (2, 3, 4, 5):
-            batch = np.zeros((6, n, n), dtype=np.int64)
-            for b in range(6):
-                m = np.eye(n, dtype=np.int64)
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        m[i, j] = rng.integers(-5, 6)
-                batch[b] = m
-            got_c, got_ok = _kernels.expand_frontier(batch, 64)
-            exp_c, exp_ok = _kernels._py_expand_frontier(batch, 64)
-            assert np.array_equal(got_c, exp_c)
-            assert np.array_equal(got_ok, exp_ok)
-            for b in range(6):
-                c1, s1 = _kernels.sign_canonical(batch[b])
-                c2, s2 = _kernels._py_sign_canonical(batch[b])
-                assert np.array_equal(c1, c2)
-                assert np.array_equal(s1, s2)
+def brute_sign_canonical(mat: np.ndarray):
+    """Reference for ``_kernels.sign_canonical`` on one matrix: try all
+    2^(n-1) sign vectors with d[0] = +1 in increasing bitmask order and keep
+    the first lexicographically least conjugate."""
+    n = mat.shape[0]
+    best, best_signs = mat, np.ones(n, dtype=np.int64)
+    for mask in range(1, 1 << (n - 1)):
+        d = np.array([1] + [-1 if (mask >> t) & 1 else 1 for t in range(n - 1)],
+                     dtype=np.int64)
+        cand = mat * np.outer(d, d)
+        if tuple(cand.ravel()) < tuple(best.ravel()):
+            best, best_signs = cand, d
+    return best, best_signs
 
-    def test_numpy_backend_selectable(self):
-        code = ("import os; os.environ['QUIVERSTOKES_BACKEND']='numpy'; "
-                "from quiverstokes import _kernels; "
-                "print(_kernels.backend_name())")
-        out = subprocess.run([sys.executable, "-c", code],
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "numpy"
+
+@st.composite
+def unit_diagonal_stacks(draw, min_n=1, max_n=7, upper=False):
+    """Stacks of unit-diagonal int64 matrices; the mask zeroes entries so
+    that support graphs with several components are common."""
+    n = draw(st.integers(min_n, max_n))
+    b = draw(st.integers(1, 6))
+    vals = draw(arrays(np.int64, (b, n, n), elements=st.integers(-4, 4)))
+    mask = draw(arrays(np.bool_, (b, n, n)))
+    stack = vals * mask
+    if upper:
+        stack = np.triu(stack)
+    stack[:, np.arange(n), np.arange(n)] = 1
+    return stack
+
+
+class TestKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(unit_diagonal_stacks())
+    def test_sign_canonical_matches_brute_force(self, stack):
+        canon, signs = _kernels.sign_canonical(stack)
+        for b in range(len(stack)):
+            exp_c, exp_s = brute_sign_canonical(stack[b])
+            assert np.array_equal(canon[b], exp_c)
+            assert np.array_equal(signs[b], exp_s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(unit_diagonal_stacks(min_n=2, max_n=6, upper=True),
+           st.integers(0, 20))
+    def test_expand_frontier_matches_exact_beta(self, stack, bound):
+        n = stack.shape[1]
+        children, ok = _kernels.expand_frontier(stack, bound)
+        moves = 2 * (n - 1)
+        assert children.shape == (len(stack) * moves, n, n)
+        for s in range(len(stack)):
+            exact = F(stack[s].tolist())
+            for k in range(moves):
+                child = children[s * moves + k]
+                if k < n - 1:
+                    want = beta(k + 1, exact)
+                else:
+                    want = beta_inv(k - (n - 1) + 1, exact)
+                assert F(child.tolist()) == want
+                assert ok[s * moves + k] == (np.abs(child).max() <= bound)
 
     def test_sign_canonical_is_minimal(self):
         rng = np.random.default_rng(9)
@@ -198,7 +286,7 @@ class TestKernels:
         for i in range(4):
             for j in range(i + 1, 4):
                 m[i, j] = rng.integers(-4, 5)
-        canon, signs = _kernels.sign_canonical(m)
+        (canon,), (signs,) = _kernels.sign_canonical(m[None])
         assert np.array_equal(canon, m * np.outer(signs, signs))
         for mask in range(1 << 3):
             d = np.ones(4, dtype=np.int64)
