@@ -1,4 +1,4 @@
-"""Integer kernels for the braid-orbit search.
+"""Numpy kernels for the braid action and the braid-orbit search.
 
 The orbit search walks unit-diagonal int64 matrices under the braiding moves,
 which is the only runtime-dominant loop in the package.  There is one numpy
@@ -7,7 +7,11 @@ matrices at once; its Python-level loops run over matrix positions, never
 over the stack:
 
 * ``braid_apply`` makes one braiding move on every matrix of a stack: an
-  update of rows i, i+1 followed by the same update of columns i, i+1.
+  update of rows i, i+1 followed by the same update of columns i, i+1.  It
+  is the one braid move of the package: it runs on the int64 stacks of the
+  search and, unchanged, on object arrays of ``Fraction`` or
+  ``TruncatedPoly`` entries, which is how ``braid.beta`` and
+  ``braid.beta_inv`` move exact rational and polynomial matrices.
 * ``expand_frontier`` applies each of the 2(n-1) moves to a whole frontier.
 * ``sign_canonical`` picks, for every matrix of a stack, the lexicographically
   least sign conjugate ``d_r d_c a_rc``.  This is a switching-class problem on

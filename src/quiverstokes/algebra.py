@@ -456,6 +456,33 @@ def joyce_point(nvars: int) -> list[Fraction]:
     return [Fraction(1)] * nvars
 
 
+def _index_order(n: int, positions: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Topological order of 1..n putting i before j for each position (i, j).
+
+    Kahn's algorithm taking the smallest ready index first, so the order is
+    a function of the set of positions alone.
+    """
+    succ = {i: set() for i in range(1, n + 1)}
+    deg = {i: 0 for i in range(1, n + 1)}
+    for (i, j) in positions:
+        if j not in succ[i]:
+            succ[i].add(j)
+            deg[j] += 1
+    order = []
+    ready = sorted(i for i in deg if deg[i] == 0)
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        for w in sorted(succ[v]):
+            deg[w] -= 1
+            if deg[w] == 0:
+                ready.append(w)
+        ready.sort()
+    if len(order) != n:
+        raise ValueError("factor positions contain a cycle; no unipotent order")
+    return tuple(order)
+
+
 # ---------------------------------------------------------------------------
 # Bases of the lattice
 # ---------------------------------------------------------------------------

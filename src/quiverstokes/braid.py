@@ -12,6 +12,13 @@ are unipotent with respect to a permuted order).  Together with permutation
 conjugation and sign conjugation these generate the equivalence used by the
 orbit search: two matrices are certified equivalent when a word in these
 moves carries one to the other exactly.
+
+X(A) A X(A) is the definition; no matrix product computes it.  Since X(A)
+differs from the identity only in rows and columns i, i+1, the move is one
+update of those two rows followed by the same update of those two columns:
+``_kernels.braid_apply``, the same code for the int64 stacks of the orbit
+search and for the exact ``Fraction`` and ``TruncatedPoly`` entries handled
+here as numpy object arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .algebra import PolyMatrix, TruncatedPoly, _as_fraction
+from .algebra import PolyMatrix, _as_fraction, _index_order
 
 RationalMatrix = tuple  # tuple of tuples of Fractions
 MatrixLike = Union[PolyMatrix, tuple, list]
@@ -44,74 +51,50 @@ def as_rational_matrix(m) -> RationalMatrix:
     return rows
 
 
-def _unit_diagonal(rows) -> bool:
-    return all(rows[i][i] == 1 for i in range(len(rows)))
+def _entries(A: MatrixLike) -> np.ndarray:
+    """The exact entries of a rational or polynomial matrix as an (n, n)
+    object array of ``Fraction`` or ``TruncatedPoly`` values."""
+    rows = A.entries if isinstance(A, PolyMatrix) else as_rational_matrix(A)
+    arr = np.empty((len(rows), len(rows)), dtype=object)
+    arr[...] = rows
+    return arr
 
 
-def _mat_mul(a, b):
+def _like(A: MatrixLike, arr: np.ndarray):
+    """``arr`` in the form of ``A``: a PolyMatrix, or a tuple of tuples."""
+    if isinstance(A, PolyMatrix):
+        return PolyMatrix(A.n, arr.tolist())
+    return tuple(map(tuple, arr.tolist()))
+
+
+def _braid(i: int, A: MatrixLike, forward: bool):
+    a = _entries(A)
     n = len(a)
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)),
-                           start=a[0][0] * 0) for j in range(n)) for i in range(n))
-
-
-def _braid_block(n, i, m, forward, one, zero):
-    rows = [[one if r == c else zero for c in range(n)] for r in range(n)]
-    i -= 1
-    if forward:
-        rows[i][i], rows[i][i + 1] = zero, one
-        rows[i + 1][i], rows[i + 1][i + 1] = one, -m
-    else:
-        rows[i][i], rows[i][i + 1] = -m, one
-        rows[i + 1][i], rows[i + 1][i + 1] = one, zero
-    return tuple(tuple(r) for r in rows)
-
-
-def _beta_generic(i: int, mat, forward: bool):
-    n = len(mat)
+    if any(a[k, k] != 1 for k in range(n)):
+        raise ValueError("matrix must have unit diagonal")
     if not 1 <= i <= n - 1:
         raise ValueError(f"braid index {i} out of range 1..{n - 1}")
-    a = mat[i - 1][i]
-    b = mat[i][i - 1]
-    nz = (not _is_zero_entry(a), not _is_zero_entry(b))
-    if all(nz):
+    if a[i - 1, i] != 0 and a[i, i - 1] != 0:
         raise ValueError("matrix is not unipotent for any order at the braid position")
-    m = a + b
-    if isinstance(m, TruncatedPoly):
-        one = TruncatedPoly.one(m.nvars, m.trunc)
-        zero = TruncatedPoly.zero(m.nvars, m.trunc)
-    else:
-        one, zero = Fraction(1), Fraction(0)
-    x = _braid_block(n, i, m, forward, one, zero)
-    return _mat_mul(_mat_mul(x, mat), x)
-
-
-def _is_zero_entry(x) -> bool:
-    if isinstance(x, TruncatedPoly):
-        return x.is_zero()
-    return x == 0
-
-
-def _beta_dispatch(i: int, A: MatrixLike, forward: bool):
-    if isinstance(A, PolyMatrix):
-        rows = tuple(tuple(A.entries[r][c] for c in range(A.n)) for r in range(A.n))
-        if any(rows[k][k] != 1 for k in range(A.n)):
-            raise ValueError("matrix must have unit diagonal")
-        return PolyMatrix(A.n, [list(r) for r in _beta_generic(i, rows, forward)])
-    rows = as_rational_matrix(A)
-    if not _unit_diagonal(rows):
-        raise ValueError("matrix must have unit diagonal")
-    return _beta_generic(i, rows, forward)
+    return _like(A, _kernels.braid_apply(a[None], i - 1, forward)[0])
 
 
 def beta(i: int, A: MatrixLike):
     """Forward braiding action at (i, i+1); accepts rational or polynomial
     matrices with unit diagonal."""
-    return _beta_dispatch(i, A, True)
+    return _braid(i, A, True)
 
 
 def beta_inv(i: int, A: MatrixLike):
     """Inverse braiding action at (i, i+1)."""
-    return _beta_dispatch(i, A, False)
+    return _braid(i, A, False)
+
+
+def _conj_np(sigma: tuple, a: np.ndarray) -> np.ndarray:
+    """Permutation conjugation of an (n, n) array of any dtype: entry (i, j)
+    moves to (sigma(i), sigma(j))."""
+    inv = np.argsort(sigma)
+    return a[np.ix_(inv, inv)]
 
 
 def perm_conj(sigma, A: MatrixLike):
@@ -121,17 +104,13 @@ def perm_conj(sigma, A: MatrixLike):
     guaranteed and is re-checked by callers that need it.
     """
     sigma = tuple(int(s) for s in sigma)
-    n = len(sigma)
-    if sorted(sigma) != list(range(1, n + 1)):
+    if sorted(sigma) != list(range(1, len(sigma) + 1)):
         raise ValueError("not a permutation of 1..n")
-    inv = [0] * n
-    for k, s in enumerate(sigma):
-        inv[s - 1] = k
-    if isinstance(A, PolyMatrix):
-        return PolyMatrix(A.n, [[A.entries[inv[r]][inv[c]] for c in range(n)]
-                                for r in range(n)])
-    rows = as_rational_matrix(A)
-    return tuple(tuple(rows[inv[r]][inv[c]] for c in range(n)) for r in range(n))
+    a = _entries(A)
+    if len(sigma) != len(a):
+        raise ValueError(f"permutation of length {len(sigma)} for a "
+                         f"{len(a)} x {len(a)} matrix")
+    return _like(A, _conj_np(sigma, a))
 
 
 def sign_conj(k_or_vec, A: MatrixLike):
@@ -140,16 +119,9 @@ def sign_conj(k_or_vec, A: MatrixLike):
     Accepts a single 1-based index (flip that one sign) or a full vector
     of +-1.  Involutive.
     """
-    if isinstance(A, PolyMatrix):
-        n = A.n
-        d = _sign_vector(k_or_vec, n)
-        return PolyMatrix(n, [[A.entries[r][c] * Fraction(d[r] * d[c])
-                               for c in range(n)] for r in range(n)])
-    rows = as_rational_matrix(A)
-    n = len(rows)
-    d = _sign_vector(k_or_vec, n)
-    return tuple(tuple(rows[r][c] * (d[r] * d[c]) for c in range(n))
-                 for r in range(n))
+    a = _entries(A)
+    d = _sign_vector(k_or_vec, len(a))
+    return _like(A, a * np.outer(d, d))
 
 
 def _sign_vector(k_or_vec, n) -> tuple:
@@ -245,6 +217,9 @@ class OrbitSearchResult:
     pruned: int
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def _to_int_matrix(m) -> np.ndarray:
     if isinstance(m, PolyMatrix):
         raise ValueError("orbit search works on evaluated matrices; "
@@ -257,6 +232,8 @@ def _to_int_matrix(m) -> np.ndarray:
             x = rows[i][j]
             if x.denominator != 1:
                 raise ValueError("orbit search expects integer matrices")
+            if not _INT64.min <= x <= _INT64.max:
+                raise ValueError("orbit search entries must fit in int64")
             out[i, j] = int(x)
     return out
 
@@ -268,39 +245,19 @@ def _np_to_rational(a: np.ndarray) -> RationalMatrix:
 def _sorting_permutation(a: np.ndarray) -> Optional[tuple]:
     """Permutation sigma with perm_conj(sigma, a) upper triangular, or None."""
     n = a.shape[0]
-    succ = {i: set() for i in range(n)}
-    deg = {i: 0 for i in range(n)}
-    for i in range(n):
-        for j in range(n):
-            if i != j and a[i, j] != 0 and j not in succ[i]:
-                succ[i].add(j)
-                deg[j] += 1
-    order = []
-    ready = sorted(i for i in deg if deg[i] == 0)
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for w in sorted(succ[v]):
-            deg[w] -= 1
-            if deg[w] == 0:
-                ready.append(w)
-        ready.sort()
-    if len(order) != n:
+    try:
+        order = _index_order(n, [(int(i) + 1, int(j) + 1)
+                                 for i, j in zip(*np.nonzero(a)) if i != j])
+    except ValueError:
         return None
     sigma = [0] * n
     for pos, v in enumerate(order):
-        sigma[v] = pos + 1
+        sigma[v - 1] = pos + 1
     return tuple(sigma)
 
 
 # Permutations conjugated per numpy call when building the target set (6!).
 _PERM_BLOCK = 720
-
-
-def _conj_np(sigma: tuple, a: np.ndarray) -> np.ndarray:
-    """perm_conj on an int64 matrix: entry (i, j) moves to (sigma(i), sigma(j))."""
-    inv = np.argsort(sigma)
-    return a[np.ix_(inv, inv)]
 
 
 def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,

@@ -8,6 +8,7 @@ Commands:
   verify-paper  replay the bundled reference dataset
 
 All configuration is by flags; identical inputs give byte-identical output.
+Input the library rejects ends in one line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -228,7 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        # malformed input: one line on stderr, the exit code of a usage error
+        sys.stderr.write(f"quiverstokes: error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

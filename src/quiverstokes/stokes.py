@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .algebra import (Basis, LatticeVector, PolyMatrix, TruncatedPoly,
-                      _as_fraction, lv_len, lv_monomial)
+                      _as_fraction, _index_order, lv_len, lv_monomial)
 from .quiver import EulerForm, Quiver
 
 
@@ -273,29 +273,6 @@ class StokesData:
         return [(i, j) for (i, j, _) in self.factors]
 
 
-def _index_order(n: int, positions: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Topological order of 1..n putting i before j for each position (i, j)."""
-    succ = {i: set() for i in range(1, n + 1)}
-    deg = {i: 0 for i in range(1, n + 1)}
-    for (i, j) in positions:
-        if j not in succ[i]:
-            succ[i].add(j)
-            deg[j] += 1
-    order = []
-    ready = sorted(i for i in deg if deg[i] == 0)
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for w in sorted(succ[v]):
-            deg[w] -= 1
-            if deg[w] == 0:
-                ready.append(w)
-        ready.sort()
-    if len(order) != n:
-        raise ValueError("factor positions contain a cycle; no unipotent order")
-    return tuple(order)
-
-
 def _chamber_factors(basis: Basis, chamber: Chamber, model: DTModel,
                      len_bound: Optional[int]):
     """Pairs (i, j) whose difference is active with its ray in the upper
@@ -331,6 +308,38 @@ def _chamber_factors(basis: Basis, chamber: Chamber, model: DTModel,
     return found
 
 
+def _ordered_factors(basis: Basis, e: EulerForm, model: DTModel,
+                     chamber: Chamber, p: Optional[int]) -> list:
+    """The chamber's factors (i, j, coefficient) in clockwise ray order,
+    leftmost first; with p given, classes of length >= p are dropped."""
+    entries = _chamber_factors(basis, chamber, model, p)
+    by_class = {d.coords: (i, j, dt) for (i, j, d, dt) in entries}
+    factors = []
+    for cls in ray_order(chamber, [d for (_, _, d, _) in entries]):
+        i, j, dt = by_class[cls.coords]
+        factors.append((i, j, factor_coefficient(i, j, basis, e, dt, p)))
+    return factors
+
+
+def _elementary_product(n: int, nvars: int, factors,
+                        p: Optional[int] = None) -> PolyMatrix:
+    """prod_k (I + c_k E_{i_k j_k}) over (i, j, c) in factors, leftmost first.
+
+    Right-multiplying by I + c E_ij adds c times column i to column j, so
+    each factor costs one column update instead of a matrix product.  Zero
+    coefficients are skipped.
+    """
+    m = PolyMatrix.identity(n, nvars, p)
+    rows = m.entries
+    for i, j, c in factors:
+        if c.is_zero():
+            continue
+        for row in rows:
+            if not row[i - 1].is_zero():
+                row[j - 1] = row[j - 1] + row[i - 1] * c
+    return m
+
+
 def stokes_product(basis: Basis, e: EulerForm, model: DTModel, chamber: Chamber,
                    p: Optional[int] = None) -> StokesData:
     """Clockwise ordered product of the chamber's elementary factors.
@@ -340,17 +349,9 @@ def stokes_product(basis: Basis, e: EulerForm, model: DTModel, chamber: Chamber,
     """
     if chamber.n != basis.n:
         raise ValueError("chamber and basis rank mismatch")
-    entries = _chamber_factors(basis, chamber, model, p)
-    ordered_classes = ray_order(chamber, [d for (_, _, d, _) in entries])
-    by_class = {d.coords: (i, j, d, dt) for (i, j, d, dt) in entries}
     n = basis.n
-    product = PolyMatrix.identity(n, n, p)
-    factors = []
-    for cls in ordered_classes:
-        i, j, d, dt = by_class[cls.coords]
-        coeff = factor_coefficient(i, j, basis, e, dt, p)
-        factors.append((i, j, coeff))
-        product = product * PolyMatrix.elementary(n, i, j, coeff)
+    factors = _ordered_factors(basis, e, model, chamber, p)
+    product = _elementary_product(n, n, factors, p)
     order = _index_order(n, [(i, j) for (i, j, _) in factors])
     data = StokesData(basis, order, factors, product)
     if not product.is_unipotent_wrt(order):
@@ -367,15 +368,9 @@ def natural_lifts(basis: Basis, e: EulerForm, model: DTModel,
     """
     values: list[PolyMatrix] = []
     for chamber in chambers:
-        entries = _chamber_factors(basis, chamber, model, p)
-        ordered = ray_order(chamber, [d for (_, _, d, _) in entries])
-        by_class = {d.coords: (i, j, d, dt) for (i, j, d, dt) in entries}
-        n = basis.n
-        product = PolyMatrix.identity(n, n, None)
-        for cls in ordered:
-            i, j, d, dt = by_class[cls.coords]
-            coeff = factor_coefficient(i, j, basis, e, dt, None)
-            product = product * PolyMatrix.elementary(n, i, j, coeff)
+        factors = _ordered_factors(basis, e, model, chamber, p)
+        product = _elementary_product(
+            basis.n, basis.n, [(i, j, c.drop_bound()) for (i, j, c) in factors])
         if product not in values:
             values.append(product)
     for a, b in itertools.combinations(values, 2):
@@ -415,12 +410,8 @@ def factor_product(T: PolyMatrix, positions: list[tuple[int, int]]) -> list[Trun
     coeffs = {pos: TruncatedPoly.zero(T.nvars) for pos in positions}
 
     def rebuild() -> PolyMatrix:
-        m = PolyMatrix.identity(n, T.nvars, None)
-        for pos in positions:
-            c = coeffs[pos]
-            if not c.is_zero():
-                m = m * PolyMatrix.elementary(n, pos[0], pos[1], c)
-        return m
+        return _elementary_product(n, T.nvars,
+                                   [(i, j, coeffs[(i, j)]) for (i, j) in positions])
 
     for lev in range(1, n):
         current = rebuild()

@@ -27,7 +27,8 @@ from .goodness import find_good_quivers, mutation_basis
 from .quiver import Quiver, apply_word, euler_form, linear_quiver
 from .serialize import move_from_json, pm_from_json, poly_to_json
 from .stokes import (DTModel, an_chamber, an_stokes, level2_chamber,
-                     natural_lifts, stokes_product, verify_an_jet)
+                     natural_lifts, quiver_stokes_jet, stokes_product,
+                     verify_an_jet)
 
 
 def _load(name: str) -> dict:
@@ -83,7 +84,6 @@ def check_tables() -> list[CheckLine]:
             listed_eps.add(sol.eps.signs)
             expected = pm_from_json(fixture["matrix"], nvars=basis.n)
             q0 = sol.quiver.substitute([Fraction(0)] * nparams)
-            from .stokes import quiver_stokes_jet
             jet = quiver_stokes_jet(q0, basis, table["p"])
             lines.append(CheckLine(f"{fixture['id']}: quiver+matrix",
                                    jet == expected,
@@ -117,54 +117,42 @@ def _family_entries():
             yield fam["n"], e
 
 
-def pipeline_product(n: int, word, Zrows) -> PolyMatrix:
-    q = apply_word(linear_quiver(n), word)
-    basis = mutation_basis(n, q)
+def _chamber_product(q: Quiver, basis: Basis, Zrows) -> PolyMatrix:
     Z = tuple((Fraction(x), Fraction(y)) for x, y in Zrows)
     chamber = level2_chamber(q, Z)
     model = DTModel.from_quiver_extensions(q)
     return stokes_product(basis, euler_form(q), model, chamber, None).product
 
 
+def pipeline_product(n: int, word, Zrows) -> PolyMatrix:
+    q = apply_word(linear_quiver(n), word)
+    return _chamber_product(q, mutation_basis(n, q), Zrows)
+
+
+def _pipeline_fixtures():
+    """(id, pipeline product, fixture matrix, note) for every mutation-family
+    entry, then for both annulus quivers."""
+    for n, e in _family_entries():
+        yield (e["id"], pipeline_product(n, e["word"], e["Z"]),
+               pm_from_json(e["matrix"], nvars=n), e.get("note", ""))
+    for e in _load("annulus.json")["quivers"]:
+        q = Quiver(len(e["arrows"]), tuple(tuple(r) for r in e["arrows"]))
+        basis = Basis([tuple(r) for r in e["basis"]])
+        yield (e["id"], _chamber_product(q, basis, e["Z"]),
+               pm_from_json(e["matrix"], nvars=q.n), "")
+
+
 def fixture_matrices_sj() -> dict:
     """Unit-point evaluations of every mutation-family fixture, recomputed
     through the pipeline (not read off the stored matrices)."""
-    out = {}
-    for n, e in _family_entries():
-        prod = pipeline_product(n, e["word"], e["Z"])
-        out[e["id"]] = prod.evaluate(joyce_point(n))
-    data = _load("annulus.json")
-    for e in data["quivers"]:
-        q = Quiver(len(e["arrows"]), tuple(tuple(r) for r in e["arrows"]))
-        basis = Basis([tuple(r) for r in e["basis"]])
-        Z = tuple((Fraction(x), Fraction(y)) for x, y in e["Z"])
-        chamber = level2_chamber(q, Z)
-        prod = stokes_product(basis, euler_form(q),
-                              DTModel.from_quiver_extensions(q), chamber, None).product
-        out[e["id"]] = prod.evaluate(joyce_point(q.n))
-    return out
+    return {id_: prod.evaluate(joyce_point(prod.nvars))
+            for id_, prod, _, _ in _pipeline_fixtures()}
 
 
 def check_mutation_tables() -> list[CheckLine]:
-    lines = []
-    for n, e in _family_entries():
-        expected = pm_from_json(e["matrix"], nvars=n)
-        prod = pipeline_product(n, e["word"], e["Z"])
-        lines.append(CheckLine(f"{e['id']}: pipeline product", prod == expected,
-                               "product differs from fixture",
-                               e.get("note", "")))
-    data = _load("annulus.json")
-    for e in data["quivers"]:
-        q = Quiver(len(e["arrows"]), tuple(tuple(r) for r in e["arrows"]))
-        basis = Basis([tuple(r) for r in e["basis"]])
-        Z = tuple((Fraction(x), Fraction(y)) for x, y in e["Z"])
-        chamber = level2_chamber(q, Z)
-        prod = stokes_product(basis, euler_form(q),
-                              DTModel.from_quiver_extensions(q), chamber, None).product
-        expected = pm_from_json(e["matrix"], nvars=q.n)
-        lines.append(CheckLine(f"{e['id']}: pipeline product", prod == expected,
-                               "product differs from fixture"))
-    return lines
+    return [CheckLine(f"{id_}: pipeline product", prod == expected,
+                      "product differs from fixture", note)
+            for id_, prod, expected, note in _pipeline_fixtures()]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quiverstokes import _kernels
-from quiverstokes.algebra import TruncatedPoly, joyce_point
+from quiverstokes.algebra import PolyMatrix, TruncatedPoly, joyce_point
 from quiverstokes.braid import (BraidWord, apply_move, beta, beta_inv,
                                 equivalent, orbit_search, perm_conj,
                                 random_unipotent, sign_conj,
@@ -63,6 +64,142 @@ class TestBeta:
     def test_rejects_bad_diagonal(self):
         with pytest.raises(ValueError):
             beta(1, F([[2, 0], [0, 1]]))
+
+
+def rows_of(A):
+    return [list(row) for row in (A.entries if isinstance(A, PolyMatrix) else A)]
+
+
+def mat_mul(a, b):
+    n = len(a)
+    return [[sum((a[r][k] * b[k][c] for k in range(n)), start=a[0][0] * 0)
+             for c in range(n)] for r in range(n)]
+
+
+def constant(A, value):
+    """``value`` as an entry of A's kind, at the truncation of A[0][0]."""
+    if isinstance(A, PolyMatrix):
+        return TruncatedPoly.constant(A.nvars, value, A.entries[0][0].trunc)
+    return Fraction(value)
+
+
+def xax(i, A, forward):
+    """Reference braid move: the full product X A X, X the identity with the
+    block [[0, 1], [1, -m]] (forward) or [[-m, 1], [1, 0]] at (i, i+1)."""
+    a = rows_of(A)
+    m = a[i - 1][i] + a[i][i - 1]
+    one, zero = constant(A, 1), constant(A, 0)
+    x = [[one if r == c else zero for c in range(len(a))] for r in range(len(a))]
+    block = [[zero, one], [one, -m]] if forward else [[-m, one], [one, zero]]
+    for r in range(2):
+        for c in range(2):
+            x[i - 1 + r][i - 1 + c] = block[r][c]
+    return mat_mul(mat_mul(x, a), x)
+
+
+@st.composite
+def exact_matrices(draw, min_n=2, max_n=5):
+    """Unit-diagonal Fraction matrices or PolyMatrix values (one truncation
+    bound for every entry), with zeros common and entries on both sides of
+    the diagonal."""
+    n = draw(st.integers(min_n, max_n))
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    if draw(st.booleans()):
+        return tuple(tuple(Fraction(1) if r == c else
+                           draw(st.one_of(st.just(Fraction(0)), small))
+                           for c in range(n)) for r in range(n))
+    nvars = draw(st.integers(1, 3))
+    trunc = draw(st.sampled_from([None, 2, 3]))
+    poly = st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars), small,
+                           max_size=3)
+    return PolyMatrix(n, [[TruncatedPoly.one(nvars, trunc) if r == c else
+                           TruncatedPoly(nvars, draw(poly), trunc)
+                           for c in range(n)] for r in range(n)])
+
+
+def blocked_at(A, i):
+    """Both entries of the braid pair at (i, i+1) nonzero."""
+    a = rows_of(A)
+    return a[i - 1][i] != 0 and a[i][i - 1] != 0
+
+
+class TestExactMovesMatchOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(exact_matrices(), st.data())
+    def test_beta_is_xax(self, A, data):
+        i = data.draw(st.integers(1, len(rows_of(A)) - 1))
+        for fn, forward in ((beta, True), (beta_inv, False)):
+            if blocked_at(A, i):
+                with pytest.raises(ValueError, match="braid position"):
+                    fn(i, A)
+                continue
+            out = fn(i, A)
+            assert type(out) is type(A)
+            want = xax(i, A, forward)
+            assert rows_of(out) == want
+            if isinstance(A, PolyMatrix):
+                assert [e.trunc for row in rows_of(out) for e in row] == \
+                    [e.trunc for row in want for e in row]
+
+    @settings(max_examples=150, deadline=None)
+    @given(exact_matrices(), st.data())
+    def test_perm_conj_is_pap_inverse(self, A, data):
+        n = len(rows_of(A))
+        sigma = data.draw(st.permutations(range(1, n + 1)))
+        one, zero = constant(A, 1), constant(A, 0)
+        p = [[one if r == sigma[c] - 1 else zero for c in range(n)]
+             for r in range(n)]
+        p_inv = [list(col) for col in zip(*p)]
+        assert rows_of(perm_conj(sigma, A)) == \
+            mat_mul(mat_mul(p, rows_of(A)), p_inv)
+
+    @settings(max_examples=150, deadline=None)
+    @given(exact_matrices(), st.data())
+    def test_sign_conj_is_dad(self, A, data):
+        n = len(rows_of(A))
+        d = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        dm = [[constant(A, d[r]) if r == c else constant(A, 0) for c in range(n)]
+              for r in range(n)]
+        assert rows_of(sign_conj(d, A)) == mat_mul(mat_mul(dm, rows_of(A)), dm)
+
+    def test_perm_length_must_match(self):
+        rational = F([[1, 2, 3], [0, 1, 4], [0, 0, 1]])
+        for A in (rational, an_stokes(3)):
+            with pytest.raises(ValueError, match="permutation of length 2"):
+                perm_conj((2, 1), A)
+            with pytest.raises(ValueError, match="permutation of length 4"):
+                perm_conj((2, 1, 4, 3), A)
+
+    # messages of the X A X implementation that preceded the row/column update
+    BETA_ERRORS = [
+        (1, F([[1, 0], [0, 1], [0, 0]]), "matrix must be square"),
+        (1, F([[2, 0], [0, 1]]), "matrix must have unit diagonal"),
+        (1, PolyMatrix(2, [[TruncatedPoly.constant(2, 2), TruncatedPoly.zero(2)],
+                           [TruncatedPoly.zero(2), TruncatedPoly.one(2)]]),
+         "matrix must have unit diagonal"),
+        (0, F([[1, 1, 0], [0, 1, 1], [0, 0, 1]]), "braid index 0 out of range 1..2"),
+        (3, an_stokes(3), "braid index 3 out of range 1..2"),
+        (1, F([[1, 1], [1, 1]]),
+         "matrix is not unipotent for any order at the braid position"),
+        (2, PolyMatrix(3, [[TruncatedPoly.one(1), TruncatedPoly.zero(1),
+                            TruncatedPoly.zero(1)],
+                           [TruncatedPoly.zero(1), TruncatedPoly.one(1),
+                            TruncatedPoly.variable(1, 1)],
+                           [TruncatedPoly.zero(1), TruncatedPoly.constant(1, 3),
+                            TruncatedPoly.one(1)]]),
+         "matrix is not unipotent for any order at the braid position"),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(BETA_ERRORS)))
+    def test_beta_input_errors(self, case):
+        i, A, message = self.BETA_ERRORS[case]
+        for fn in (beta, beta_inv):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                fn(i, A)
+
+    def test_beta_rejects_inexact_entries(self):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            beta(1, ((1, 0.5), (0, 1)))
 
 
 class TestBraidRelations:
@@ -219,6 +356,10 @@ class TestOrbitSearch:
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
             orbit_search(F([[1, Fraction(1, 2)], [0, 1]]), F([[1, 1], [0, 1]]))
+
+    def test_rejects_entries_beyond_int64(self):
+        with pytest.raises(ValueError, match="int64"):
+            orbit_search(((1, 2 ** 70), (0, 1)), ((1, 1), (0, 1)))
 
 
 def brute_sign_canonical(mat: np.ndarray):

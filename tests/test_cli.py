@@ -1,8 +1,14 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
+
+from quiverstokes.cli import main
+from quiverstokes.quiver import apply_word, linear_quiver
+from quiverstokes.serialize import quiver_to_json
+from quiverstokes.verify import _family_entries
 
 
 def run_cli(*args):
@@ -159,3 +165,123 @@ class TestVerifyPaper:
         a = run_cli("verify-paper", "tables").stdout
         b = run_cli("verify-paper", "tables").stdout
         assert a == b
+
+
+class TestErrors:
+    """Input the library rejects ends in one line on stderr and exit code 2."""
+
+    @pytest.mark.parametrize("command,files,message", [
+        ("mutate", [{"n": 3, "arrows": [[0, 1], [0, 0]]}],
+         "arrow matrix must be n x n"),
+        ("goodness", [{"n": 2, "arrows": [[0, 1], [0, 0]]},
+                      {"rows": [[1, 1], [1, 1]]}],
+         "basis rows are linearly dependent"),
+        ("stokes", [{"n": 3, "arrows": [[0, 1], [0, 0]]}],
+         "arrow matrix must be n x n"),
+        ("equiv", [[["1", "2"], ["3", "1"]], [["1", "1"], ["0", "1"]]],
+         "input is not unipotent with respect to any order"),
+        ("equiv", [[["1", str(2 ** 70)], ["0", "1"]], [["1", "1"], ["0", "1"]]],
+         "orbit search entries must fit in int64"),
+    ])
+    def test_library_error_is_one_line(self, tmp_path, command, files, message):
+        paths = []
+        for k, content in enumerate(files):
+            path = tmp_path / f"in{k}.json"
+            path.write_text(json.dumps(content))
+            paths.append(str(path))
+        out = run_cli(command, *paths)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == f"quiverstokes: error: {message}\n"
+
+    def test_verify_paper_unknown_scope(self):
+        out = run_cli("verify-paper", "no_such_scope")
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert out.stderr.splitlines()[-1].startswith(
+            "quiverstokes verify-paper: error: argument scope")
+
+
+def stdout_sha256(capsys, argv):
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+class TestPinnedOutput:
+    """SHA-256 of canonical JSON output, recorded before the exact braid move
+    became a row/column update and the ordered products column updates."""
+
+    def test_verify_paper_all(self, capsys):
+        assert stdout_sha256(capsys, ["verify-paper", "all", "--format", "json"]) \
+            == "bff7e4fe70d75052fc73caf9ed7af69fc84c185e5ae3308c39e26edf31ff344f"
+
+    STOKES_SJ = {
+        "a2/mu1":
+            "a587dbe0700181740b1baf4f23ea068424ca4b0ca6673d6921cd19f74d2565fd",
+        "a3/mu3":
+            "c3ccf0af705444cc438b811a664cbfabc8cf3bc4310a3cb7fb94d9ac02efe1cb",
+        "a3/mu1mu3":
+            "7fc2abbeae4b180d025487bb1dff7e3376244d9e6d860adadb4e3d4bff68df71",
+        "a3/mu1":
+            "2afd5b70caba160b4da3dd6faeb303486c240c3e98f491d201c1c7beef02ddaa",
+        "a3/mu2":
+            "256fd60166a9ce45e77deaa8d98563821fd04592f2879333858ff15671f68cd5",
+        "a3/mu2mu1mu3":
+            "dcb850c6510dca160e1ef31f832b50e177bfcc90a725a7eaca9bdb4d738fdbe4",
+        "a4/mu1":
+            "0ae305995a018559689579773c7f818a270ffb9384f6d0346230c078d566524b",
+        "a4/mu4":
+            "12f1a4369e62647c0e4fe68c3b7b384e5a74a9cee310f1f7d0fc743d9ac14405",
+        "a4/mu4mu2mu1":
+            "1563eef4c4bde1e909b40a99b8daca2a6b0d6cd82df977fdc26e32e126b82697",
+        "a4/mu1mu4":
+            "76d42b3a7f1cc3e7c0eafd8c4128a8c69d27aaa8d37bb2a56d5cd1f36c74927e",
+        "a4/mu2mu1":
+            "b43cd2c2c8785908b97d988eacea371e8eeb93336a93d76cd5aac8b5821ccc69",
+        "a4/mu1mu2mu1":
+            "d3f79b9e344768390e1aabd468d217b8d3c829bfb03a0cf8d18f01bb9a94a2c0",
+        "a4/mu4mu1mu2mu1":
+            "3dd64fa82dca36cf9d6942fec1d96513a0b65bfefc5e0d3bfbea0b76339c3e54",
+        "a4/mu2":
+            "0c609bc2501897f31576ad7c850e7c4a86630b3c6ab3a35cebd3f9749440fa0a",
+        "a4/mu4mu2":
+            "be3b4d68bb417936703123c20995a6bcf4068c927cb49479cae7bc1c9e4cb64c",
+        "a4/mu3":
+            "fc284e1f70fed05691004e8cc56fba959e5db2858d1e99a05826e20d4cecdaa5",
+        "a4/mu1mu3":
+            "a48dd7b055e977d24bec0b5ac92904a329f17b256c1dd45ecbdb3933b72783ed",
+        "a5/mu1":
+            "71fc598d243e3d211909dda066eca0a374ec0c4a02bf4d15215599ad0cc16396",
+        "a5/mu5":
+            "17aedf61894897adff84246a2c369613330d731486cd9019264eff5bb37e3015",
+        "a5/mu3":
+            "0046ba947d17bc366fb04be8785bf6672d9d854e6a653dbbe82511952d234a0e",
+        "a5/mu1mu4":
+            "0e8a71214bb69bb268b354f2dab103d0eddb230ea343dce08c82faec69712298",
+        "a5/mu2mu4":
+            "d658c487378e568fb488cf1f7ce1ffcdf54db336ff2563d856f24a998f997b6d",
+        "a5/mu2mu1mu4":
+            "7fb3cde20a6d7fcf2333a2841965875ffef1a250a771197fbf1dae0a24d89df9",
+        "a5/mu1mu2mu1mu4":
+            "f2c91d65745ef862b8313c52e22828ab3c23833f7b158e67c56dbdd026c2fcca",
+        "a5/mu1mu3":
+            "7903e63d237d570b928681dfc370553de9b61d03c513ce92b6d1eecaf2c07d50",
+        "a5/mu5mu1mu3":
+            "d9a96c2171aa8f61b264a0c9c26221c2add0d062e3db15b232b145349081b12b",
+        "a5/mu4":
+            "269ab19b642038369bc05d51bfd28bf2388e22f9cf2390b62682c88c58961c7d",
+        "a5/mu2":
+            "897f246bd6d7b59c99fe464739ff1bc814190cb1bafa8690a8b46a859e5caa1f",
+        "a5/mu1mu2mu1":
+            "c848f86121101713bee704a0b3322ac245a0942a600c648c4d9b61564688bfcb",
+    }
+
+    def test_stokes_at_unit_point_on_mutation_families(self, capsys, tmp_path):
+        seen = {}
+        for n, e in _family_entries():
+            path = tmp_path / "q.json"
+            path.write_text(json.dumps(quiver_to_json(
+                apply_word(linear_quiver(n), e["word"]))))
+            seen[e["id"]] = stdout_sha256(
+                capsys, ["stokes", str(path), "--format", "json", "--eval", "sJ"])
+        assert seen == self.STOKES_SJ

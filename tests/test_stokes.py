@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quiverstokes.algebra import (Basis, LatticeVector, PolyMatrix,
                                   TruncatedPoly, joyce_point)
@@ -311,3 +313,64 @@ class TestPipelineEvaluations:
                                 [(-9, 2), (0, 2), (15, 2), (36, 2)])
         assert prod.evaluate(joyce_point(4)) == (
             (1, 1, -1, -1), (0, 1, -1, -1), (0, 0, 1, 0), (0, 0, 1, 1))
+
+
+def elementary_chain(n, nvars, factors, p):
+    """Reference ordered product: the left-to-right PolyMatrix product of
+    the factors I + c E_ij, as full matrix products."""
+    m = PolyMatrix.identity(n, nvars, p)
+    for i, j, c in factors:
+        m = m * PolyMatrix.elementary(n, i, j, c)
+    return m
+
+
+@st.composite
+def an_chambers(draw):
+    """(n, chamber, model): a random linear-quiver chamber of rank 2..4 with
+    random nonzero counts on the interval classes."""
+    n = draw(st.integers(2, 4))
+    Z = [(draw(st.integers(-12, 12)), draw(st.integers(1, 9))) for _ in range(n)]
+    try:
+        chamber = an_chamber(n, Z)
+    except (RayCollision, ChamberError):
+        assume(False)
+    counts = {v.coords: draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+              for v in chamber.active}
+    return n, chamber, DTModel.table(counts)
+
+
+class TestProductsMatchOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(an_chambers(), st.sampled_from([None, 2, 3, 5]))
+    def test_stokes_product_is_factor_chain(self, case, p):
+        n, chamber, model = case
+        basis = Basis.triangular(n)
+        data = stokes_product(basis, euler_form(linear_quiver(n)), model,
+                              chamber, p)
+        want = elementary_chain(n, n, data.factors, p)
+        assert data.product == want
+        assert [e.trunc for row in data.product.entries for e in row] == \
+            [e.trunc for row in want.entries for e in row]
+
+    @settings(max_examples=40, deadline=None)
+    @given(an_chambers(), st.sampled_from([2, 3, 5]))
+    def test_natural_lift_is_factor_chain(self, case, p):
+        n, chamber, model = case
+        basis = Basis.triangular(n)
+        e = euler_form(linear_quiver(n))
+        factors = stokes_product(basis, e, model, chamber, p).factors
+        want = elementary_chain(
+            n, n, [(i, j, c.drop_bound()) for (i, j, c) in factors], None)
+        assert natural_lifts(basis, e, model, [chamber], p) == [want]
+
+    @settings(max_examples=40, deadline=None)
+    @given(an_chambers())
+    def test_factor_product_is_factor_chain(self, case):
+        n, chamber, model = case
+        data = stokes_product(Basis.triangular(n), euler_form(linear_quiver(n)),
+                              model, chamber, None)
+        positions = data.factor_positions()
+        coeffs = factor_product(data.product, positions)
+        assert elementary_chain(n, n, [(i, j, c) for (i, j), c
+                                       in zip(positions, coeffs)],
+                                None) == data.product
