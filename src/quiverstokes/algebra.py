@@ -63,26 +63,9 @@ class LatticeVector:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-    def is_effective(self) -> bool:
-        """True when the class lies in the effective cone (>= 0, not all zero)."""
-        return all(a >= 0 for a in self.coords) and any(self.coords)
-
-    def positive_part(self) -> "LatticeVector":
-        return LatticeVector(tuple(max(a, 0) for a in self.coords))
-
-    def negative_part(self) -> "LatticeVector":
-        return LatticeVector(tuple(min(a, 0) for a in self.coords))
-
 
 def lv(*coords: int) -> LatticeVector:
     return LatticeVector(tuple(coords))
-
-
-def simple_class(n: int, i: int) -> LatticeVector:
-    """The class of the i-th simple (1-based) in rank n."""
-    if not 1 <= i <= n:
-        raise ValueError(f"index {i} out of range 1..{n}")
-    return LatticeVector(tuple(1 if j == i - 1 else 0 for j in range(n)))
 
 
 def lv_len(v: LatticeVector) -> int:

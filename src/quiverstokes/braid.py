@@ -259,6 +259,10 @@ def _sorting_permutation(a: np.ndarray) -> Optional[tuple]:
 # Permutations conjugated per numpy call when building the target set (6!).
 _PERM_BLOCK = 720
 
+# Largest B with B + B^2 <= 2^63 - 1: one braid move maps entries of
+# absolute value <= B to at most B + B^2, so it cannot wrap in int64.
+_MOVE_ENTRY_LIMIT = 3_037_000_499
+
 
 def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
                  entry_bound: int = 64) -> OrbitSearchResult:
@@ -270,6 +274,10 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
     under triangularity-preserving permutation conjugations and all sign
     conjugations.  Absence of a certificate within the bounds is reported as
     exhausted or inconclusive, never as inequivalence.
+
+    Moves run in int64, so before the first level a ValueError is raised
+    when ``entry_bound`` or an entry of S1 exceeds 3 037 000 499 in absolute
+    value, the largest B with B + B^2 < 2^63.
     """
     a1 = _to_int_matrix(S1)
     a2 = _to_int_matrix(S2)
@@ -359,6 +367,10 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
     if key0 in targets:
         return OrbitSearchResult("found", reconstruct(key0), 0, 1, pruned)
 
+    limit = _MOVE_ENTRY_LIMIT
+    if entry_bound > limit or a1.max() > limit or a1.min() < -limit:
+        raise ValueError(f"orbit search entries and entry bound must be at most "
+                         f"{limit} so that a move stays within int64")
     moves_per = 2 * (n - 1)
     step = _kernels.CHUNK * moves_per
     frontier = canon0[None]
@@ -399,7 +411,9 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
 def equivalent(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
                entry_bound: int = 64) -> Optional[EquivalenceCertificate]:
     """Shortest-word certificate that S1 and S2 are related, or None when the
-    bounded search ends exhausted or inconclusive."""
+    bounded search ends exhausted or inconclusive.  Like ``orbit_search`` it
+    raises ValueError when ``entry_bound`` or an entry of S1 exceeds
+    3 037 000 499 in absolute value, the int64 limit of one move."""
     return orbit_search(S1, S2, depth, entry_bound).certificate
 
 

@@ -10,6 +10,9 @@ of conditions hold:
 
   Equivalently all in-range pairings equal eps_ij * lambda for a sign tensor
   eps satisfying  1 + eps_ij eps_jk + eps_ji eps_ik + eps_ik eps_kj = 0.
+  For i < j < k, with a = eps_ij, b = eps_jk and c = eps_ik, the left side
+  is (1 - ac)(1 - bc), so the identity says c is a or b: the tensor has no
+  directed 3-cycle.
 
 * vanishing conditions (p = 3 form): every difference alpha_j - alpha_i is
   a signed simple class, a sum of two signed simple classes that splits
@@ -19,15 +22,18 @@ Given a basis and a scale lambda, `find_good_quivers` solves
 <a_i, a_j> = eps_ij * lambda for the skew form, transports it to the simple
 classes, and realizes each resulting form as a quiver.  Pairs whose length
 is >= p are unconstrained; they enter the form as named free parameters and
-are printed symbolically on the quiver arrows.
+are printed symbolically on the quiver arrows.  The transport is linear in
+eps, so the forms of all sign tensors come from one integer matrix product.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 from .algebra import Basis, LatticeVector, TruncatedPoly, lv_len
 from .quiver import EulerForm, Quiver
@@ -185,20 +191,35 @@ class EpsilonTensor:
 def epsilon_solutions(n: int, domain=None) -> list[EpsilonTensor]:
     """All sign tensors over the domain satisfying the triple conditions.
 
-    Brute force over 2^|domain| assignments; returned in canonical order
-    (lexicographic over the sorted pair list, +1 before -1).
+    The triple (i, j, k), i < j < k, holds when eps_ik is eps_ij or eps_jk
+    (the identity factors as (1 - ac)(1 - bc)), so the solutions are the
+    tensors with no directed 3-cycle.  A depth-first search sets the sorted
+    pairs in turn, +1 before -1, checks each triple inside the domain when
+    its last pair (j, k) is set and abandons a branch at its first broken
+    triple.  The order is lexicographic over the sorted pair list, +1
+    before -1, as for a filter over all 2^|domain| assignments.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     dom = full_domain(n) if domain is None else frozenset(tuple(p) for p in domain)
     pairs = sorted(dom)
+    pos = {pair: t for t, pair in enumerate(pairs)}
+    # per pair (j, k): the positions of (i, j) and (i, k) of each triple it closes
+    closes = [[(pos[(i, j)], pos[(i, k)]) for i in range(1, j)
+               if (i, j) in pos and (i, k) in pos] for (j, k) in pairs]
+    signs = [0] * len(pairs)
     out = []
-    for assignment in itertools.product((1, -1), repeat=len(pairs)):
-        eps = dict(zip(pairs, assignment))
-        try:
-            out.append(EpsilonTensor.from_dict(n, dom, eps))
-        except ValueError:
-            continue
+
+    def extend(t: int) -> None:
+        if t == len(pairs):
+            out.append(EpsilonTensor(n, dom, tuple(zip(pairs, signs))))
+            return
+        for b in (1, -1):
+            if all(signs[ik] in (signs[ij], b) for ij, ik in closes[t]):
+                signs[t] = b
+                extend(t + 1)
+
+    extend(0)
     return out
 
 
@@ -260,17 +281,6 @@ class GoodQuiverSolution:
     simple_form: tuple
 
 
-def _param_poly(nparams: int, index: Optional[int], const=0) -> TruncatedPoly:
-    terms = {}
-    z = (0,) * nparams
-    if const:
-        terms[z] = Fraction(const)
-    if index is not None:
-        e = tuple(1 if t == index else 0 for t in range(nparams))
-        terms[e] = Fraction(1)
-    return TruncatedPoly(nparams, terms)
-
-
 def find_good_quivers(basis: Basis, lam: int = 1, p: int = 3,
                       require_vanishing: bool = True) -> list[GoodQuiverSolution]:
     """Quivers whose skew form makes the basis good at order p.
@@ -282,99 +292,105 @@ def find_good_quivers(basis: Basis, lam: int = 1, p: int = 3,
     emitted only when the transported form on the simple classes has integer
     entries, so that every concrete entry e[u][v] is realized by |e[u][v]|
     arrows (u -> v when the entry is negative).
+
+    The transport F -> B^-1 F B^-T is linear in eps.  With D the lcm of the
+    denominators of B^-1, the pair (i, j) contributes the integer slice
+    M_ij = D^2 B^-1 (E_ij - E_ji) B^-T.  A parameter's coefficients are the
+    slice of its pair over -D^2, checked for integrality once per call.  The
+    constant parts of all tensors come from one product of their signs with
+    the in-range slices, times lam, and a tensor survives when every entry
+    of its row is divisible by D^2.  The product and the divisibility test
+    run in int64 when a bound on the sums and D^2 prove that nothing wraps,
+    and on Python integers otherwise.  Only survivors get forms and quivers.
     """
     if require_vanishing and not check_vanishing_p3(basis).ok:
         raise ValueError("basis fails the order-3 vanishing conditions")
     n = basis.n
     dom = basis_domain(basis, p)
+    pairs = sorted(dom)
     free_pairs = sorted(set(full_domain(n)) - dom)
     params = tuple("k" if len(free_pairs) == 1 else f"k{t+1}"
                    for t in range(len(free_pairs)))
     nparams = len(free_pairs)
-    zero = TruncatedPoly.zero(nparams)
-    binv = Basis(basis.rows).inverse()
 
-    solutions = []
-    for eps in epsilon_solutions(n, dom):
-        # skew form on the basis: constants in range, parameters out of range
-        form = [[zero for _ in range(n)] for _ in range(n)]
-        for (i, j) in sorted(dom):
-            c = _param_poly(nparams, None, eps[(i, j)] * lam)
-            form[i - 1][j - 1] = c
-            form[j - 1][i - 1] = -c
-        for t, (i, j) in enumerate(free_pairs):
-            c = _param_poly(nparams, t)  # the parameter is <alpha_j, alpha_i>
-            form[i - 1][j - 1] = -c
-            form[j - 1][i - 1] = c
-        simple = _transport_form(binv, form, nparams)
-        if simple is None:
-            continue
-        arrows = _realize_arrows(simple, nparams)
-        if arrows is None:
-            continue
-        quiver = SymbolicQuiver(n, params, tuple(sorted(arrows.items())))
-        solutions.append(GoodQuiverSolution(
-            quiver=quiver, eps=eps, params=params,
-            basis_form=tuple(tuple(row) for row in form),
-            simple_form=tuple(tuple(row) for row in simple)))
-    solutions.sort(key=lambda s: tuple((uv, p_.key()) for uv, p_ in s.quiver.arrows))
-    return solutions
+    binv = basis.inverse()
+    den = math.lcm(*(x.denominator for row in binv for x in row))
+    d2 = den * den
+    scaled = np.array([[int(x * den) for x in row] for row in binv], dtype=object)
 
+    def slices(pair_list) -> np.ndarray:
+        out = np.zeros((len(pair_list), n * n), dtype=object)
+        for t, (i, j) in enumerate(pair_list):
+            a, b = scaled[:, i - 1], scaled[:, j - 1]
+            out[t] = (np.outer(a, b) - np.outer(b, a)).ravel()
+        return out
 
-def _transport_form(binv, form, nparams):
-    """Form on simple classes: Binv * F * Binv^T; None if non-integral."""
-    n = len(binv)
-    zero = TruncatedPoly.zero(nparams)
+    free = slices(free_pairs)
+    if (free % d2 != 0).any():
+        return []
+    tensors = epsilon_solutions(n, dom)
+    signs = np.array([[s for _, s in t.signs] for t in tensors],
+                     dtype=np.int64).reshape(len(tensors), len(pairs))
+    stack = slices(pairs) * lam
+    reach = len(pairs) * max((abs(x) for x in stack.flat), default=0)
+    if max(reach, d2) < 2 ** 63:
+        stack = stack.astype(np.int64)
+    else:
+        signs = signs.astype(object)
+    consts = signs @ stack
+    keep = np.flatnonzero((consts % d2 == 0).all(axis=1))
 
-    def scale(c: Fraction, poly: TruncatedPoly) -> TruncatedPoly:
-        return poly * c
+    # per-call tables: the parameter part of each simple-form entry, and the
+    # entries, arrows and sort keys shared by (u, v, constant)
+    units = [tuple(int(t == s) for t in range(nparams)) for s in range(nparams)]
+    param_terms = [dict(zip(units, col)) for col in (-free.T // d2).tolist()]
+    origin = (0,) * nparams
+    shared: dict = {}
 
-    tmp = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                if binv[i][k]:
-                    acc = acc + scale(binv[i][k], form[k][j])
-            tmp[i][j] = acc
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                if binv[j][k]:
-                    acc = acc + scale(binv[j][k], tmp[i][k])
-            out[i][j] = acc
-    for i in range(n):
-        for j in range(n):
-            for coeff in out[i][j].terms.values():
-                if coeff.denominator != 1:
-                    return None
-    return out
-
-
-def _realize_arrows(simple, nparams):
-    """Arrow table from the skew form on simples; None if unrealizable.
-
-    Concrete entry e[u][v] < 0 gives |e| arrows u -> v; symbolic entries are
-    emitted as an arrow u -> v (u < v) with multiplicity -e[u][v].
-    """
-    n = len(simple)
-    arrows = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            entry = simple[u][v]
-            if entry.is_zero():
-                continue
-            if entry.degree() <= 0:
-                c = entry.constant_term()
-                if c < 0:
-                    arrows[(u + 1, v + 1)] = TruncatedPoly.constant(nparams, -c)
+    def entry(u: int, v: int, c: int):
+        """Simple-form entry e[u][v] with constant c and, for u < v, its
+        arrow and sort key: c < 0 gives -c arrows u -> v, c > 0 gives c
+        arrows v -> u, a symbolic entry an arrow u -> v of multiplicity
+        -e[u][v]."""
+        key = (u, v, c)
+        if key not in shared:
+            poly = TruncatedPoly(nparams, {origin: c, **param_terms[u * n + v]})
+            arrow = None
+            if u < v and poly:
+                if poly.degree() > 0:
+                    uv, mult = (u + 1, v + 1), -poly
                 else:
-                    arrows[(v + 1, u + 1)] = TruncatedPoly.constant(nparams, c)
-            else:
-                arrows[(u + 1, v + 1)] = -entry
-    return arrows
+                    uv, m = ((u + 1, v + 1), -c) if c < 0 else ((v + 1, u + 1), c)
+                    mult = TruncatedPoly.constant(nparams, m)
+                arrow = (uv, mult), (uv, mult.key())
+            shared[key] = poly, arrow
+        return shared[key]
+
+    zero = TruncatedPoly.zero(nparams)
+    plus = TruncatedPoly.constant(nparams, lam)
+    minus = -plus
+    template = [[zero] * n for _ in range(n)]
+    for t, (i, j) in enumerate(free_pairs):
+        k = TruncatedPoly.variable(nparams, t + 1)  # k is <alpha_j, alpha_i>
+        template[i - 1][j - 1] = -k
+        template[j - 1][i - 1] = k
+
+    keyed = []
+    for r, row in zip(keep.tolist(), (consts[keep] // d2).tolist()):
+        eps = tensors[r]
+        form = [list(line) for line in template]
+        for (i, j), s in eps.signs:
+            form[i - 1][j - 1], form[j - 1][i - 1] = \
+                (plus, minus) if s > 0 else (minus, plus)
+        cells = [[entry(u, v, row[u * n + v]) for v in range(n)] for u in range(n)]
+        arrows = sorted(cell[1] for line in cells for cell in line if cell[1])
+        quiver = SymbolicQuiver(n, params, tuple(item for item, _ in arrows))
+        keyed.append((tuple(sort_key for _, sort_key in arrows), GoodQuiverSolution(
+            quiver=quiver, eps=eps, params=params,
+            basis_form=tuple(tuple(line) for line in form),
+            simple_form=tuple(tuple(cell[0] for cell in line) for line in cells))))
+    keyed.sort(key=lambda ks: ks[0])
+    return [sol for _, sol in keyed]
 
 
 # ---------------------------------------------------------------------------

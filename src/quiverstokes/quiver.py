@@ -55,9 +55,6 @@ class Quiver:
         """Total multiplicity between u and v, either direction (1-based)."""
         return self.arrows[u - 1][v - 1] + self.arrows[v - 1][u - 1]
 
-    def underlying_edges(self) -> set[frozenset]:
-        return {frozenset((u, v)) for (u, v) in self.arrow_pairs()}
-
     def reversed(self) -> "Quiver":
         return Quiver(self.n, tuple(tuple(self.arrows[j][i] for j in range(self.n))
                                     for i in range(self.n)))

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .algebra import Basis, LatticeVector, PolyMatrix, TruncatedPoly
-from .braid import BraidWord, EquivalenceCertificate
+from .braid import EquivalenceCertificate
 from .quiver import Quiver
 from .stokes import Chamber, DTModel, StokesData
 
@@ -73,11 +73,6 @@ def basis_from_json(data: dict) -> Basis:
     return Basis([tuple(r) for r in data["rows"]])
 
 
-def chamber_to_json(c: Chamber) -> dict:
-    return {"Z": [[frac_str(x), frac_str(y)] for (x, y) in c.Z],
-            "active": [list(v.coords) for v in c.active]}
-
-
 def chamber_from_json(data: dict) -> Chamber:
     Z = tuple((Fraction(x), Fraction(y)) for x, y in data["Z"])
     active = tuple(LatticeVector(tuple(v)) for v in data["active"])
@@ -130,15 +125,6 @@ def certificate_to_json(cert: EquivalenceCertificate) -> dict:
         "word": [move_to_json(mv) for mv in cert.word.moves],
         "verified": cert.verified,
     }
-
-
-def certificate_from_json(data: dict) -> EquivalenceCertificate:
-    return EquivalenceCertificate(
-        source=rational_matrix_from_json(data["source"]),
-        target=rational_matrix_from_json(data["target"]),
-        word=BraidWord(tuple(move_from_json(mv) for mv in data["word"])),
-        verified=bool(data["verified"]),
-    )
 
 
 def dumps(data) -> str:

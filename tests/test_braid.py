@@ -10,9 +10,9 @@ from hypothesis.extra.numpy import arrays
 
 from quiverstokes import _kernels
 from quiverstokes.algebra import PolyMatrix, TruncatedPoly, joyce_point
-from quiverstokes.braid import (BraidWord, apply_move, beta, beta_inv,
-                                equivalent, orbit_search, perm_conj,
-                                random_unipotent, sign_conj,
+from quiverstokes.braid import (_MOVE_ENTRY_LIMIT, BraidWord, apply_move,
+                                beta, beta_inv, equivalent, orbit_search,
+                                perm_conj, random_unipotent, sign_conj,
                                 verify_braid_group_relations)
 from quiverstokes.stokes import an_stokes
 
@@ -360,6 +360,31 @@ class TestOrbitSearch:
     def test_rejects_entries_beyond_int64(self):
         with pytest.raises(ValueError, match="int64"):
             orbit_search(((1, 2 ** 70), (0, 1)), ((1, 1), (0, 1)))
+
+    def test_rejects_entries_a_move_could_wrap(self):
+        # a forward move at i = 1 maps entry (2, 3) = 2^40 to -2^80, which
+        # wraps in int64 to a value that passes the bound test
+        src = ((1, 2 ** 40, 2 ** 40), (0, 1, 2 ** 40), (0, 0, 1))
+        ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        with pytest.raises(ValueError, match="int64"):
+            orbit_search(src, ident, depth=2, entry_bound=2 ** 62)
+        with pytest.raises(ValueError, match="int64"):
+            orbit_search(src, ident, depth=2)  # source beyond the limit
+        small = ((1, 2, 1), (0, 1, 2), (0, 0, 1))
+        with pytest.raises(ValueError, match="int64"):
+            orbit_search(small, ident, depth=2, entry_bound=_MOVE_ENTRY_LIMIT + 1)
+
+    def test_entries_at_the_move_limit_still_run(self):
+        limit = _MOVE_ENTRY_LIMIT
+        assert limit + limit ** 2 <= 2 ** 63 - 1 < (limit + 1) + (limit + 1) ** 2
+        src = ((1, limit, -limit), (0, 1, limit), (0, 0, 1))
+        ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        res = orbit_search(src, ident, depth=1, entry_bound=limit)
+        # every child beyond the bound is pruned, as the exact move says
+        exact = [move(i, F(src)) for move in (beta, beta_inv) for i in (1, 2)]
+        assert res.pruned == sum(max(abs(x) for row in c for x in row) > limit
+                                 for c in exact) > 0
+        assert res.status == "exhausted"
 
 
 def brute_sign_canonical(mat: np.ndarray):

@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
+from quiverstokes.algebra import Basis
 from quiverstokes.cli import main
 from quiverstokes.quiver import apply_word, linear_quiver
-from quiverstokes.serialize import quiver_to_json
+from quiverstokes.serialize import basis_to_json, quiver_to_json
 from quiverstokes.verify import _family_entries
 
 
@@ -194,6 +195,20 @@ class TestErrors:
         assert out.stdout == ""
         assert out.stderr == f"quiverstokes: error: {message}\n"
 
+    def test_entry_bound_beyond_the_move_limit(self, tmp_path):
+        paths = []
+        for k in range(2):
+            path = tmp_path / f"in{k}.json"
+            path.write_text(json.dumps([["1", "1"], ["0", "1"]] if k else
+                                       [["1", "2"], ["0", "1"]]))
+            paths.append(str(path))
+        out = run_cli("equiv", *paths, "--entry-bound", "4000000000")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("quiverstokes: error: ")
+        assert "int64" in out.stderr
+
     def test_verify_paper_unknown_scope(self):
         out = run_cli("verify-paper", "no_such_scope")
         assert out.returncode == 2
@@ -209,7 +224,9 @@ def stdout_sha256(capsys, argv):
 
 class TestPinnedOutput:
     """SHA-256 of canonical JSON output, recorded before the exact braid move
-    became a row/column update and the ordered products column updates."""
+    became a row/column update and the ordered products column updates; the
+    good-quiver hashes were recorded before the search became a depth-first
+    sign enumeration with an integer transport product."""
 
     def test_verify_paper_all(self, capsys):
         assert stdout_sha256(capsys, ["verify-paper", "all", "--format", "json"]) \
@@ -285,3 +302,119 @@ class TestPinnedOutput:
             seen[e["id"]] = stdout_sha256(
                 capsys, ["stokes", str(path), "--format", "json", "--eval", "sJ"])
         assert seen == self.STOKES_SJ
+
+    FIND_QUIVERS = {
+        "triangular-3-p3-lambda1":
+            "6d42e236d85afff1d602567722ec6d3f78fd7578f1bfb8c56830124f6276e7cb",
+        "triangular-3-p3-lambda2":
+            "86f4d7116eb0d27fda2106b50c223da1761f74960f023ed91669a41e5806bd54",
+        "triangular-3-p4-lambda1":
+            "0e2ec1d42b3cd8470275d4675d771e55417dbb17950f2b54c3885e4532bbf95d",
+        "triangular-3-p4-lambda2":
+            "0d58da516279f85200f346d05389dec23a99362bb9fc1f4b5310192eb0c59c8e",
+        "triangular-3-p5-lambda1":
+            "3f933edd76222effdd23c697a73e899677aba838a2e64b447e9bc0b17efe1122",
+        "triangular-3-p5-lambda2":
+            "2a8f1b5e2e4934837bc2a286e81d4032746bdcb41e761c27544512dd9e15d15d",
+        "triangular-4-p3-lambda1":
+            "d25586d2221a2b450e4b7530c32973d18acbbb2b4ddb07d7ae7a864e2f7b0d31",
+        "triangular-4-p3-lambda2":
+            "e555816498950b317ba269fb4ba29ae29116fb446c5cc4426096500d19d01d36",
+        "triangular-4-p4-lambda1":
+            "61a90279e54371fcdada0fc0832cef91fe813c457b4b2e221d659f6a96dae1f6",
+        "triangular-4-p4-lambda2":
+            "daeb99286a4c47229823ae1d9cb4e8a31559cd9fd26f587581eee41c09cfcba5",
+        "triangular-4-p5-lambda1":
+            "65d7bb807662b78c2d30cc4e09d0c8ce60cf6821f744ee429fc3b3af7ef0a40e",
+        "triangular-4-p5-lambda2":
+            "4b90de0cc8178457382ba13ef834b43d397b343e7d59ec3e570bd252d231e3e8",
+        "triangular-5-p3-lambda1":
+            "ed28087c57daf215c0f559f5045517d4bd746f86458dbaadb3d376abb733c3f8",
+        "triangular-5-p3-lambda2":
+            "0188983f4a47519e76e173f3a587e982abde07db566f58e0bce8fdeb6aa2f0a0",
+        "triangular-5-p4-lambda1":
+            "6b85ebefd4e8ee20295d2d9bb781b5af3a61b92261d0ff0385098976d40697e6",
+        "triangular-5-p4-lambda2":
+            "cdc6aa76d97ef199f88625b2cc45f0f6d4c3f064836805b637b379f97aff37ff",
+        "triangular-5-p5-lambda1":
+            "0de35cf0483f86429786c0be76b553df95933d6216de93fb495c94a7c7412f92",
+        "triangular-5-p5-lambda2":
+            "1441723eaaebc388eb8cf831072beff3dc492e0dbb2734dbb7f16d947bd83c3f",
+        "triangular-6-p3-lambda1":
+            "3c842f61fe7e7284952077116eae2a0656545758b7f028d9d082ca48656333d9",
+        "triangular-6-p3-lambda2":
+            "ff66de6f8e27a65c3158f808bd0d66b0cb8c86cbb99bf508d847868a28dbb2f2",
+        "triangular-6-p4-lambda1":
+            "cdf84c776c909c93c2673a93d8ec2ab5c4f765cd9fe3541d590f516c433ba7e1",
+        "triangular-6-p4-lambda2":
+            "aaa0946afa9af975e5292bcde030e5da4fd9017f259e1e39c47fce00cf4edf0a",
+        "triangular-6-p5-lambda1":
+            "f8088f94f81827627198189dec2335f4dee4a0e17c6bbd9443fa5dc3cb4f621f",
+        "triangular-6-p5-lambda2":
+            "b8386a9efe461523a79f8104ec01727b36bffec673cf9ab09e4407ff144ff833",
+        "alternating-3-p3-lambda1":
+            "090c5e3bf265ca0828beab762043410bf116e1cc30a1dfeb9ed5392a96c96358",
+        "alternating-3-p3-lambda2":
+            "762e9cc4ef5d95645294640f7eeef5e61dd66c4236c892742e66f72af5212366",
+        "alternating-3-p4-lambda1":
+            "88ad8c98fe8d6ec4c3eef838e67ff541912a9cb4829141c16e82b1a4feae5589",
+        "alternating-3-p4-lambda2":
+            "58ff81121db44eb509f710d87d9ce8f46ca0c3104c9f4a99671ab24566515121",
+        "alternating-3-p5-lambda1":
+            "211c4cc1ec5eae7a7de78769812373fbab63917853a712304ac3a8cb38bb379f",
+        "alternating-3-p5-lambda2":
+            "1037fd865ea90361f9c5b9f28507939b23c6687a8c3dc7d6657e8273267dfb77",
+        "alternating-4-p3-lambda1":
+            "971be24041de7e71d6cb88ec606c8c3390201732c4acf7bc1337da3d5b127cf5",
+        "alternating-4-p3-lambda2":
+            "d2dd738bbc64f21e1ff07e23eed74551e975d99811be7aa52b2a960a4cd0a88e",
+        "alternating-4-p4-lambda1":
+            "846daba7f36db7c3d100353fe3d4f9c957659705d08474694783cc3fb2e222d8",
+        "alternating-4-p4-lambda2":
+            "fe8deef6527cddc6fc173db02733dc0ca646f6121e64e7fc8cbed70641677bb8",
+        "alternating-4-p5-lambda1":
+            "f637ca316bdb3cd587619483976a7778afe46330c6afd4ca123a96835c19c057",
+        "alternating-4-p5-lambda2":
+            "6eb24711fb7206f341ac283817c363d4715b5eb7d5912d5e56cf06d2f55ec48c",
+        "alternating-5-p3-lambda1":
+            "c82bf46985661ab98e5d7675a435d05426eee9e5068bc39996be86ae0af4835a",
+        "alternating-5-p3-lambda2":
+            "af5f14a9b3b8be70b305b6d09d88366486f7415d6df0ec887a4179a7dfe28f43",
+        "alternating-5-p4-lambda1":
+            "8ca93034bc944493cb64bba4bc6761b5fc65061a5f41b5feb91d6314e4f74be2",
+        "alternating-5-p4-lambda2":
+            "e1dd9759a7c4871b0a9ab68d8f6e5c6d7b1a36815f1f0cb6c2642fa3dcf7125c",
+        "alternating-5-p5-lambda1":
+            "768c064950c3e36550612fac7d96f83183adad983bba4e7408e17217f6d69509",
+        "alternating-5-p5-lambda2":
+            "82bd7ac14543af2160acb6bf5828fb20a7193a19aa3c2a05ba9268c766d81332",
+        "alternating-6-p3-lambda1":
+            "55da9a6dec0383223bcd5f143f6684d99740603dee0f7154d152a17f75002911",
+        "alternating-6-p3-lambda2":
+            "8a8220dce3e0b218eebfb66cf11da97102455c05fab33bcffae86b439b3cfd02",
+        "alternating-6-p4-lambda1":
+            "233f7b6f015af8455ba89780f13055b913fde08e8f0e8e6b5bb58563954769e2",
+        "alternating-6-p4-lambda2":
+            "3466ce0c46da2ac1d530572b0f194ad1dcff9adac80f0be650555314de5864d5",
+        "alternating-6-p5-lambda1":
+            "e7230939c39d05638e353bc98f20e0951932be6dca4d2b2c329ee2e1d97d97ae",
+        "alternating-6-p5-lambda2":
+            "81119dc7d8489b41379e2bf3478d470c036fbfc688b46ca1351c5e5649f8be06",
+    }
+
+    def test_goodness_find_quivers(self, capsys, tmp_path):
+        seen = {}
+        for kind in ("triangular", "alternating"):
+            for n in range(3, 7):
+                quiver = tmp_path / "q.json"
+                quiver.write_text(json.dumps(quiver_to_json(linear_quiver(n))))
+                basis = tmp_path / "b.json"
+                basis.write_text(json.dumps(
+                    basis_to_json(getattr(Basis, kind)(n))))
+                for p in (3, 4, 5):
+                    for lam in (1, 2):
+                        seen[f"{kind}-{n}-p{p}-lambda{lam}"] = stdout_sha256(
+                            capsys, ["goodness", str(quiver), str(basis),
+                                     "--find-quivers", "--p", str(p),
+                                     "--lambda", str(lam), "--format", "json"])
+        assert seen == self.FIND_QUIVERS

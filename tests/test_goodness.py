@@ -1,15 +1,180 @@
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from quiverstokes.algebra import Basis
-from quiverstokes.goodness import (EpsilonTensor, UnrecognizedPattern,
+from quiverstokes.algebra import Basis, TruncatedPoly
+from quiverstokes.goodness import (EpsilonTensor, GoodQuiverSolution,
+                                   SymbolicQuiver, UnrecognizedPattern,
                                    basis_domain, check_quadratic,
                                    check_vanishing_p3, epsilon_solutions,
                                    find_good_quivers, full_domain,
                                    mutation_basis)
 from quiverstokes.quiver import (Quiver, apply_word, euler_form,
                                  linear_quiver, mutation_class)
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracles: every sign assignment, and the transport carried out
+# on TruncatedPoly entries one tensor at a time
+# ---------------------------------------------------------------------------
+
+def brute_epsilon_solutions(n, domain=None):
+    """All 2^|domain| sign assignments in lexicographic order over the sorted
+    pairs, +1 before -1, kept when EpsilonTensor.from_dict accepts them."""
+    dom = full_domain(n) if domain is None else frozenset(tuple(p) for p in domain)
+    pairs = sorted(dom)
+    out = []
+    for assignment in itertools.product((1, -1), repeat=len(pairs)):
+        try:
+            out.append(EpsilonTensor.from_dict(n, dom, dict(zip(pairs, assignment))))
+        except ValueError:
+            continue
+    return out
+
+
+def param_poly(nparams, index, const=0):
+    terms = {}
+    if const:
+        terms[(0,) * nparams] = Fraction(const)
+    if index is not None:
+        terms[tuple(1 if t == index else 0 for t in range(nparams))] = Fraction(1)
+    return TruncatedPoly(nparams, terms)
+
+
+def transport_form(binv, form, nparams):
+    """Binv * F * Binv^T entry by entry; None if a coefficient is not an
+    integer."""
+    n = len(binv)
+    zero = TruncatedPoly.zero(nparams)
+    tmp = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            acc = zero
+            for k in range(n):
+                if binv[i][k]:
+                    acc = acc + form[k][j] * binv[i][k]
+            tmp[i][j] = acc
+    out = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            acc = zero
+            for k in range(n):
+                if binv[j][k]:
+                    acc = acc + tmp[i][k] * binv[j][k]
+            out[i][j] = acc
+    if any(c.denominator != 1 for row in out for e in row for c in e.terms.values()):
+        return None
+    return out
+
+
+def realize_arrows(simple, nparams):
+    n = len(simple)
+    arrows = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            entry = simple[u][v]
+            if entry.is_zero():
+                continue
+            if entry.degree() <= 0:
+                c = entry.constant_term()
+                if c < 0:
+                    arrows[(u + 1, v + 1)] = TruncatedPoly.constant(nparams, -c)
+                else:
+                    arrows[(v + 1, u + 1)] = TruncatedPoly.constant(nparams, c)
+            else:
+                arrows[(u + 1, v + 1)] = -entry
+    return arrows
+
+
+def brute_find_good_quivers(basis, lam=1, p=3):
+    """find_good_quivers with the form of every brute-force tensor built and
+    transported on TruncatedPoly entries."""
+    n = basis.n
+    dom = basis_domain(basis, p)
+    free_pairs = sorted(set(full_domain(n)) - dom)
+    params = tuple("k" if len(free_pairs) == 1 else f"k{t+1}"
+                   for t in range(len(free_pairs)))
+    nparams = len(free_pairs)
+    zero = TruncatedPoly.zero(nparams)
+    binv = basis.inverse()
+    solutions = []
+    for eps in brute_epsilon_solutions(n, dom):
+        form = [[zero for _ in range(n)] for _ in range(n)]
+        for (i, j) in sorted(dom):
+            c = param_poly(nparams, None, eps[(i, j)] * lam)
+            form[i - 1][j - 1] = c
+            form[j - 1][i - 1] = -c
+        for t, (i, j) in enumerate(free_pairs):
+            c = param_poly(nparams, t)
+            form[i - 1][j - 1] = -c
+            form[j - 1][i - 1] = c
+        simple = transport_form(binv, form, nparams)
+        if simple is None:
+            continue
+        arrows = realize_arrows(simple, nparams)
+        solutions.append(GoodQuiverSolution(
+            quiver=SymbolicQuiver(n, params, tuple(sorted(arrows.items()))),
+            eps=eps, params=params,
+            basis_form=tuple(tuple(row) for row in form),
+            simple_form=tuple(tuple(row) for row in simple)))
+    solutions.sort(key=lambda s: tuple((uv, m.key()) for uv, m in s.quiver.arrows))
+    return solutions
+
+
+def poly_fields(poly):
+    return (poly.nvars, poly.trunc,
+            tuple((e, type(c), c) for e, c in poly.key()))
+
+
+def solution_fields(sol):
+    """Every field of a solution; polynomials by variable count, bound and
+    terms, coefficient types included."""
+    q = sol.quiver
+    return (q.n, q.params, tuple((uv, poly_fields(m)) for uv, m in q.arrows),
+            sol.eps, sol.params,
+            tuple(tuple(poly_fields(x) for x in row) for row in sol.basis_form),
+            tuple(tuple(poly_fields(x) for x in row) for row in sol.simple_form))
+
+
+@st.composite
+def good_bases(draw):
+    """Independent bases of rank 2..5 with entries in [-2, 2] passing the
+    order-3 vanishing conditions.  Half are drawn entry by entry, mostly not
+    unimodular, so that most tensors fail integrality; half are unimodular,
+    a triangular or alternating basis changed by a few row operations, so
+    that every tensor survives."""
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    else:
+        start = draw(st.sampled_from((Basis.triangular, Basis.alternating)))(n)
+        rows = [list(row.coords) for row in start.rows]
+        ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                        st.sampled_from((1, -1)))
+        for i, j, s in draw(st.lists(ops, max_size=2 * n)):
+            if i != j:
+                rows[i] = [a + s * b for a, b in zip(rows[i], rows[j])]
+        assume(all(abs(a) <= 2 for row in rows for a in row))
+    try:
+        basis = Basis(rows)
+    except ValueError:
+        assume(False)
+    assume(check_vanishing_p3(basis).ok)
+    return basis
+
+
+@st.composite
+def sub_domains(draw):
+    n = draw(st.integers(2, 6))
+    pairs = sorted(full_domain(n))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    dom = [pair for pair, k in zip(pairs, keep) if k]
+    assume(len(dom) <= 12)  # at most 4096 brute-force assignments
+    return n, dom
 
 
 class TestCheckQuadratic:
@@ -99,6 +264,16 @@ class TestEpsilonSolutions:
         assert (1, 4) not in dom and len(dom) == 5
         assert len(epsilon_solutions(4, dom)) == 18
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_full_domain_matches_oracle_in_order(self, n):
+        assert epsilon_solutions(n) == brute_epsilon_solutions(n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sub_domains())
+    def test_sub_domain_matches_oracle_in_order(self, case):
+        n, dom = case
+        assert epsilon_solutions(n, dom) == brute_epsilon_solutions(n, dom)
+
     def test_invalid_tensor_rejected(self):
         with pytest.raises(ValueError):
             EpsilonTensor.from_dict(3, full_domain(3),
@@ -123,6 +298,39 @@ class TestFindGoodQuivers:
         assert all(sol.params == ("k",) for sol in sols)
         # diagonal entries of the induced form depend on the parameter
         assert any(not sol.quiver.is_concrete() for sol in sols)
+
+    @settings(max_examples=150, deadline=None)
+    @given(good_bases(), st.integers(3, 6), st.integers(-2, 3))
+    def test_matches_oracle(self, basis, p, lam):
+        got = find_good_quivers(basis, lam, p)
+        want = brute_find_good_quivers(basis, lam, p)
+        assert [solution_fields(s) for s in got] == \
+            [solution_fields(s) for s in want]
+
+    @pytest.mark.parametrize("rows,p,lam", [
+        ([(1, 1, 0), (0, 1, -2), (-2, 0, -1)], 6, 1),    # det 3
+        ([(2, 0, -2), (0, 1, 0), (2, 1, 2)], 6, 2),      # det 8
+        ([(-1, -1, 0), (0, -1, -2), (-1, 1, -2)], 5, 2),  # det -6
+    ])
+    def test_non_unimodular_matches_oracle(self, rows, p, lam):
+        # D > 1: some tensors fail the divisibility by D^2, others survive
+        basis = Basis(rows)
+        got = find_good_quivers(basis, lam, p)
+        want = brute_find_good_quivers(basis, lam, p)
+        assert 0 < len(got) < len(epsilon_solutions(3, basis_domain(basis, p)))
+        assert [solution_fields(s) for s in got] == \
+            [solution_fields(s) for s in want]
+
+    @pytest.mark.parametrize("basis,p,lam", [
+        (Basis.triangular(4), 3, 10 ** 30),
+        (Basis([(1, 0, 0), (-1, 0, -2), (1, 1, 0)]), 6, -10 ** 30),
+    ])
+    def test_huge_scale_matches_oracle(self, basis, p, lam):
+        # the integer product of signs and slices no longer fits in int64
+        got = find_good_quivers(basis, lam, p)
+        want = brute_find_good_quivers(basis, lam, p)
+        assert got and [solution_fields(s) for s in got] == \
+            [solution_fields(s) for s in want]
 
     def test_rejects_bad_basis(self):
         with pytest.raises(ValueError):
