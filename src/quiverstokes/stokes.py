@@ -10,14 +10,17 @@ elementary unipotent factor
 attached to the ray of Z(alpha_i - alpha_j).  The Stokes matrix is the
 product of these factors over rays in the semi-closed upper half plane,
 ordered clockwise: strictly decreasing argument in (0, pi], leftmost factor
-first.  All ray comparisons are exact sign tests on Gaussian rationals.
+first.  All ray comparisons are exact sign tests: a chamber scales its
+charge once by the least common multiple of its denominators, which keeps
+every argument, and compares rays by integer dot and cross products.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -142,7 +145,7 @@ class DTModel:
 # Exact ray geometry
 # ---------------------------------------------------------------------------
 
-def _in_upper(x: Fraction, y: Fraction) -> bool:
+def _in_upper(x, y) -> bool:
     """Membership in the semi-closed upper half plane {y > 0} u {y = 0, x < 0}."""
     return y > 0 or (y == 0 and x < 0)
 
@@ -152,6 +155,17 @@ def _arg_greater(a: tuple, b: tuple) -> bool:
     return b[0] * a[1] - b[1] * a[0] > 0
 
 
+def _scaled_charge(Z) -> tuple[tuple, tuple, int]:
+    """(Z as Fractions, D * Z as ints, D) with D the lcm of Z's denominators.
+
+    Scaling by D > 0 keeps every argument, so ray tests may use the integers.
+    """
+    Z = tuple((_as_fraction(x), _as_fraction(y)) for x, y in Z)
+    scale = math.lcm(*(c.denominator for z in Z for c in z))
+    return Z, tuple((x.numerator * (scale // x.denominator),
+                     y.numerator * (scale // y.denominator)) for x, y in Z), scale
+
+
 @dataclass(frozen=True)
 class Chamber:
     """A central charge plus the list of active classes for it.
@@ -159,26 +173,31 @@ class Chamber:
     Z is a tuple of (x, y) Gaussian rationals, one per simple class; every
     Z_i must lie in the semi-closed upper half plane.  Active classes are
     recorded with their ray in the upper half plane and must have pairwise
-    distinct rays.
+    distinct rays.  Rays are compared on the charge scaled to integers by
+    the lcm of its denominators; ``Z`` and ``z_of`` give exact rationals.
     """
 
     Z: tuple
     active: tuple
+    _zint: tuple = field(init=False, repr=False, compare=False)
+    _scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        Z = tuple((_as_fraction(x), _as_fraction(y)) for x, y in self.Z)
+        Z, zint, scale = _scaled_charge(self.Z)
         object.__setattr__(self, "Z", Z)
+        object.__setattr__(self, "_zint", zint)
+        object.__setattr__(self, "_scale", scale)
         act = tuple(v if isinstance(v, LatticeVector) else LatticeVector(tuple(v))
                     for v in self.active)
         object.__setattr__(self, "active", act)
-        for x, y in Z:
+        for x, y in zint:
             if not _in_upper(x, y):
                 raise ChamberError("central charge leaves the upper half plane")
         rays = []
         for v in act:
             if v.is_zero():
                 raise ChamberError("zero class marked active")
-            x, y = self.z_of(v)
+            x, y = self._ray(v)
             if (x, y) == (0, 0):
                 raise ChamberError(f"active class {v.coords} has Z = 0")
             if not _in_upper(x, y):
@@ -193,12 +212,21 @@ class Chamber:
     def n(self) -> int:
         return len(self.Z)
 
+    def _ray(self, v: LatticeVector) -> tuple[int, int]:
+        """Z(v) scaled by the charge's common denominator, as integers."""
+        if len(v.coords) != len(self._zint):
+            raise ChamberError(f"class {v.coords} has rank {len(v.coords)}, "
+                               f"the chamber has rank {len(self._zint)}")
+        x = y = 0
+        for c, (zx, zy) in zip(v.coords, self._zint):
+            if c:
+                x += c * zx
+                y += c * zy
+        return x, y
+
     def z_of(self, v: LatticeVector) -> tuple:
-        x = sum((Fraction(c) * zx for c, (zx, _) in zip(v.coords, self.Z)),
-                Fraction(0))
-        y = sum((Fraction(c) * zy for c, (_, zy) in zip(v.coords, self.Z)),
-                Fraction(0))
-        return (x, y)
+        x, y = self._ray(v)
+        return (Fraction(x, self._scale), Fraction(y, self._scale))
 
     def active_set(self) -> set:
         return {v.coords for v in self.active}
@@ -209,11 +237,11 @@ def ray_order(chamber: Chamber, classes: Iterable[LatticeVector]) -> list[Lattic
 
     Classes whose ray lies in the lower half plane are replaced by their
     negatives first.  Raises RayCollision when two inputs share a ray and
-    ChamberError when a class evaluates to zero.
+    ChamberError when a class evaluates to zero or has the wrong rank.
     """
     fixed = []
     for v in classes:
-        x, y = chamber.z_of(v)
+        x, y = chamber._ray(v)
         if (x, y) == (0, 0):
             raise ChamberError(f"class {v.coords} has Z = 0")
         if not _in_upper(x, y):
@@ -286,7 +314,7 @@ def _chamber_factors(basis: Basis, chamber: Chamber, model: DTModel,
             if i == j:
                 continue
             d = basis.diff(i, j)
-            x, y = chamber.z_of(d)
+            x, y = chamber._ray(d)
             if (x, y) == (0, 0):
                 raise ChamberError(f"difference {d.coords} has Z = 0")
             if not _in_upper(x, y):
@@ -366,11 +394,17 @@ def natural_lifts(basis: Basis, e: EulerForm, model: DTModel,
     Every returned matrix is an exact polynomial matrix; all of them agree
     mod (s)^p (checked, ValueError otherwise).
     """
+    return _distinct_lifts(
+        (_elementary_product(basis.n, basis.n,
+                             [(i, j, c.drop_bound()) for (i, j, c)
+                              in _ordered_factors(basis, e, model, chamber, p)])
+         for chamber in chambers), p)
+
+
+def _distinct_lifts(products: Iterable[PolyMatrix], p: int) -> list[PolyMatrix]:
+    """The distinct products sorted by key, checked congruent mod (s)^p."""
     values: list[PolyMatrix] = []
-    for chamber in chambers:
-        factors = _ordered_factors(basis, e, model, chamber, p)
-        product = _elementary_product(
-            basis.n, basis.n, [(i, j, c.drop_bound()) for (i, j, c) in factors])
+    for product in products:
         if product not in values:
             values.append(product)
     for a, b in itertools.combinations(values, 2):
@@ -500,14 +534,18 @@ def an_stable_intervals(n: int, Z) -> list[LatticeVector]:
 
     The indecomposable on [i, j] has exactly the right-closed subobjects
     [k, j], so it is stable iff arg Z([k, j]) < arg Z([i, j]) for all
-    i < k <= j.
+    i < k <= j.  Z([i, j]) is a difference of prefix sums of the charge
+    scaled to integers.
     """
-    Z = tuple((_as_fraction(x), _as_fraction(y)) for x, y in Z)
+    zint = _scaled_charge(Z)[1]
+    if len(zint) != n:
+        raise ChamberError(f"a rank-{n} charge needs {n} entries, got {len(zint)}")
+    prefix = [(0, 0)]
+    for x, y in zint:
+        prefix.append((prefix[-1][0] + x, prefix[-1][1] + y))
 
     def zval(i, j):
-        x = sum((Z[t][0] for t in range(i - 1, j)), Fraction(0))
-        y = sum((Z[t][1] for t in range(i - 1, j)), Fraction(0))
-        return (x, y)
+        return (prefix[j][0] - prefix[i - 1][0], prefix[j][1] - prefix[i - 1][1])
 
     out = []
     for i in range(1, n + 1):
@@ -575,12 +613,15 @@ def verify_an_jet(n: int, samples: int = 600) -> dict:
     model = DTModel.an_intervals()
     chambers = enumerate_an_chambers(n, samples)
     expected = an_stokes(n)
-    mismatches = []
+    products = []
     for ch in chambers:
-        prod = stokes_product(basis, e, model, ch, None).product
-        if prod != expected:
-            mismatches.append((ch, prod))
-    lifts = natural_lifts(basis, e, model, chambers, n + 1)
+        # an interval has length <= n, so no factor is dropped at order
+        # n + 1 and the natural lift of a chamber is its exact product
+        if any(lv_len(v) > n for v in ch.active):
+            raise ChamberError(f"chamber with an active class longer than {n}")
+        products.append(stokes_product(basis, e, model, ch, None).product)
+    mismatches = [prod for prod in products if prod != expected]
+    lifts = _distinct_lifts(products, n + 1)
     ok = not mismatches and len(lifts) == 1 and lifts[0] == expected
     return {
         "n": n,

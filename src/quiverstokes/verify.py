@@ -129,12 +129,16 @@ def pipeline_product(n: int, word, Zrows) -> PolyMatrix:
     return _chamber_product(q, mutation_basis(n, q), Zrows)
 
 
-def _pipeline_fixtures():
+def _family_fixtures():
     """(id, pipeline product, fixture matrix, note) for every mutation-family
-    entry, then for both annulus quivers."""
+    entry."""
     for n, e in _family_entries():
         yield (e["id"], pipeline_product(n, e["word"], e["Z"]),
                pm_from_json(e["matrix"], nvars=n), e.get("note", ""))
+
+
+def _annulus_fixtures():
+    """(id, pipeline product, fixture matrix, note) for both annulus quivers."""
     for e in _load("annulus.json")["quivers"]:
         q = Quiver(len(e["arrows"]), tuple(tuple(r) for r in e["arrows"]))
         basis = Basis([tuple(r) for r in e["basis"]])
@@ -142,17 +146,28 @@ def _pipeline_fixtures():
                pm_from_json(e["matrix"], nvars=q.n), "")
 
 
-def fixture_matrices_sj() -> dict:
+def _pipeline_fixtures() -> list:
+    """Every mutation-family fixture, then both annulus quivers, each
+    product built once."""
+    return [*_family_fixtures(), *_annulus_fixtures()]
+
+
+def fixture_matrices_sj(fixtures=None) -> dict:
     """Unit-point evaluations of every mutation-family fixture, recomputed
-    through the pipeline (not read off the stored matrices)."""
+    through the pipeline (not read off the stored matrices).  ``fixtures``
+    defaults to a fresh ``_pipeline_fixtures()``."""
+    if fixtures is None:
+        fixtures = _pipeline_fixtures()
     return {id_: prod.evaluate(joyce_point(prod.nvars))
-            for id_, prod, _, _ in _pipeline_fixtures()}
+            for id_, prod, _, _ in fixtures}
 
 
-def check_mutation_tables() -> list[CheckLine]:
+def check_mutation_tables(fixtures=None) -> list[CheckLine]:
+    if fixtures is None:
+        fixtures = _pipeline_fixtures()
     return [CheckLine(f"{id_}: pipeline product", prod == expected,
                       "product differs from fixture", note)
-            for id_, prod, expected, note in _pipeline_fixtures()]
+            for id_, prod, expected, note in fixtures]
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +204,14 @@ def check_an_jets(samples: int = 400) -> list[CheckLine]:
 # Scope: braiding identities
 # ---------------------------------------------------------------------------
 
-def check_relations() -> list[CheckLine]:
-    data = _load("relations.json")
+def check_relations(fixtures=None) -> list[CheckLine]:
+    return _replay(_load("relations.json")["relations"],
+                   fixture_matrices_sj(fixtures))
+
+
+def _replay(relations, mats: dict) -> list[CheckLine]:
+    """One line per relation, replayed on the unit-point values ``mats``."""
     annulus = _load("annulus.json")
-    mats = fixture_matrices_sj()
 
     def resolve(ref):
         if "an" in ref:
@@ -207,7 +226,7 @@ def check_relations() -> list[CheckLine]:
         raise ValueError(f"unresolvable reference {ref!r}")
 
     lines = []
-    for rel in data["relations"]:
+    for rel in relations:
         base = resolve(rel["base"])
         target = resolve(rel["target"])
         word = BraidWord(tuple(move_from_json(mv) for mv in rel["word"]))
@@ -228,15 +247,25 @@ def check_relations() -> list[CheckLine]:
 # ---------------------------------------------------------------------------
 
 def check_annulus() -> list[CheckLine]:
-    lines = [l for l in check_mutation_tables() if l.id.startswith("annulus")]
-    lines += [l for l in check_relations() if l.id.startswith("annulus")]
-    return lines
+    """The two annulus products and the two annulus relations."""
+    fixtures = list(_annulus_fixtures())
+    relations = [rel for rel in _load("relations.json")["relations"]
+                 if rel["id"].startswith("annulus")]
+    return (check_mutation_tables(fixtures)
+            + _replay(relations, fixture_matrices_sj(fixtures)))
+
+
+def check_mutation_theorem() -> list[CheckLine]:
+    """Mutation tables and braiding identities from one pass over the
+    pipeline fixtures."""
+    fixtures = _pipeline_fixtures()
+    return check_mutation_tables(fixtures) + check_relations(fixtures)
 
 
 SCOPES = {
     "tables": check_tables,
     "an_jets": check_an_jets,
-    "mutation_theorem": lambda: check_mutation_tables() + check_relations(),
+    "mutation_theorem": check_mutation_theorem,
     "annulus": check_annulus,
     "braid_relations": check_relations,
 }
@@ -244,12 +273,7 @@ SCOPES = {
 
 def run_scope(scope: str) -> list[CheckLine]:
     if scope == "all":
-        lines = []
-        lines += check_tables()
-        lines += check_an_jets()
-        lines += check_mutation_tables()
-        lines += check_relations()
-        return lines
+        return check_tables() + check_an_jets() + check_mutation_theorem()
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; choose from "
                          f"{sorted(SCOPES)} or 'all'")

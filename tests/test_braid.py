@@ -353,6 +353,17 @@ class TestOrbitSearch:
         if res.certificate is not None:
             assert res.certificate.verified
 
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_full_an_orbit_has_n_plus_1_to_the_n_minus_2_classes(self, n):
+        # the identity is not in the orbit, so the search drains it; the
+        # counts fit (n+1)^(n-1) minimal factorizations of an (n+1)-cycle
+        # modulo its cyclic centralizer of order n + 1
+        source = an_stokes(n).evaluate(joyce_point(n))
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        res = orbit_search(source, ident, depth=100, entry_bound=64)
+        assert (res.status, res.pruned, res.states) == \
+            ("exhausted", 0, (n + 1) ** (n - 2))
+
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
             orbit_search(F([[1, Fraction(1, 2)], [0, 1]]), F([[1, 1], [0, 1]]))

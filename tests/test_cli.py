@@ -195,6 +195,17 @@ class TestErrors:
         assert out.stdout == ""
         assert out.stderr == f"quiverstokes: error: {message}\n"
 
+    def test_chamber_class_of_the_wrong_rank(self, tmp_path, a3_file):
+        chamber = tmp_path / "chamber.json"
+        chamber.write_text(json.dumps(
+            {"Z": [["-1", "1"], ["0", "1"], ["1", "1"]],
+             "active": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0, 5]]}))
+        out = run_cli("stokes", a3_file, "--chamber", str(chamber))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == ("quiverstokes: error: class (1, 1, 0, 5) has "
+                              "rank 4, the chamber has rank 3\n")
+
     def test_entry_bound_beyond_the_move_limit(self, tmp_path):
         paths = []
         for k in range(2):
@@ -226,11 +237,46 @@ class TestPinnedOutput:
     """SHA-256 of canonical JSON output, recorded before the exact braid move
     became a row/column update and the ordered products column updates; the
     good-quiver hashes were recorded before the search became a depth-first
-    sign enumeration with an integer transport product."""
+    sign enumeration with an integer transport product; the `verify-paper`
+    scope hashes, JSON and text, before chamber rays were compared on
+    integers and each fixture product was built once."""
 
     def test_verify_paper_all(self, capsys):
         assert stdout_sha256(capsys, ["verify-paper", "all", "--format", "json"]) \
             == "bff7e4fe70d75052fc73caf9ed7af69fc84c185e5ae3308c39e26edf31ff344f"
+
+    # every other scope and format; `annulus` then built all 31 products
+    VERIFY_PAPER_SCOPES = {
+        ("tables", "json"):
+            "369ea0c6b963ecbdc046f1e1eaa592bbbd7c8901ab66981c3690e2924cd0f78d",
+        ("tables", "text"):
+            "b1672121c24419811c958f7b82b5dabe3ea9df331f3fa090023c0dbb45faa2cc",
+        ("an_jets", "json"):
+            "25effe902f06b537a02b25fe950951a3e729617b9d6b1d3d7811320bd4ac3ba1",
+        ("an_jets", "text"):
+            "4ca2e63217706b77811effbbf79e237030ff40e13cddc77b06ca1889074a71dc",
+        ("mutation_theorem", "json"):
+            "403a6835cbeb48c5ecdc90ef3d0120c1de24399dc14ca8e8c680883b742c3be1",
+        ("mutation_theorem", "text"):
+            "0d255c6b007fc83326a4fa8e05c9327298d410ac59e496b40a0da2aab8555f0b",
+        ("annulus", "json"):
+            "823099befbaf41b0151debc4dea0c5bd12a2de5c2d4041c5fd58a471b3c19cf7",
+        ("annulus", "text"):
+            "349354ff7b5a6a6cb9ad535727670475a9ad49a6d58124162b2253c1870efdc7",
+        ("braid_relations", "json"):
+            "aceb32413ba51bf58024707693357c104282973c5ccb4c6b8e9dd1d73424d352",
+        ("braid_relations", "text"):
+            "c1ddd40f237ed3f9b7f6c66d66b1e29085287cce71114d494892ab068f811f0f",
+    }
+
+    @pytest.mark.parametrize("scope, fmt", sorted(VERIFY_PAPER_SCOPES))
+    def test_verify_paper_scopes(self, capsys, scope, fmt):
+        assert stdout_sha256(capsys, ["verify-paper", scope, "--format", fmt]) \
+            == self.VERIFY_PAPER_SCOPES[scope, fmt]
+
+    def test_verify_paper_all_text(self, capsys):
+        assert stdout_sha256(capsys, ["verify-paper", "all", "--format", "text"]) \
+            == "9c758472b2d0a3a390fb867fa9cc9e7d80cc5ab3453adb483d7aa46f3941426e"
 
     STOKES_SJ = {
         "a2/mu1":

@@ -1,3 +1,7 @@
+import functools
+import hashlib
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -10,8 +14,11 @@ from quiverstokes.algebra import (Basis, LatticeVector, PolyMatrix,
 from quiverstokes.goodness import mutation_basis
 from quiverstokes.quiver import (apply_word, euler_form, kronecker_quiver,
                                  linear_quiver)
+from quiverstokes import stokes as stokes_mod
+from quiverstokes import verify
 from quiverstokes.stokes import (Chamber, ChamberError, DTModel, RayCollision,
-                                 an_chamber, an_stokes, factor_product,
+                                 an_chamber, an_stable_intervals, an_stokes,
+                                 enumerate_an_chambers, factor_product,
                                  level2_chamber, natural_lifts, ray_order,
                                  stokes_factor, stokes_product, verify_an_jet,
                                  convex_charge)
@@ -280,7 +287,6 @@ class TestChamberIndependence:
         e = euler_form(q)
         model = DTModel.from_quiver_extensions(q)
         jets = set()
-        import itertools
         pts = [(Fraction(3 * (k + 1) ** 2 - 12), Fraction(2)) for k in range(4)]
         for perm in itertools.permutations(range(4)):
             Z = tuple(pts[p] for p in perm)
@@ -294,7 +300,6 @@ class TestChamberIndependence:
     def test_natural_lift_values_at_unit_point_are_small(self):
         # regression property: unit-point entries of the linear-quiver lifts
         # stay in {-1, 0, 1} for the triangular basis
-        from quiverstokes.stokes import enumerate_an_chambers
         for n in (2, 3, 4):
             basis = Basis.triangular(n)
             e = euler_form(linear_quiver(n))
@@ -374,3 +379,241 @@ class TestProductsMatchOracle:
         assert elementary_chain(n, n, [(i, j, c) for (i, j), c
                                        in zip(positions, coeffs)],
                                 None) == data.product
+
+
+class TestRankMismatch:
+    def test_ray_order_rejects_a_longer_class(self):
+        ch = an_chamber(2, [(-1, 1), (1, 1)])
+        with pytest.raises(ChamberError, match="rank 3"):
+            ray_order(ch, [lv(1, 0, 5), lv(0, 1)])
+
+    def test_z_of_rejects_a_shorter_class(self):
+        ch = Chamber(((-1, 1), (0, 1), (1, 1)), ())
+        with pytest.raises(ChamberError, match="rank 2"):
+            ch.z_of(lv(1, 1))
+
+    def test_active_class_of_the_wrong_rank(self):
+        with pytest.raises(ChamberError, match="rank 3"):
+            Chamber(((-1, 1), (1, 1)), (lv(1, 0, 0),))
+
+    def test_an_chamber_with_too_many_charges(self):
+        with pytest.raises(ChamberError, match="needs 2 entries, got 3"):
+            an_chamber(2, [(-1, 1), (1, 1), (0, 1)])
+
+    def test_an_chamber_with_too_few_charges(self):
+        with pytest.raises(ChamberError, match="needs 3 entries, got 2"):
+            an_chamber(3, [(-1, 1), (1, 1)])
+
+
+# ---------------------------------------------------------------------------
+# Reference ray geometry on Fractions: the sums the chambers evaluated
+# before rays were compared on the charge scaled to integers.
+# ---------------------------------------------------------------------------
+
+def fraction_z_of(Z, v):
+    x = sum((Fraction(c) * zx for c, (zx, _) in zip(v.coords, Z)), Fraction(0))
+    y = sum((Fraction(c) * zy for c, (_, zy) in zip(v.coords, Z)), Fraction(0))
+    return (x, y)
+
+
+def in_upper(x, y):
+    return y > 0 or (y == 0 and x < 0)
+
+
+def fraction_ray_order(Z, classes):
+    fixed = []
+    for v in classes:
+        x, y = fraction_z_of(Z, v)
+        if (x, y) == (0, 0):
+            raise ChamberError(f"class {v.coords} has Z = 0")
+        if not in_upper(x, y):
+            v, x, y = -v, -x, -y
+        fixed.append((v, (x, y)))
+
+    def cmp(a, b):
+        cross = a[1][0] * b[1][1] - a[1][1] * b[1][0]
+        if cross == 0:
+            raise RayCollision("same ray")
+        return -1 if cross < 0 else 1
+
+    fixed.sort(key=functools.cmp_to_key(cmp))
+    return [v for v, _ in fixed]
+
+
+def fraction_stable_intervals(n, Z):
+    def zval(i, j):
+        x = sum((Z[t][0] for t in range(i - 1, j)), Fraction(0))
+        y = sum((Z[t][1] for t in range(i - 1, j)), Fraction(0))
+        return (x, y)
+
+    def greater(a, b):
+        return b[0] * a[1] - b[1] * a[0] > 0
+
+    out = []
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            whole = zval(i, j)
+            if all(greater(whole, zval(k, j)) for k in range(i + 1, j + 1)):
+                out.append(tuple(1 if i - 1 <= t <= j - 1 else 0 for t in range(n)))
+    return out
+
+
+def fraction_chamber_error(Z, active):
+    """The exception type a chamber on (Z, active) raises, or None."""
+    if not all(in_upper(x, y) for x, y in Z):
+        return ChamberError
+    rays = []
+    for v in active:
+        x, y = fraction_z_of(Z, v)
+        if (x, y) == (0, 0) or not in_upper(x, y):
+            return ChamberError
+        rays.append((x, y))
+    if any(a[0] * b[1] - a[1] * b[0] == 0
+           for a, b in itertools.combinations(rays, 2)):
+        return RayCollision
+    return None
+
+
+def outcome(fn, *args):
+    """fn's value, or the type of the ChamberError or RayCollision it raises."""
+    try:
+        return fn(*args)
+    except (RayCollision, ChamberError) as exc:
+        return type(exc)
+
+
+# small numerators and mixed denominators make shared rays common
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def charges(draw, upper=True):
+    n = draw(st.integers(2, 6))
+    Z = []
+    for _ in range(n):
+        x, y = draw(rationals), draw(rationals)
+        if upper and not in_upper(x, y):
+            x, y = (-x, -y) if (x, y) != (0, 0) else (Fraction(-1), Fraction(0))
+        Z.append((x, y))
+    return tuple(Z)
+
+
+@st.composite
+def classes_for(draw, n):
+    vecs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1,
+                         max_size=6))
+    return [lv(*v) for v in vecs]
+
+
+class TestIntegerGeometryMatchesFractions:
+    @settings(max_examples=300, deadline=None)
+    @given(charges(upper=False))
+    def test_stable_sets(self, Z):
+        n = len(Z)
+        assert [v.coords for v in an_stable_intervals(n, Z)] == \
+            fraction_stable_intervals(n, Z)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_ray_orders_and_errors(self, data):
+        Z = data.draw(charges())
+        classes = data.draw(classes_for(len(Z)))
+        ch = Chamber(Z, ())
+        assert outcome(ray_order, ch, classes) == \
+            outcome(fraction_ray_order, Z, classes)
+        for v in classes:
+            assert ch.z_of(v) == fraction_z_of(Z, v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_chamber_errors(self, data):
+        Z = data.draw(charges(upper=data.draw(st.booleans())))
+        active = [v for v in data.draw(classes_for(len(Z))) if not v.is_zero()]
+        if data.draw(st.booleans()):
+            # rays in the upper half plane, so that collisions are common
+            active = [v if in_upper(*fraction_z_of(Z, v)) else -v for v in active]
+
+        def build():
+            Chamber(Z, tuple(active))
+
+        assert outcome(build) == fraction_chamber_error(Z, active)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 10 ** 6))
+    def test_positive_multiple_gives_the_same_chamber(self, data, k):
+        Z = data.draw(charges())
+        kZ = tuple((k * x, k * y) for x, y in Z)
+        n = len(Z)
+        assert an_stable_intervals(n, Z) == an_stable_intervals(n, kZ)
+        classes = data.draw(classes_for(n))
+        assert outcome(ray_order, Chamber(Z, ()), classes) == \
+            outcome(ray_order, Chamber(kZ, ()), classes)
+        a, b = outcome(an_chamber, n, Z), outcome(an_chamber, n, kZ)
+        if isinstance(a, Chamber):
+            assert b.active == a.active
+            assert ray_order(a, a.active) == ray_order(b, b.active)
+        else:
+            assert a is b
+
+
+class TestEnumerateAnChambers:
+    # SHA-256 of [sorted stable set, ray order, charge] per chamber, in
+    # enumeration order, recorded while rays were compared on Fractions
+    PINNED = {
+        2: (2, "03a41f58092192a0a32cc746190fafed9ad7823dead07d4d63a69a753156769e"),
+        3: (9, "bd701600e6561c1b6f0a802dec5fb92847c01835fedc5ac02723322879df65e1"),
+        4: (85, "e89b0d342b3de1ea9bc11623cdb527170ebead654fc3cec92cfb3a24d1cd7f39"),
+        5: (247, "8e6d2d8efcc910f70a0128c940f53d9563faa603f56629d68ce1d6db093ac5d4"),
+    }
+
+    @pytest.mark.parametrize("n", sorted(PINNED))
+    def test_pinned_keys(self, n):
+        chambers = enumerate_an_chambers(n, 400)
+        keys = [[sorted(v.coords for v in ch.active),
+                 [v.coords for v in ray_order(ch, list(ch.active))],
+                 [[str(x), str(y)] for x, y in ch.Z]] for ch in chambers]
+        digest = hashlib.sha256(json.dumps(keys).encode()).hexdigest()
+        assert (len(chambers), digest) == self.PINNED[n]
+
+
+class TestVerifyAnJetBuildsEachProductOnce:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_exact_products_are_the_natural_lifts(self, n, monkeypatch):
+        basis = Basis.triangular(n)
+        e = euler_form(linear_quiver(n))
+        chambers = enumerate_an_chambers(n, 150)
+        want = natural_lifts(basis, e, DTModel.an_intervals(), chambers, n + 1)
+        calls = []
+        original = stokes_mod.stokes_product
+        monkeypatch.setattr(stokes_mod, "stokes_product",
+                            lambda *a: calls.append(a) or original(*a))
+        monkeypatch.setattr(stokes_mod, "natural_lifts", None)
+        rep = verify_an_jet(n, 150)
+        assert rep["ok"] and rep["lift_values_mod_n_plus_1"] == len(want) == 1
+        assert len(calls) == rep["chambers"] == len(chambers)
+
+    def test_a_class_too_long_for_the_lift_order_is_refused(self, monkeypatch):
+        # a chamber whose lift at order n + 1 would drop a factor
+        long = Chamber(((-1, 1), (1, 1)), (lv(1, 0), lv(0, 1), lv(1, 2)))
+        monkeypatch.setattr(stokes_mod, "enumerate_an_chambers",
+                            lambda n, samples: [long])
+        with pytest.raises(ChamberError, match="longer than 2"):
+            verify_an_jet(2)
+
+
+class TestVerifyBuildsEachFixtureOnce:
+    def count_products(self, monkeypatch, fn):
+        calls = []
+        original = verify.stokes_product
+        monkeypatch.setattr(verify, "stokes_product",
+                            lambda *a: calls.append(a) or original(*a))
+        lines = fn()
+        assert all(line.ok for line in lines)
+        return len(lines), len(calls)
+
+    def test_mutation_theorem_builds_31_products(self, monkeypatch):
+        assert self.count_products(
+            monkeypatch, lambda: verify.run_scope("mutation_theorem")) == (56, 31)
+
+    def test_annulus_builds_its_two_products(self, monkeypatch):
+        assert self.count_products(monkeypatch, verify.check_annulus) == (4, 2)
