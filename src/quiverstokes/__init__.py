@@ -9,8 +9,7 @@ orbit search producing replayable equivalence certificates.
 """
 
 from .algebra import (Basis, LatticeVector, PolyMatrix, TruncatedPoly,
-                      joyce_point, lv_len, lv_monomial, pm_evaluate, pm_mul,
-                      poly_mul)
+                      joyce_point, lv_len, lv_monomial)
 from .braid import (BraidWord, EquivalenceCertificate, OrbitSearchResult,
                     beta, beta_inv, equivalent, orbit_search, perm_conj,
                     sign_conj, verify_braid_group_relations)
@@ -37,7 +36,7 @@ __all__ = [
     "equivalent", "euler_form", "factor_product", "find_good_quivers",
     "joyce_point", "kronecker_quiver", "level2_chamber", "linear_quiver",
     "lv_len", "lv_monomial", "mutate", "mutation_basis", "mutation_class",
-    "natural_lifts", "orbit_search", "perm_conj", "pm_evaluate", "pm_mul",
-    "poly_mul", "ray_order", "sign_conj", "stokes_factor", "stokes_product",
+    "natural_lifts", "orbit_search", "perm_conj", "ray_order", "sign_conj",
+    "stokes_factor", "stokes_product",
     "verify_an_jet", "verify_braid_group_relations",
 ]

@@ -257,7 +257,7 @@ class TruncatedPoly:
             return "0"
         names = names or [f"s{i+1}" for i in range(self.nvars)]
         bits = []
-        for exps, coeff in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0])):
+        for exps, coeff in self.key():
             mono = "*".join(
                 (names[i] if e == 1 else f"{names[i]}^{e}")
                 for i, e in enumerate(exps) if e
@@ -277,11 +277,6 @@ class TruncatedPoly:
 
     def __repr__(self):
         return f"TruncatedPoly({self.text()!r}, trunc={self.trunc})"
-
-
-def poly_mul(a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:
-    """Exact product; the result keeps the smaller truncation bound."""
-    return a * b
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +416,6 @@ class PolyMatrix:
         return f"PolyMatrix(n={self.n})\n{self.text()}"
 
 
-def pm_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Matrix product over the (possibly truncated) polynomial ring."""
-    return a * b
-
-
-def pm_evaluate(a: PolyMatrix, point) -> tuple:
-    """Evaluate every entry at the given rational point."""
-    return a.evaluate(point)
-
-
 JOYCE_POINT = "sJ"
 
 
@@ -507,10 +492,13 @@ class Basis:
         return [[Fraction(c) for c in r.coords] for r in self.rows]
 
     def det(self) -> Fraction:
-        return _det(self.matrix())
+        return _gauss_jordan(self.matrix())[0]
 
     def inverse(self) -> list[list[Fraction]]:
-        return _inv(self.matrix())
+        inv = _gauss_jordan(self.matrix())[1]
+        if inv is None:
+            raise ValueError("singular matrix")
+        return inv
 
     @classmethod
     def triangular(cls, n: int) -> "Basis":
@@ -533,41 +521,27 @@ class Basis:
         return f"Basis({[r.coords for r in self.rows]})"
 
 
-def _det(m: list[list[Fraction]]) -> Fraction:
+def _gauss_jordan(m: list[list[Fraction]]):
+    """(det m, m^-1) from one Gauss-Jordan elimination; the inverse is None
+    when m is singular."""
     n = len(m)
-    a = [row[:] for row in m]
+    a = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+         for i, row in enumerate(m)]
     det = Fraction(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
-            return Fraction(0)
+            return Fraction(0), None
         if piv != col:
             a[piv], a[col] = a[col], a[piv]
             det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            f = a[r][col] * inv
-            for c in range(col, n):
-                a[r][c] -= f * a[col][c]
-    return det
-
-
-def _inv(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    a = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[piv], a[col] = a[col], a[piv]
-        f = 1 / a[col][col]
-        a[col] = [x * f for x in a[col]]
+        pivot = a[col][col]
+        det *= pivot
+        if pivot != 1:
+            a[col] = [x / pivot for x in a[col]]
+        row = a[col]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                g = a[r][col]
-                a[r] = [x - g * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+            g = a[r][col]
+            if r != col and g:
+                a[r] = [x - g * y if y else x for x, y in zip(a[r], row)]
+    return det, [row[n:] for row in a]

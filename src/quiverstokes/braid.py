@@ -42,8 +42,6 @@ MatrixLike = Union[PolyMatrix, tuple, list]
 # ---------------------------------------------------------------------------
 
 def as_rational_matrix(m) -> RationalMatrix:
-    if isinstance(m, PolyMatrix):
-        raise TypeError("pass PolyMatrix entries through beta directly")
     rows = tuple(tuple(_as_fraction(x) for x in row) for row in m)
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -88,6 +86,14 @@ def beta(i: int, A: MatrixLike):
 def beta_inv(i: int, A: MatrixLike):
     """Inverse braiding action at (i, i+1)."""
     return _braid(i, A, False)
+
+
+def _inverse_permutation(sigma) -> tuple:
+    """The inverse of a permutation of 1..n given as its list of images."""
+    inv = [0] * len(sigma)
+    for k, s in enumerate(sigma, 1):
+        inv[s - 1] = k
+    return tuple(inv)
 
 
 def _conj_np(sigma: tuple, a: np.ndarray) -> np.ndarray:
@@ -158,11 +164,7 @@ class BraidWord:
             if mv[0] == "braid":
                 out.append(("braid", mv[1], -mv[2]))
             elif mv[0] == "perm":
-                sigma = mv[1]
-                inv = [0] * len(sigma)
-                for k, s in enumerate(sigma):
-                    inv[s - 1] = k + 1
-                out.append(("perm", tuple(inv)))
+                out.append(("perm", _inverse_permutation(mv[1])))
             else:
                 out.append(mv)
         return BraidWord(tuple(out))
@@ -250,10 +252,7 @@ def _sorting_permutation(a: np.ndarray) -> Optional[tuple]:
                                  for i, j in zip(*np.nonzero(a)) if i != j])
     except ValueError:
         return None
-    sigma = [0] * n
-    for pos, v in enumerate(order):
-        sigma[v - 1] = pos + 1
-    return tuple(sigma)
+    return _inverse_permutation(order)
 
 
 # Permutations conjugated per numpy call when building the target set (6!).
@@ -337,8 +336,8 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
                 moves.append(("sign", tuple(int(s) for s in vec)))
 
         def emit_perm(sigma):
-            if tuple(sigma) != ident:
-                moves.append(("perm", tuple(sigma)))
+            if sigma != ident:
+                moves.append(("perm", sigma))
 
         emit_perm(tau1)
         cur = up1[None]
@@ -351,18 +350,12 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
         emit_sign(signs[0])
         sigma, tsigns = targets[cur[0].tobytes()]
         emit_sign(tsigns)
-        inv = [0] * n
-        for k, s in enumerate(sigma):
-            inv[s - 1] = k + 1
-        emit_perm(inv)
-        inv2 = [0] * n
-        for k, s in enumerate(tau2):
-            inv2[s - 1] = k + 1
-        emit_perm(inv2)
+        emit_perm(_inverse_permutation(sigma))
+        emit_perm(_inverse_permutation(tau2))
 
-        word = BraidWord(tuple(moves))
-        verified = word.apply(src) == tgt
-        return EquivalenceCertificate(src, tgt, word, verified)
+        cert = EquivalenceCertificate(src, tgt, BraidWord(tuple(moves)), False)
+        cert.verified = cert.replay()
+        return cert
 
     if key0 in targets:
         return OrbitSearchResult("found", reconstruct(key0), 0, 1, pruned)

@@ -20,20 +20,24 @@ from fractions import Fraction
 
 from .algebra import joyce_point
 from .braid import orbit_search
-from .goodness import check_quadratic, check_vanishing_p3, mutation_basis
+from .goodness import (check_quadratic, check_vanishing_p3, find_good_quivers,
+                       mutation_basis)
 from .quiver import apply_word, euler_form
 from .serialize import (basis_from_json, certificate_to_json, chamber_from_json,
                         dt_model_from_chamber_json, dumps, frac_str,
-                        quiver_from_json, quiver_to_json,
+                        poly_to_json, quiver_from_json, quiver_to_json,
                         rational_matrix_from_json, rational_matrix_to_json,
                         stokes_data_to_json)
-from .stokes import DTModel, convex_charge, level2_chamber, stokes_product
+from .stokes import convex_charge, level2_stokes, stokes_product
 from . import verify as verify_mod
 
 
 def _read_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _parse_word(text: str) -> list[int]:
@@ -50,7 +54,7 @@ def _parse_point(text: str, n: int):
         return [Fraction(0)] * n
     parts = text.split(",")
     if len(parts) != n:
-        raise SystemExit(f"evaluation point needs {n} coordinates")
+        raise ValueError(f"evaluation point needs {n} coordinates")
     return [Fraction(p) for p in parts]
 
 
@@ -74,8 +78,6 @@ def cmd_goodness(args) -> int:
                        for (kind, idx, detail) in report.violations],
     }
     if args.find_quivers:
-        from .goodness import find_good_quivers
-        from .serialize import poly_to_json
         sols = find_good_quivers(basis, args.lam, args.p)
         out["good_quivers"] = [{
             "params": list(sol.params),
@@ -94,13 +96,12 @@ def cmd_stokes(args) -> int:
     else:
         basis = basis_from_json(_read_json(args.basis))
     if args.chamber == "auto":
-        chamber = level2_chamber(q, convex_charge(q.n))
-        model = DTModel.from_quiver_extensions(q)
+        data = level2_stokes(q, basis, convex_charge(q.n), args.p)
     else:
         raw = _read_json(args.chamber)
         chamber = chamber_from_json(raw)
-        model = dt_model_from_chamber_json(raw)
-    data = stokes_product(basis, euler_form(q), model, chamber, args.p)
+        data = stokes_product(basis, euler_form(q), dt_model_from_chamber_json(raw),
+                              chamber, args.p)
     out = stokes_data_to_json(data)
     if args.eval is not None:
         point = _parse_point(args.eval, q.n)

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import Basis, LatticeVector, TruncatedPoly, lv_len
-from .quiver import EulerForm, Quiver
+from .quiver import EulerForm, Quiver, euler_form
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +135,17 @@ def basis_domain(basis: Basis, p: int) -> frozenset:
 
 @dataclass(frozen=True)
 class EpsilonTensor:
-    """Skew sign tensor on a set of index pairs, with its integer scale."""
+    """Skew sign tensor on a set of index pairs."""
 
     n: int
     domain: frozenset
     signs: tuple  # tuple of ((i, j), +-1) sorted by pair, for hashing
-    lam: int = 1
 
     @classmethod
-    def from_dict(cls, n: int, domain, eps: dict, lam: int = 1) -> "EpsilonTensor":
+    def from_dict(cls, n: int, domain, eps: dict) -> "EpsilonTensor":
         dom = frozenset(tuple(p) for p in domain)
         signs = tuple(sorted(((i, j), int(eps[(i, j)])) for (i, j) in dom))
-        t = cls(n, dom, signs, lam)
+        t = cls(n, dom, signs)
         bad = t.triple_violations()
         if bad:
             raise ValueError(f"sign tensor violates triple conditions at {bad}")
@@ -185,7 +184,7 @@ class EpsilonTensor:
 
     def flipped(self) -> "EpsilonTensor":
         return EpsilonTensor(self.n, self.domain,
-                             tuple((p, -s) for p, s in self.signs), self.lam)
+                             tuple((p, -s) for p, s in self.signs))
 
 
 def epsilon_solutions(n: int, domain=None) -> list[EpsilonTensor]:
@@ -239,9 +238,6 @@ class SymbolicQuiver:
     params: tuple[str, ...]
     arrows: tuple  # tuple of ((u, v), TruncatedPoly) sorted by (u, v)
 
-    def arrow_dict(self) -> dict:
-        return dict(self.arrows)
-
     def is_concrete(self) -> bool:
         return all(p.degree() <= 0 for _, p in self.arrows)
 
@@ -266,9 +262,6 @@ class SymbolicQuiver:
                 m[v - 1][u - 1] += -c
         return Quiver(self.n, tuple(tuple(r) for r in m))
 
-    def label(self, uv) -> str:
-        return self.arrow_dict()[uv].text(list(self.params))
-
 
 @dataclass(frozen=True)
 class GoodQuiverSolution:
@@ -281,8 +274,8 @@ class GoodQuiverSolution:
     simple_form: tuple
 
 
-def find_good_quivers(basis: Basis, lam: int = 1, p: int = 3,
-                      require_vanishing: bool = True) -> list[GoodQuiverSolution]:
+def find_good_quivers(basis: Basis, lam: int = 1,
+                      p: int = 3) -> list[GoodQuiverSolution]:
     """Quivers whose skew form makes the basis good at order p.
 
     For every sign tensor over the in-range pairs, the form on the basis is
@@ -303,7 +296,7 @@ def find_good_quivers(basis: Basis, lam: int = 1, p: int = 3,
     run in int64 when a bound on the sums and D^2 prove that nothing wraps,
     and on Python integers otherwise.  Only survivors get forms and quivers.
     """
-    if require_vanishing and not check_vanishing_p3(basis).ok:
+    if not check_vanishing_p3(basis).ok:
         raise ValueError("basis fails the order-3 vanishing conditions")
     n = basis.n
     dom = basis_domain(basis, p)
@@ -482,8 +475,6 @@ def _rank3_cycle_basis(q: Quiver) -> Optional[Basis]:
 
 
 def _validate_mutation_basis(basis: Basis, target: Quiver) -> None:
-    from .quiver import euler_form  # local import to avoid cycle at module load
-
     d = basis.det()
     if d not in (1, -1):
         raise UnrecognizedPattern(f"assembled basis has determinant {d}")

@@ -3,13 +3,15 @@
 Serialization is canonical: polynomial terms are emitted in graded
 lexicographic order, rationals as "p/q" strings (plain integers without the
 denominator), matrices row by row.  Identical inputs therefore always give
-byte-identical output.
+byte-identical output.  A reader given a missing or malformed field raises
+a ValueError that names it.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import Optional
 
 from .algebra import Basis, LatticeVector, PolyMatrix, TruncatedPoly
 from .braid import EquivalenceCertificate
@@ -22,11 +24,34 @@ def frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _field(data, name: str):
+    if not isinstance(data, dict) or name not in data:
+        raise ValueError(f"missing field {name!r}")
+    return data[name]
+
+
+def _int_field(data, name: str) -> int:
+    value = _field(data, name)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"field {name!r} must be an integer, got {value!r}") from None
+
+
+def _rows(rows, name: str, width: Optional[int] = None) -> list:
+    """``rows`` checked to be a list of lists of numbers or number strings,
+    each of length ``width`` when given."""
+    if not (isinstance(rows, list) and all(
+            isinstance(r, list) and (width is None or len(r) == width)
+            and all(isinstance(x, (int, float, str)) for x in r) for r in rows)):
+        kind = "lists" if width is None else "pairs"
+        raise ValueError(f"field {name!r} must be a list of {kind} of numbers")
+    return rows
+
+
 def poly_to_json(p: TruncatedPoly) -> dict:
-    out = {}
-    for exps, coeff in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0])):
-        out[",".join(str(e) for e in exps)] = frac_str(coeff)
-    return out
+    return {",".join(str(e) for e in exps): frac_str(coeff)
+            for exps, coeff in p.key()}
 
 
 def poly_from_json(data: dict, nvars: int, trunc=None) -> TruncatedPoly:
@@ -54,7 +79,7 @@ def rational_matrix_to_json(m) -> list:
 
 
 def rational_matrix_from_json(rows) -> tuple:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(Fraction(x) for x in row) for row in _rows(rows, "matrix"))
 
 
 def quiver_to_json(q: Quiver) -> dict:
@@ -62,7 +87,8 @@ def quiver_to_json(q: Quiver) -> dict:
 
 
 def quiver_from_json(data: dict) -> Quiver:
-    return Quiver(int(data["n"]), tuple(tuple(r) for r in data["arrows"]))
+    n = _int_field(data, "n")
+    return Quiver(n, tuple(tuple(r) for r in _rows(_field(data, "arrows"), "arrows")))
 
 
 def basis_to_json(b: Basis) -> dict:
@@ -70,20 +96,25 @@ def basis_to_json(b: Basis) -> dict:
 
 
 def basis_from_json(data: dict) -> Basis:
-    return Basis([tuple(r) for r in data["rows"]])
+    return Basis([tuple(r) for r in _rows(_field(data, "rows"), "rows")])
 
 
 def chamber_from_json(data: dict) -> Chamber:
-    Z = tuple((Fraction(x), Fraction(y)) for x, y in data["Z"])
-    active = tuple(LatticeVector(tuple(v)) for v in data["active"])
+    Z = tuple((Fraction(x), Fraction(y)) for x, y in _rows(_field(data, "Z"), "Z", 2))
+    active = tuple(LatticeVector(tuple(v))
+                   for v in _rows(_field(data, "active"), "active"))
     return Chamber(Z, active)
 
 
 def dt_model_from_chamber_json(data: dict) -> DTModel:
     """Table model from a chamber file's "dt" map; signed simples default
     to count 1 unless overridden."""
+    dt = data.get("dt", {})
+    if not (isinstance(dt, dict)
+            and all(isinstance(v, (int, float, str)) for v in dt.values())):
+        raise ValueError("field 'dt' must map classes to counts")
     table = {}
-    for key, val in data.get("dt", {}).items():
+    for key, val in dt.items():
         coords = tuple(int(c) for c in key.split(","))
         table[coords] = Fraction(val)
     return DTModel.table(table)

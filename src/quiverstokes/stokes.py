@@ -12,7 +12,9 @@ product of these factors over rays in the semi-closed upper half plane,
 ordered clockwise: strictly decreasing argument in (0, pi], leftmost factor
 first.  All ray comparisons are exact sign tests: a chamber scales its
 charge once by the least common multiple of its denominators, which keeps
-every argument, and compares rays by integer dot and cross products.
+every argument, and compares rays by integer dot and cross products.  A
+chamber sorts its active classes clockwise once, when it is built, and
+every product over it walks that order.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable, Iterable, Optional
 
 from .algebra import (Basis, LatticeVector, PolyMatrix, TruncatedPoly,
                       _as_fraction, _index_order, lv_len, lv_monomial)
-from .quiver import EulerForm, Quiver
+from .quiver import EulerForm, Quiver, euler_form, linear_quiver
 
 
 class RayCollision(ValueError):
@@ -166,6 +168,22 @@ def _scaled_charge(Z) -> tuple[tuple, tuple, int]:
                      y.numerator * (scale // y.denominator)) for x, y in Z), scale
 
 
+def _clockwise(rays: list) -> list[LatticeVector]:
+    """The classes of (class, integer ray) pairs by strictly decreasing
+    argument in (0, pi].
+
+    A comparison sort compares every two entries that end up adjacent, so
+    two classes on one ray always meet, and raise RayCollision.
+    """
+    def cmp(a, b):
+        if a[1][0] * b[1][1] - a[1][1] * b[1][0] == 0:
+            raise RayCollision(
+                f"classes {a[0].coords} and {b[0].coords} lie on the same ray")
+        return -1 if _arg_greater(a[1], b[1]) else 1
+
+    return [v for v, _ in sorted(rays, key=functools.cmp_to_key(cmp))]
+
+
 @dataclass(frozen=True)
 class Chamber:
     """A central charge plus the list of active classes for it.
@@ -175,12 +193,15 @@ class Chamber:
     recorded with their ray in the upper half plane and must have pairwise
     distinct rays.  Rays are compared on the charge scaled to integers by
     the lcm of its denominators; ``Z`` and ``z_of`` give exact rationals.
+    ``active`` keeps the given order; the chamber also keeps its actives in
+    clockwise order, sorted once at construction.
     """
 
     Z: tuple
     active: tuple
     _zint: tuple = field(init=False, repr=False, compare=False)
     _scale: int = field(init=False, repr=False, compare=False)
+    _order: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Z, zint, scale = _scaled_charge(self.Z)
@@ -203,10 +224,8 @@ class Chamber:
             if not _in_upper(x, y):
                 raise ChamberError(
                     f"active class {v.coords} has its ray outside the upper half plane")
-            rays.append((x, y))
-        for a, b in itertools.combinations(rays, 2):
-            if a[0] * b[1] - a[1] * b[0] == 0:
-                raise RayCollision("two active classes lie on the same ray")
+            rays.append((v, (x, y)))
+        object.__setattr__(self, "_order", tuple(_clockwise(rays)))
 
     @property
     def n(self) -> int:
@@ -247,15 +266,7 @@ def ray_order(chamber: Chamber, classes: Iterable[LatticeVector]) -> list[Lattic
         if not _in_upper(x, y):
             v, x, y = -v, -x, -y
         fixed.append((v, (x, y)))
-
-    def cmp(a, b):
-        if a[1][0] * b[1][1] - a[1][1] * b[1][0] == 0:
-            raise RayCollision(
-                f"classes {a[0].coords} and {b[0].coords} lie on the same ray")
-        return -1 if _arg_greater(a[1], b[1]) else 1
-
-    fixed.sort(key=functools.cmp_to_key(cmp))
-    return [v for v, _ in fixed]
+    return _clockwise(fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +313,13 @@ class StokesData:
 
 
 def _chamber_factors(basis: Basis, chamber: Chamber, model: DTModel,
-                     len_bound: Optional[int]):
-    """Pairs (i, j) whose difference is active with its ray in the upper
-    half plane, optionally restricted to len < len_bound."""
+                     len_bound: Optional[int]) -> dict:
+    """(i, j, count) by class, for the pairs (i, j) whose difference is
+    active with its ray in the upper half plane, optionally restricted to
+    len < len_bound."""
     n = basis.n
     act = chamber.active_set()
-    found = []
-    seen_classes = {}
+    found = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
@@ -323,30 +334,26 @@ def _chamber_factors(basis: Basis, chamber: Chamber, model: DTModel,
                 continue
             if len_bound is not None and lv_len(d) >= len_bound:
                 continue
-            if d.coords in seen_classes:
+            if d.coords in found:
                 raise RayCollision(
-                    f"positions {seen_classes[d.coords]} and {(i, j)} share "
+                    f"positions {found[d.coords][:2]} and {(i, j)} share "
                     f"the class {d.coords}")
-            seen_classes[d.coords] = (i, j)
             dt = model.dt(d)
             if dt == 0:
                 raise ChamberError(
                     f"active class {d.coords} has zero count under the model")
-            found.append((i, j, d, dt))
+            found[d.coords] = (i, j, dt)
     return found
 
 
 def _ordered_factors(basis: Basis, e: EulerForm, model: DTModel,
                      chamber: Chamber, p: Optional[int]) -> list:
-    """The chamber's factors (i, j, coefficient) in clockwise ray order,
+    """The chamber's factors (i, j, coefficient) in its clockwise order,
     leftmost first; with p given, classes of length >= p are dropped."""
-    entries = _chamber_factors(basis, chamber, model, p)
-    by_class = {d.coords: (i, j, dt) for (i, j, d, dt) in entries}
-    factors = []
-    for cls in ray_order(chamber, [d for (_, _, d, _) in entries]):
-        i, j, dt = by_class[cls.coords]
-        factors.append((i, j, factor_coefficient(i, j, basis, e, dt, p)))
-    return factors
+    by_class = _chamber_factors(basis, chamber, model, p)
+    return [(i, j, factor_coefficient(i, j, basis, e, dt, p))
+            for i, j, dt in (by_class[v.coords] for v in chamber._order
+                             if v.coords in by_class)]
 
 
 def _elementary_product(n: int, nvars: int, factors,
@@ -501,21 +508,23 @@ def level2_chamber(q: Quiver, Z) -> Chamber:
     return Chamber(tuple(Z), tuple(extension_actives(q, Z)))
 
 
-def quiver_stokes_jet(q: Quiver, basis: Basis, p: int = 3,
-                      seed_x: int = 0) -> PolyMatrix:
+def level2_stokes(q: Quiver, basis: Basis, Z,
+                  p: Optional[int] = None) -> StokesData:
+    """The ordered product of (quiver, basis) over the level-2 chamber of Z,
+    with the counts of the quiver's extensions."""
+    return stokes_product(basis, euler_form(q), DTModel.from_quiver_extensions(q),
+                          level2_chamber(q, Z), p)
+
+
+def quiver_stokes_jet(q: Quiver, basis: Basis, p: int = 3) -> PolyMatrix:
     """Order-p jet of the Stokes matrix of (quiver, basis).
 
     Chamber independent below order p, so any valid chamber gives the same
     answer; a generic convex charge is used, nudged until no rays collide.
     """
-    from .quiver import euler_form
-    e = euler_form(q)
-    model = DTModel.from_quiver_extensions(q)
     for shift in range(24):
-        Z = convex_charge(q.n, seed_x + shift)
         try:
-            ch = level2_chamber(q, Z)
-            return stokes_product(basis, e, model, ch, p).product
+            return level2_stokes(q, basis, convex_charge(q.n, shift), p).product
         except RayCollision:
             continue
     raise RayCollision("no collision-free convex charge found")
@@ -576,7 +585,7 @@ def _charge_samples(n: int, count: int, seed: int = 20240915):
 def enumerate_an_chambers(n: int, samples: int = 600) -> list[Chamber]:
     """Distinct linear-quiver chambers found by deterministic sampling.
 
-    Chambers are keyed by (stable set, ray order of the stable classes);
+    Chambers are keyed by the clockwise order of their stable classes;
     structured monotone charges are always included.
     """
     structured = [
@@ -589,12 +598,9 @@ def enumerate_an_chambers(n: int, samples: int = 600) -> list[Chamber]:
     for Z in itertools.chain(structured, _charge_samples(n, samples)):
         try:
             ch = an_chamber(n, Z)
-            key = (frozenset(v.coords for v in ch.active),
-                   tuple(v.coords for v in ray_order(ch, list(ch.active))))
         except (RayCollision, ChamberError):
             continue
-        if key not in seen:
-            seen[key] = ch
+        seen.setdefault(ch._order, ch)
     return list(seen.values())
 
 
@@ -608,7 +614,6 @@ def verify_an_jet(n: int, samples: int = 600) -> dict:
     if not 2 <= n <= 5:
         raise ValueError("desk-scale check supports 2 <= n <= 5")
     basis = Basis.triangular(n)
-    from .quiver import euler_form, linear_quiver
     e = euler_form(linear_quiver(n))
     model = DTModel.an_intervals()
     chambers = enumerate_an_chambers(n, samples)

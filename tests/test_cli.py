@@ -5,11 +5,14 @@ import sys
 
 import pytest
 
-from quiverstokes.algebra import Basis
+from quiverstokes.algebra import Basis, joyce_point
+from quiverstokes.braid import perm_conj, sign_conj
 from quiverstokes.cli import main
 from quiverstokes.quiver import apply_word, linear_quiver
-from quiverstokes.serialize import basis_to_json, quiver_to_json
-from quiverstokes.verify import _family_entries
+from quiverstokes.serialize import (basis_to_json, quiver_to_json,
+                                    rational_matrix_to_json)
+from quiverstokes.stokes import DTModel, an_stokes, extension_actives
+from quiverstokes.verify import _family_entries, fixture_matrices_sj
 
 
 def run_cli(*args):
@@ -194,6 +197,55 @@ class TestErrors:
         assert out.returncode == 2
         assert out.stdout == ""
         assert out.stderr == f"quiverstokes: error: {message}\n"
+
+    @pytest.mark.parametrize("content,message", [
+        ({"n": 3}, "missing field 'arrows'"),
+        ({"arrows": [[0, 1], [0, 0]]}, "missing field 'n'"),
+        ({"n": 3, "arrows": 5}, "field 'arrows' must be a list of lists of numbers"),
+        ({"n": 2, "arrows": [[0, None], [0, 0]]},
+         "field 'arrows' must be a list of lists of numbers"),
+        ({"n": [3], "arrows": [[0]]}, "field 'n' must be an integer, got [3]"),
+        ([1, 2], "missing field 'n'"),
+    ])
+    def test_malformed_quiver_file(self, tmp_path, content, message):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(content))
+        out = run_cli("mutate", str(path))
+        assert (out.returncode, out.stdout, out.stderr) == \
+            (2, "", f"quiverstokes: error: {message}\n")
+
+    @pytest.mark.parametrize("flag,content,message", [
+        ("--basis", {"cols": [[1]]}, "missing field 'rows'"),
+        ("--chamber", {"active": [[1, 0, 0]]}, "missing field 'Z'"),
+        ("--chamber", {"Z": [["-1", "1"], ["0", "1"], ["1", "1"]]},
+         "missing field 'active'"),
+        ("--chamber", {"Z": [["-1", "1", "0"], ["0", "1"], ["1", "1"]],
+                       "active": []},
+         "field 'Z' must be a list of pairs of numbers"),
+        ("--chamber", {"Z": [["-1", "1"], ["0", "1"], ["1", "1"]],
+                       "active": [], "dt": [1]},
+         "field 'dt' must map classes to counts"),
+    ])
+    def test_malformed_basis_or_chamber_file(self, tmp_path, a3_file, flag,
+                                             content, message):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(content))
+        out = run_cli("stokes", a3_file, flag, str(path))
+        assert (out.returncode, out.stdout, out.stderr) == \
+            (2, "", f"quiverstokes: error: {message}\n")
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "missing.json"
+        out = run_cli("mutate", str(path))
+        assert (out.returncode, out.stdout, out.stderr) == \
+            (2, "", f"quiverstokes: error: cannot read {path}: "
+                    "No such file or directory\n")
+
+    def test_evaluation_point_of_the_wrong_length(self, a3_file):
+        out = run_cli("stokes", a3_file, "--eval", "1,2")
+        assert (out.returncode, out.stdout, out.stderr) == \
+            (2, "", "quiverstokes: error: evaluation point needs 3 "
+                    "coordinates\n")
 
     def test_chamber_class_of_the_wrong_rank(self, tmp_path, a3_file):
         chamber = tmp_path / "chamber.json"
@@ -464,3 +516,173 @@ class TestPinnedOutput:
                                      "--find-quivers", "--p", str(p),
                                      "--lambda", str(lam), "--format", "json"])
         assert seen == self.FIND_QUIVERS
+
+    # `stokes` on a chamber file per A3-A5 fixture quiver: the fixture's
+    # charge, its level-2 actives in reversed order and a "dt" table that
+    # doubles every two-simple count and gives the first simple class the
+    # count -1/2; recorded before a chamber sorted its rays once at
+    # construction
+    CHAMBER_FIXTURES = ("a3/mu2", "a3/mu2mu1mu3", "a4/mu1", "a4/mu2mu1",
+                        "a5/mu3", "a5/mu1mu3")
+    CHAMBER_RUNS = {
+        "exact-json": ["--format", "json"],
+        "exact-text": ["--format", "text"],
+        "p2-json": ["--p", "2", "--format", "json"],
+        "p3-json": ["--p", "3", "--format", "json"],
+        "p3-eval-text": ["--p", "3", "--eval", "point", "--format", "text"],
+        "exact-eval-json": ["--eval", "point", "--format", "json"],
+    }
+    STOKES_CHAMBER_FILES = {
+        "a3/mu2 exact-json":
+            "0114c978760a8928c03e32b457e77a29e0af2ef3586e40a969b0f6fd80589b4c",
+        "a3/mu2 exact-text":
+            "3f7536960b0718adc7aceca9f9ce548f4b618f3458e37ad0c6815cedcf4d1482",
+        "a3/mu2 p2-json":
+            "7cf749a03cf5d2dbe1d95031d808bde525318db1037e3980c0212c920cd7f88b",
+        "a3/mu2 p3-json":
+            "0114c978760a8928c03e32b457e77a29e0af2ef3586e40a969b0f6fd80589b4c",
+        "a3/mu2 p3-eval-text":
+            "8583d8ddf51370f053566811da6914fead8077c128a5f82dc722e05f416e2dba",
+        "a3/mu2 exact-eval-json":
+            "04c7b89b08dd9609709826c6aa1e7d0390dbb7b55b2881ce297d867b03020588",
+        "a3/mu2mu1mu3 exact-json":
+            "4bcde6903e177c350784d4f27ac904004056b6ef17772b93b7ff36c3d995fc1d",
+        "a3/mu2mu1mu3 exact-text":
+            "5aa84f94ea419384f7c65ee5d183082683f7c4852b95207a2c3aec7c8244931d",
+        "a3/mu2mu1mu3 p2-json":
+            "2fd9ae3cba07fa3d2c63c20fb4d88b22a5151b17d9f1149ab34ced70d435ae4d",
+        "a3/mu2mu1mu3 p3-json":
+            "4bcde6903e177c350784d4f27ac904004056b6ef17772b93b7ff36c3d995fc1d",
+        "a3/mu2mu1mu3 p3-eval-text":
+            "68f2d8c5c636227efb5bcfadab167f523e7518e0f1b652050d2eb85b692f04ea",
+        "a3/mu2mu1mu3 exact-eval-json":
+            "b5afed67b638f373cb03b26b86bc47304ecfa78785da5be418717f7eaf4aea9b",
+        "a4/mu1 exact-json":
+            "bdc5cedbcbaf7c9d07ec70b84c6f9203c08569e98b6d4e096976c00566321f19",
+        "a4/mu1 exact-text":
+            "823b1babeef36c627163f19f2b7eaa1463abcb616d5150a2e04f080627e4d6c0",
+        "a4/mu1 p2-json":
+            "8133d54126951ca690f376abb191786a1d6961c605cf0c352e9d215a025319ea",
+        "a4/mu1 p3-json":
+            "478189fc3aa755890104eda72192fe34a56e4f1b44b713dcd0ba4ede1cad24cb",
+        "a4/mu1 p3-eval-text":
+            "f235a7d0d92de3c8f5f1f8e7d1bb96b20d3d21f38cf27b2fc5fbe7e3b8eace9a",
+        "a4/mu1 exact-eval-json":
+            "0edb90d5f2c94c97cac3c0de47670cd55b86153d3816870a30164ceea6d998b2",
+        "a4/mu2mu1 exact-json":
+            "4c876e4b43cca9e22e34fc202cd1bceb32faa1eb958bf38566e3efcf7f05f9cd",
+        "a4/mu2mu1 exact-text":
+            "313221e08ccaa2c45c5d147ed3d63117afb6d73079c38bd45f45264ad9459a82",
+        "a4/mu2mu1 p2-json":
+            "ac54ac6600ff25da1ae8a2309815ff9e3621019c91a4566a8ce8384fe2d2772f",
+        "a4/mu2mu1 p3-json":
+            "1cf8ab1cc265645e9664f92c43417d6dc7958b2a4760741d8bf2eb57c3d95991",
+        "a4/mu2mu1 p3-eval-text":
+            "36e51ca5672169cb7707cd1d099f3e6da7eb8e0353d09fba583920b1f858ac0a",
+        "a4/mu2mu1 exact-eval-json":
+            "1015fd4b3cb123ca9e62c433d5de30f076dada16de9e005f21024659f0ac8412",
+        "a5/mu3 exact-json":
+            "c2731f0483e4ecc6042370223518e3ef70300786203364426f46faf31d3d7bea",
+        "a5/mu3 exact-text":
+            "1ac7307a93fb192dd3e1fa5c8eb40d97788ba8558817957bff6d9c272dc54e04",
+        "a5/mu3 p2-json":
+            "00f9a4efe40cbf1778417a8900df8fbbaca950a09958eae04c0e38dbbf796bd7",
+        "a5/mu3 p3-json":
+            "237c13e9317c6cc78d8f4b53f484361d25275dcb9b4e6fa6a5b736f4d5cc18d9",
+        "a5/mu3 p3-eval-text":
+            "29a7ae928140c1a11fcd16badf274c70ed51582a57e93400ca926eebd4c66f64",
+        "a5/mu3 exact-eval-json":
+            "14dc139ed86732ca605140df2048ce95154280f99d98889362fde261b0d4a50c",
+        "a5/mu1mu3 exact-json":
+            "89e21fda79ae726e204238995c37cf2bcdab0120752427fe0cf94231c044ca34",
+        "a5/mu1mu3 exact-text":
+            "558a83afc73441f85486edb5f9dcc308fe8bf81c71cec87c8584ab3b70d63abd",
+        "a5/mu1mu3 p2-json":
+            "3780b041782037f08289c31e806dc98fbdf5faf7c3a06ffedc20f41c5e5fe11f",
+        "a5/mu1mu3 p3-json":
+            "db4ecad6d1c61dbf1afb83d2dab196ba5d584d155c4362c6bf471ea8c637cdfe",
+        "a5/mu1mu3 p3-eval-text":
+            "3dff7bd29e144f4e0ab7810fdde363cd19ec3a1daeeb52eb14cc46fc9bf3ff72",
+        "a5/mu1mu3 exact-eval-json":
+            "78bc9b0f4e1e3004a1605e27ce14f229c0d13b53fec3396f46a29faf81e15ba4",
+    }
+
+    def test_stokes_on_chamber_files(self, capsys, tmp_path):
+        seen = {}
+        for n, e in _family_entries():
+            if e["id"] not in self.CHAMBER_FIXTURES:
+                continue
+            q = apply_word(linear_quiver(n), e["word"])
+            active = extension_actives(q, e["Z"])[::-1]
+            model = DTModel.from_quiver_extensions(q)
+            dt = {",".join(map(str, v.coords)): str(2 * model.dt(v))
+                  for v in active if sum(v.coords) == 2}
+            dt[",".join("1" if k == 0 else "0" for k in range(n))] = "-1/2"
+            quiver = tmp_path / "q.json"
+            quiver.write_text(json.dumps(quiver_to_json(q)))
+            chamber = tmp_path / "c.json"
+            chamber.write_text(json.dumps(
+                {"Z": e["Z"], "active": [list(v.coords) for v in active],
+                 "dt": dt}))
+            point = ",".join(("1/2", "-2", "3", "2/3", "-1")[:n])
+            for run, flags in self.CHAMBER_RUNS.items():
+                flags = [point if f == "point" else f for f in flags]
+                seen[f"{e['id']} {run}"] = stdout_sha256(
+                    capsys, ["stokes", str(quiver), "--chamber", str(chamber),
+                             *flags])
+        assert seen == self.STOKES_CHAMBER_FILES
+
+    # `equiv` from a sign- and permutation-disguised an_stokes(n) at the unit
+    # point to a disguised fixture value: (fixture, sigma1, signs1, sigma2,
+    # signs2).  Every certificate starts with a `perm` move and ends with
+    # two; recorded before the search inverted permutations in one helper.
+    EQUIV_PAIRS = [
+        ("a4/mu2", (2, 3, 1, 4), (1, -1, -1, 1), (3, 4, 2, 1), (-1, -1, -1, -1)),
+        ("a4/mu4mu2", (3, 2, 4, 1), (1, -1, -1, -1), (2, 3, 4, 1), (-1, 1, -1, -1)),
+        ("a5/mu3", (4, 5, 1, 3, 2), (-1, 1, -1, 1, 1), (4, 3, 5, 1, 2),
+         (-1, 1, -1, -1, -1)),
+        ("a5/mu2mu4", (3, 5, 4, 2, 1), (1, -1, -1, 1, 1), (1, 5, 4, 2, 3),
+         (-1, -1, 1, 1, 1)),
+        ("a5/mu1mu3", (4, 3, 1, 2, 5), (-1, 1, 1, -1, -1), (4, 2, 5, 3, 1),
+         (1, -1, -1, -1, -1)),
+        ("a5/mu5mu1mu3", (4, 3, 2, 1, 5), (1, -1, -1, -1, 1), (3, 2, 5, 4, 1),
+         (-1, -1, 1, -1, 1)),
+        ("a5/mu2", (3, 2, 4, 1, 5), (-1, -1, 1, 1, -1), (5, 4, 3, 2, 1),
+         (-1, -1, -1, -1, 1)),
+    ]
+    EQUIV_DISGUISED = {
+        "a4/mu2":
+            "f0b2bd85e6ceb2c438bab90d50cf123a9da3e13f7c57dcdaa931374b97418a71",
+        "a4/mu4mu2":
+            "799d33d387da2e9a0b2715f35241420b3bd06e4e04d71bbcbfeba5ddefa171b2",
+        "a5/mu3":
+            "aff0d244f5df5182d3a5b784786abc29d81b86431460ccc7a39fde5e7c093b60",
+        "a5/mu2mu4":
+            "875c64770a20c600706fffd38162a1dfaaf35d5b3cba2df0cdffd774cfc730f6",
+        "a5/mu1mu3":
+            "5d930cd06e3b1312f027e879d62e37cd00280411729b8919d0999572e2f06719",
+        "a5/mu5mu1mu3":
+            "5a7b80a70a05b1e99d48be6147da7fbf840b09ecb28448ab37f4bf9175e2229f",
+        "a5/mu2":
+            "c9b2c2625782a55b78cf36bf8b19be30d6bb532dbc03278b14ac569f76d0732a",
+    }
+
+    def test_equiv_on_disguised_pairs(self, capsys, tmp_path):
+        values = fixture_matrices_sj()
+        seen = {}
+        for fid, sigma1, signs1, sigma2, signs2 in self.EQUIV_PAIRS:
+            n = len(sigma1)
+            source = perm_conj(sigma1, sign_conj(
+                signs1, an_stokes(n).evaluate(joyce_point(n))))
+            target = perm_conj(sigma2, sign_conj(signs2, values[fid]))
+            paths = []
+            for name, m in (("s.json", source), ("t.json", target)):
+                path = tmp_path / name
+                path.write_text(json.dumps(rational_matrix_to_json(m)))
+                paths.append(str(path))
+            assert main(["equiv", *paths, "--format", "json"]) == 0
+            out = capsys.readouterr().out
+            word = json.loads(out)["word"]
+            assert ["perm" in mv for mv in word[:1] + word[-2:]] == [True] * 3
+            seen[fid] = hashlib.sha256(out.encode()).hexdigest()
+        assert seen == self.EQUIV_DISGUISED

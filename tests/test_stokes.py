@@ -100,6 +100,15 @@ class TestChamberValidation:
         with pytest.raises(RayCollision):
             Chamber(((-1, 1), (-2, 2)), (lv(1, 0), lv(0, 1)))
 
+    def test_collision_between_actives_far_apart_in_the_input(self):
+        # Z(1,1,0) = Z(0,0,1) = (0, 2); the other four rays are distinct
+        Z = ((-1, 1), (1, 1), (0, 2))
+        active = (lv(1, 1, 0), lv(1, 0, 0), lv(0, 1, 0), lv(0, 1, 1),
+                  lv(1, 0, 1), lv(0, 0, 1))
+        with pytest.raises(RayCollision):
+            Chamber(Z, active)
+        Chamber(Z, active[:-1])
+
 
 class TestStokesFactor:
     def test_a2(self):
@@ -381,6 +390,25 @@ class TestProductsMatchOracle:
                                 None) == data.product
 
 
+class TestActiveOrderIsIrrelevant:
+    @settings(max_examples=60, deadline=None)
+    @given(an_chambers(), st.sampled_from([None, 2, 3]), st.data())
+    def test_permuted_actives_give_the_same_product_and_key(self, case, p, data):
+        n, chamber, model = case
+        shuffled = Chamber(chamber.Z,
+                           tuple(data.draw(st.permutations(chamber.active))))
+        basis = Basis.triangular(n)
+        e = euler_form(linear_quiver(n))
+        want = stokes_product(basis, e, model, chamber, p)
+        got = stokes_product(basis, e, model, shuffled, p)
+        assert (got.order, got.factors, got.product) == \
+            (want.order, want.factors, want.product)
+        assert ray_order(shuffled, shuffled.active) == \
+            ray_order(chamber, chamber.active)
+        # the key of enumerate_an_chambers
+        assert shuffled._order == chamber._order
+
+
 class TestRankMismatch:
     def test_ray_order_rejects_a_longer_class(self):
         ch = an_chamber(2, [(-1, 1), (1, 1)])
@@ -604,8 +632,8 @@ class TestVerifyAnJetBuildsEachProductOnce:
 class TestVerifyBuildsEachFixtureOnce:
     def count_products(self, monkeypatch, fn):
         calls = []
-        original = verify.stokes_product
-        monkeypatch.setattr(verify, "stokes_product",
+        original = stokes_mod.stokes_product
+        monkeypatch.setattr(stokes_mod, "stokes_product",
                             lambda *a: calls.append(a) or original(*a))
         lines = fn()
         assert all(line.ok for line in lines)
