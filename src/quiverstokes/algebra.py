@@ -458,7 +458,7 @@ def _index_order(n: int, positions: Iterable[tuple[int, int]]) -> tuple[int, ...
 class Basis:
     """An ordered tuple of n rank-n lattice vectors, independent over Q."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_det")
 
     def __init__(self, rows):
         rows = tuple(r if isinstance(r, LatticeVector) else LatticeVector(tuple(r))
@@ -467,7 +467,8 @@ class Basis:
         if any(r.rank != n for r in rows):
             raise ValueError("basis rows must be square")
         self.rows = rows
-        if self.det() == 0:
+        self._det = _gauss_jordan(self.matrix())[0]
+        if self._det == 0:
             raise ValueError("basis rows are linearly dependent")
 
     @property
@@ -492,13 +493,11 @@ class Basis:
         return [[Fraction(c) for c in r.coords] for r in self.rows]
 
     def det(self) -> Fraction:
-        return _gauss_jordan(self.matrix())[0]
+        """The determinant found by the elimination at construction."""
+        return self._det
 
     def inverse(self) -> list[list[Fraction]]:
-        inv = _gauss_jordan(self.matrix())[1]
-        if inv is None:
-            raise ValueError("singular matrix")
-        return inv
+        return _gauss_jordan(self.matrix())[1]
 
     @classmethod
     def triangular(cls, n: int) -> "Basis":

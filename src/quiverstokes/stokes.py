@@ -14,7 +14,9 @@ first.  All ray comparisons are exact sign tests: a chamber scales its
 charge once by the least common multiple of its denominators, which keeps
 every argument, and compares rays by integer dot and cross products.  A
 chamber sorts its active classes clockwise once, when it is built, and
-every product over it walks that order.
+every product over it walks that order.  Within one call, each factor
+coefficient is built once, and the linear-quiver jet check builds each
+distinct chamber and each distinct ordered product once.
 """
 
 from __future__ import annotations
@@ -168,17 +170,16 @@ def _scaled_charge(Z) -> tuple[tuple, tuple, int]:
                      y.numerator * (scale // y.denominator)) for x, y in Z), scale
 
 
-def _clockwise(rays: list) -> list[LatticeVector]:
-    """The classes of (class, integer ray) pairs by strictly decreasing
+def _clockwise(rays: list) -> list:
+    """The labels of (label, integer ray) pairs by strictly decreasing
     argument in (0, pi].
 
     A comparison sort compares every two entries that end up adjacent, so
-    two classes on one ray always meet, and raise RayCollision.
+    two labels on one ray always meet, and raise RayCollision.
     """
     def cmp(a, b):
         if a[1][0] * b[1][1] - a[1][1] * b[1][0] == 0:
-            raise RayCollision(
-                f"classes {a[0].coords} and {b[0].coords} lie on the same ray")
+            raise RayCollision(f"classes {a[0]} and {b[0]} lie on the same ray")
         return -1 if _arg_greater(a[1], b[1]) else 1
 
     return [v for v, _ in sorted(rays, key=functools.cmp_to_key(cmp))]
@@ -193,8 +194,8 @@ class Chamber:
     recorded with their ray in the upper half plane and must have pairwise
     distinct rays.  Rays are compared on the charge scaled to integers by
     the lcm of its denominators; ``Z`` and ``z_of`` give exact rationals.
-    ``active`` keeps the given order; the chamber also keeps its actives in
-    clockwise order, sorted once at construction.
+    ``active`` keeps the given order; the chamber also keeps the coordinates
+    of its actives in clockwise order, sorted once at construction.
     """
 
     Z: tuple
@@ -224,7 +225,7 @@ class Chamber:
             if not _in_upper(x, y):
                 raise ChamberError(
                     f"active class {v.coords} has its ray outside the upper half plane")
-            rays.append((v, (x, y)))
+            rays.append((v.coords, (x, y)))
         object.__setattr__(self, "_order", tuple(_clockwise(rays)))
 
     @property
@@ -265,8 +266,8 @@ def ray_order(chamber: Chamber, classes: Iterable[LatticeVector]) -> list[Lattic
             raise ChamberError(f"class {v.coords} has Z = 0")
         if not _in_upper(x, y):
             v, x, y = -v, -x, -y
-        fixed.append((v, (x, y)))
-    return _clockwise(fixed)
+        fixed.append((v.coords, (x, y)))
+    return [LatticeVector(c) for c in _clockwise(fixed)]
 
 
 # ---------------------------------------------------------------------------
@@ -312,48 +313,45 @@ class StokesData:
         return [(i, j) for (i, j, _) in self.factors]
 
 
-def _chamber_factors(basis: Basis, chamber: Chamber, model: DTModel,
-                     len_bound: Optional[int]) -> dict:
-    """(i, j, count) by class, for the pairs (i, j) whose difference is
-    active with its ray in the upper half plane, optionally restricted to
-    len < len_bound."""
-    n = basis.n
-    act = chamber.active_set()
-    found = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            d = basis.diff(i, j)
+class _Factors:
+    """The elementary factors of one basis, Euler form, count model and
+    truncation order, shared by the chambers of one call: each difference
+    alpha_i - alpha_j is formed once and each coefficient built once.  The
+    differences are distinct, because the rows of a basis are independent."""
+
+    def __init__(self, basis: Basis, e: EulerForm, model: DTModel,
+                 p: Optional[int]):
+        self.basis, self.e, self.model, self.p = basis, e, model, p
+        self.diffs = [(i, j, basis.diff(i, j)) for i in range(1, basis.n + 1)
+                      for j in range(1, basis.n + 1) if i != j]
+        self.coeffs = {}
+
+    def ordered(self, chamber: Chamber) -> list:
+        """The chamber's factors (i, j, coefficient) in its clockwise order,
+        leftmost first: one for each pair whose difference is active with its
+        ray in the upper half plane; with p given, classes of length >= p are
+        dropped."""
+        if chamber.n != self.basis.n:
+            raise ValueError("chamber and basis rank mismatch")
+        act = chamber.active_set()
+        found = {}
+        for i, j, d in self.diffs:
             x, y = chamber._ray(d)
             if (x, y) == (0, 0):
                 raise ChamberError(f"difference {d.coords} has Z = 0")
-            if not _in_upper(x, y):
+            if not _in_upper(x, y) or d.coords not in act:
                 continue
-            if d.coords not in act:
+            if self.p is not None and lv_len(d) >= self.p:
                 continue
-            if len_bound is not None and lv_len(d) >= len_bound:
-                continue
-            if d.coords in found:
-                raise RayCollision(
-                    f"positions {found[d.coords][:2]} and {(i, j)} share "
-                    f"the class {d.coords}")
-            dt = model.dt(d)
-            if dt == 0:
-                raise ChamberError(
-                    f"active class {d.coords} has zero count under the model")
-            found[d.coords] = (i, j, dt)
-    return found
-
-
-def _ordered_factors(basis: Basis, e: EulerForm, model: DTModel,
-                     chamber: Chamber, p: Optional[int]) -> list:
-    """The chamber's factors (i, j, coefficient) in its clockwise order,
-    leftmost first; with p given, classes of length >= p are dropped."""
-    by_class = _chamber_factors(basis, chamber, model, p)
-    return [(i, j, factor_coefficient(i, j, basis, e, dt, p))
-            for i, j, dt in (by_class[v.coords] for v in chamber._order
-                             if v.coords in by_class)]
+            if (i, j) not in self.coeffs:
+                dt = self.model.dt(d)
+                if dt == 0:
+                    raise ChamberError(
+                        f"active class {d.coords} has zero count under the model")
+                self.coeffs[i, j] = factor_coefficient(i, j, self.basis, self.e,
+                                                       dt, self.p)
+            found[d.coords] = (i, j, self.coeffs[i, j])
+        return [found[c] for c in chamber._order if c in found]
 
 
 def _elementary_product(n: int, nvars: int, factors,
@@ -375,6 +373,17 @@ def _elementary_product(n: int, nvars: int, factors,
     return m
 
 
+def _stokes_data(basis: Basis, factors: list, p: Optional[int]) -> StokesData:
+    """The product of the factors, checked unipotent for the order they
+    induce."""
+    n = basis.n
+    product = _elementary_product(n, n, factors, p)
+    order = _index_order(n, [(i, j) for (i, j, _) in factors])
+    if not product.is_unipotent_wrt(order):
+        raise ChamberError("product is not unipotent for the induced order")
+    return StokesData(basis, order, factors, product)
+
+
 def stokes_product(basis: Basis, e: EulerForm, model: DTModel, chamber: Chamber,
                    p: Optional[int] = None) -> StokesData:
     """Clockwise ordered product of the chamber's elementary factors.
@@ -382,16 +391,7 @@ def stokes_product(basis: Basis, e: EulerForm, model: DTModel, chamber: Chamber,
     With p given, factors of classes of length >= p are dropped and the
     product is reduced mod (s)^p; with p absent the product is exact.
     """
-    if chamber.n != basis.n:
-        raise ValueError("chamber and basis rank mismatch")
-    n = basis.n
-    factors = _ordered_factors(basis, e, model, chamber, p)
-    product = _elementary_product(n, n, factors, p)
-    order = _index_order(n, [(i, j) for (i, j, _) in factors])
-    data = StokesData(basis, order, factors, product)
-    if not product.is_unipotent_wrt(order):
-        raise ChamberError("product is not unipotent for the induced order")
-    return data
+    return _stokes_data(basis, _Factors(basis, e, model, p).ordered(chamber), p)
 
 
 def natural_lifts(basis: Basis, e: EulerForm, model: DTModel,
@@ -401,10 +401,11 @@ def natural_lifts(basis: Basis, e: EulerForm, model: DTModel,
     Every returned matrix is an exact polynomial matrix; all of them agree
     mod (s)^p (checked, ValueError otherwise).
     """
+    factors = _Factors(basis, e, model, p)
     return _distinct_lifts(
         (_elementary_product(basis.n, basis.n,
                              [(i, j, c.drop_bound()) for (i, j, c)
-                              in _ordered_factors(basis, e, model, chamber, p)])
+                              in factors.ordered(chamber)])
          for chamber in chambers), p)
 
 
@@ -538,6 +539,28 @@ def _interval_class(n: int, i: int, j: int) -> LatticeVector:
     return LatticeVector(tuple(1 if i - 1 <= t <= j - 1 else 0 for t in range(n)))
 
 
+def _an_stable_rays(n: int, zint) -> list:
+    """((i, j), integer ray of Z([i, j])) for the stable intervals of the
+    linear quiver, by (i, j), from the charge scaled to integers."""
+    if len(zint) != n:
+        raise ChamberError(f"a rank-{n} charge needs {n} entries, got {len(zint)}")
+    px, py = [0], [0]
+    for x, y in zint:
+        px.append(px[-1] + x)
+        py.append(py[-1] + y)
+    out = []
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            wx, wy = px[j] - px[i - 1], py[j] - py[i - 1]
+            for k in range(i, j):
+                # arg Z([k + 1, j]) < arg Z([i, j]), by a cross product
+                if (px[j] - px[k]) * wy <= (py[j] - py[k]) * wx:
+                    break
+            else:
+                out.append(((i, j), (wx, wy)))
+    return out
+
+
 def an_stable_intervals(n: int, Z) -> list[LatticeVector]:
     """Stable interval classes of the linear quiver 1 -> 2 -> ... -> n.
 
@@ -546,23 +569,8 @@ def an_stable_intervals(n: int, Z) -> list[LatticeVector]:
     i < k <= j.  Z([i, j]) is a difference of prefix sums of the charge
     scaled to integers.
     """
-    zint = _scaled_charge(Z)[1]
-    if len(zint) != n:
-        raise ChamberError(f"a rank-{n} charge needs {n} entries, got {len(zint)}")
-    prefix = [(0, 0)]
-    for x, y in zint:
-        prefix.append((prefix[-1][0] + x, prefix[-1][1] + y))
-
-    def zval(i, j):
-        return (prefix[j][0] - prefix[i - 1][0], prefix[j][1] - prefix[i - 1][1])
-
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            whole = zval(i, j)
-            if all(_arg_greater(whole, zval(k, j)) for k in range(i + 1, j + 1)):
-                out.append(_interval_class(n, i, j))
-    return out
+    return [_interval_class(n, i, j)
+            for (i, j), _ in _an_stable_rays(n, _scaled_charge(Z)[1])]
 
 
 def an_chamber(n: int, Z) -> Chamber:
@@ -578,15 +586,20 @@ def _charge_samples(n: int, count: int, seed: int = 20240915):
         state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
         return lo + (state >> 33) % (hi - lo + 1)
 
+    exact = {v: Fraction(v) for v in range(-12, 13)}
     for _ in range(count):
-        yield tuple((Fraction(rnd(-12, 12)), Fraction(rnd(1, 9))) for _ in range(n))
+        yield tuple((exact[rnd(-12, 12)], exact[rnd(1, 9)]) for _ in range(n))
 
 
 def enumerate_an_chambers(n: int, samples: int = 600) -> list[Chamber]:
     """Distinct linear-quiver chambers found by deterministic sampling.
 
-    Chambers are keyed by the clockwise order of their stable classes;
-    structured monotone charges are always included.
+    Chambers are keyed by the clockwise order of their stable intervals,
+    found in integers before anything is built; a charge that a chamber
+    would reject (one outside the upper half plane, or two stable intervals
+    on one ray) is skipped, and each distinct chamber is built once, from
+    the first charge that gives it.  Structured monotone charges are always
+    included.
     """
     structured = [
         convex_charge(n, 0),
@@ -594,13 +607,21 @@ def enumerate_an_chambers(n: int, samples: int = 600) -> list[Chamber]:
         tuple((Fraction(-10 * 3 ** k), Fraction(1 + k)) for k in range(n)),
         tuple((Fraction(10 * 3 ** (n - k)), Fraction(1 + k)) for k in range(n)),
     ]
+    intervals = {(i, j): _interval_class(n, i, j)
+                 for i in range(1, n + 1) for j in range(i, n + 1)}
     seen = {}
     for Z in itertools.chain(structured, _charge_samples(n, samples)):
-        try:
-            ch = an_chamber(n, Z)
-        except (RayCollision, ChamberError):
+        zint = _scaled_charge(Z)[1]
+        if not all(_in_upper(x, y) for x, y in zint):
             continue
-        seen.setdefault(ch._order, ch)
+        rays = _an_stable_rays(n, zint)
+        try:
+            key = tuple(_clockwise(rays))
+        except RayCollision:
+            continue
+        if key not in seen:
+            # an_chamber(n, Z), from the stable intervals already found
+            seen[key] = Chamber(tuple(Z), tuple(intervals[ij] for ij, _ in rays))
     return list(seen.values())
 
 
@@ -608,30 +629,37 @@ def verify_an_jet(n: int, samples: int = 600) -> dict:
     """Check that every sampled linear-quiver chamber yields the bidiagonal
     Stokes matrix exactly, and that the mod-(s)^(n+1) lifted products agree.
 
-    Returns a report dict; ``ok`` is True when every chamber product equals
-    an_stokes(n) and the natural lifts at order n+1 take a single value.
+    Chambers with the same ordered factor sequence share one product, so
+    each distinct chamber and each distinct product is built once.  Returns
+    a report dict; ``ok`` is True when every chamber product equals
+    an_stokes(n) and the natural lifts at order n+1 take a single value;
+    ``mismatched_chambers`` counts chambers, ``distinct_products`` products.
     """
     if not 2 <= n <= 5:
         raise ValueError("desk-scale check supports 2 <= n <= 5")
     basis = Basis.triangular(n)
-    e = euler_form(linear_quiver(n))
-    model = DTModel.an_intervals()
+    factors = _Factors(basis, euler_form(linear_quiver(n)), DTModel.an_intervals(),
+                       None)
     chambers = enumerate_an_chambers(n, samples)
     expected = an_stokes(n)
-    products = []
+    sequences = {}
     for ch in chambers:
         # an interval has length <= n, so no factor is dropped at order
         # n + 1 and the natural lift of a chamber is its exact product
         if any(lv_len(v) > n for v in ch.active):
             raise ChamberError(f"chamber with an active class longer than {n}")
-        products.append(stokes_product(basis, e, model, ch, None).product)
-    mismatches = [prod for prod in products if prod != expected]
-    lifts = _distinct_lifts(products, n + 1)
+        seq = factors.ordered(ch)
+        sequences.setdefault(tuple((i, j) for i, j, _ in seq), [seq, 0])[1] += 1
+    products = [(_stokes_data(basis, seq, None).product, count)
+                for seq, count in sequences.values()]
+    mismatches = sum(count for prod, count in products if prod != expected)
+    lifts = _distinct_lifts((prod for prod, _ in products), n + 1)
     ok = not mismatches and len(lifts) == 1 and lifts[0] == expected
     return {
         "n": n,
         "chambers": len(chambers),
-        "mismatched_chambers": len(mismatches),
+        "distinct_products": len(products),
+        "mismatched_chambers": mismatches,
         "lift_values_mod_n_plus_1": len(lifts),
         "ok": ok,
     }

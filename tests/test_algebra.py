@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quiverstokes import algebra as algebra_mod
 from quiverstokes.algebra import (Basis, LatticeVector, PolyMatrix,
                                   TruncatedPoly, joyce_point, lv_len,
                                   lv_monomial)
@@ -184,6 +185,15 @@ class TestBasis:
     def test_dependent_rows_rejected(self):
         with pytest.raises(ValueError):
             Basis([(1, 1), (2, 2)])
+
+    def test_det_reads_the_elimination_done_at_construction(self, monkeypatch):
+        calls = []
+        original = algebra_mod._gauss_jordan
+        monkeypatch.setattr(algebra_mod, "_gauss_jordan",
+                            lambda m: calls.append(m) or original(m))
+        b = Basis([(1, 2, 0), (0, 1, 3), (1, 0, 1)])
+        assert (b.det(), b.det(), len(calls)) == (7, 7, 1)
+        assert Basis([(0, 1), (1, 0)]).det() == -1
 
     def test_serialization(self):
         b = Basis.alternating(3)

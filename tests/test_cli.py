@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import quiverstokes
 from quiverstokes.algebra import Basis, joyce_point
 from quiverstokes.braid import perm_conj, sign_conj
 from quiverstokes.cli import main
@@ -15,9 +18,16 @@ from quiverstokes.stokes import DTModel, an_stokes, extension_actives
 from quiverstokes.verify import _family_entries, fixture_matrices_sj
 
 
+# the child process imports the package the tests import, from a checkout
+# too, where only pytest's configured path finds it
+SRC = str(Path(quiverstokes.__file__).resolve().parents[1])
+
+
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "quiverstokes.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     return proc
 
 

@@ -405,7 +405,6 @@ class TestActiveOrderIsIrrelevant:
             (want.order, want.factors, want.product)
         assert ray_order(shuffled, shuffled.active) == \
             ray_order(chamber, chamber.active)
-        # the key of enumerate_an_chambers
         assert shuffled._order == chamber._order
 
 
@@ -604,21 +603,136 @@ class TestEnumerateAnChambers:
         assert (len(chambers), digest) == self.PINNED[n]
 
 
+# ---------------------------------------------------------------------------
+# Reference jet check: a chamber built for every sample and keyed on its
+# clockwise order, and one exact product per chamber.
+# ---------------------------------------------------------------------------
+
+def oracle_enumerate(n, samples):
+    structured = [
+        convex_charge(n, 0),
+        tuple(reversed(convex_charge(n, 0))),
+        tuple((Fraction(-10 * 3 ** k), Fraction(1 + k)) for k in range(n)),
+        tuple((Fraction(10 * 3 ** (n - k)), Fraction(1 + k)) for k in range(n)),
+    ]
+    seen = {}
+    for Z in itertools.chain(structured, stokes_mod._charge_samples(n, samples)):
+        try:
+            ch = an_chamber(n, Z)
+        except (RayCollision, ChamberError):
+            continue
+        seen.setdefault(ch._order, ch)
+    return list(seen.values())
+
+
+def oracle_verify_an_jet(n, samples):
+    basis = Basis.triangular(n)
+    e = euler_form(linear_quiver(n))
+    model = DTModel.an_intervals()
+    chambers = oracle_enumerate(n, samples)
+    expected = an_stokes(n)
+    data = [stokes_product(basis, e, model, ch, None) for ch in chambers]
+    lifts = natural_lifts(basis, e, model, chambers, n + 1)
+    mismatches = sum(d.product != expected for d in data)
+    return {
+        "n": n,
+        "chambers": len(chambers),
+        "distinct_products": len({tuple(d.factor_positions()) for d in data}),
+        "mismatched_chambers": mismatches,
+        "lift_values_mod_n_plus_1": len(lifts),
+        "ok": not mismatches and lifts == [expected],
+    }
+
+
+def chamber_records(chambers):
+    return [(ch, ch.Z, ch._order) for ch in chambers]
+
+
+@st.composite
+def charge_lists(draw):
+    """(n, charges): small charges of one rank, so that repeats, shared rays
+    and charges outside the upper half plane are common."""
+    n = draw(st.integers(2, 4))
+    pool = draw(st.lists(st.tuples(*[st.tuples(rationals, rationals)] * n),
+                         min_size=1, max_size=8))
+    return n, draw(st.lists(st.sampled_from(pool), max_size=20))
+
+
+class TestJetCheckMatchesOracle:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("samples", [0, 1, 37, 400])
+    def test_sampled_chambers_and_reports(self, n, samples):
+        assert chamber_records(enumerate_an_chambers(n, samples)) == \
+            chamber_records(oracle_enumerate(n, samples))
+        assert verify_an_jet(n, samples) == oracle_verify_an_jet(n, samples)
+
+    def test_repeated_collinear_and_lower_charges(self, monkeypatch):
+        half = Fraction(1, 2)
+        samples = [
+            ((-5, 1), (2, 3), (1, 1)),
+            ((-5, 1), (2, 3), (1, 1)),             # repeated
+            ((-5 * half, half), (1, 3 * half), (half, half)),  # a multiple
+            ((1, 1), (1, 1), (-5, 1)),             # two simples on one ray
+            ((1, 2), (-3, 1), (2, 4)),             # [1, 1] and [3, 3] on one ray
+            ((-1, 1), (0, 1), (1, 1)),             # [2, 2] and [1, 3] on one ray
+            ((-2, 0), (-1, 0), (0, 1)),            # two simples on the negative axis
+            ((-1, 1), (1, -1), (0, 1)),            # below the real axis
+            ((-1, 0), (1, 0), (0, 1)),             # on the positive real axis
+            ((0, 0), (0, 1), (1, 1)),              # a zero charge
+            ((2, 1), (-3, 2), (1, 4)),
+        ]
+        assert [outcome(an_chamber, 3, Z) for Z in samples[3:10]] == \
+            [RayCollision] * 4 + [ChamberError] * 3
+        monkeypatch.setattr(stokes_mod, "_charge_samples",
+                            lambda n, count: iter(samples))
+        got = enumerate_an_chambers(3, 0)
+        assert chamber_records(got) == chamber_records(oracle_enumerate(3, 0))
+        # the two structured chambers, then the first and the last sample
+        assert [ch.Z for ch in got[2:]] == [
+            tuple((Fraction(x), Fraction(y)) for x, y in samples[k])
+            for k in (0, 10)]
+        assert verify_an_jet(3, 0) == oracle_verify_an_jet(3, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(charge_lists())
+    def test_random_sample_lists(self, case):
+        n, samples = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stokes_mod, "_charge_samples",
+                       lambda n, count: iter(samples))
+            assert chamber_records(enumerate_an_chambers(n, 0)) == \
+                chamber_records(oracle_enumerate(n, 0))
+
+
 class TestVerifyAnJetBuildsEachProductOnce:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_exact_products_are_the_natural_lifts(self, n, monkeypatch):
         basis = Basis.triangular(n)
         e = euler_form(linear_quiver(n))
+        model = DTModel.an_intervals()
         chambers = enumerate_an_chambers(n, 150)
-        want = natural_lifts(basis, e, DTModel.an_intervals(), chambers, n + 1)
-        calls = []
-        original = stokes_mod.stokes_product
-        monkeypatch.setattr(stokes_mod, "stokes_product",
-                            lambda *a: calls.append(a) or original(*a))
+        want = natural_lifts(basis, e, model, chambers, n + 1)
+        sequences = {tuple(stokes_product(basis, e, model, ch).factor_positions())
+                     for ch in chambers}
+        built = []
+        original = stokes_mod._stokes_data
+        monkeypatch.setattr(stokes_mod, "_stokes_data",
+                            lambda *a: built.append(a) or original(*a))
         monkeypatch.setattr(stokes_mod, "natural_lifts", None)
         rep = verify_an_jet(n, 150)
         assert rep["ok"] and rep["lift_values_mod_n_plus_1"] == len(want) == 1
-        assert len(calls) == rep["chambers"] == len(chambers)
+        assert rep["chambers"] == len(chambers)
+        assert len(built) == rep["distinct_products"] == len(sequences)
+        assert len(sequences) < len(chambers)
+
+    def test_two_calls_do_the_same_work(self, monkeypatch):
+        built = []
+        original = stokes_mod._stokes_data
+        monkeypatch.setattr(stokes_mod, "_stokes_data",
+                            lambda *a: built.append(a) or original(*a))
+        reports = [verify_an_jet(4, 150) for _ in range(2)]
+        assert reports[0] == reports[1]
+        assert len(built) == 2 * reports[0]["distinct_products"]
 
     def test_a_class_too_long_for_the_lift_order_is_refused(self, monkeypatch):
         # a chamber whose lift at order n + 1 would drop a factor
@@ -627,6 +741,67 @@ class TestVerifyAnJetBuildsEachProductOnce:
                             lambda n, samples: [long])
         with pytest.raises(ChamberError, match="longer than 2"):
             verify_an_jet(2)
+
+
+class TestJetCheckErrors:
+    # two equal charges put the difference alpha_1 - alpha_2 = (1, -1) of
+    # the unit basis on Z = 0
+    unit = Basis([(1, 0), (0, 1)])
+    flat = Chamber(((0, 1), (0, 1)), ())
+
+    def test_difference_with_zero_charge(self, monkeypatch):
+        e = euler_form(linear_quiver(2))
+        with pytest.raises(ChamberError, match=r"difference \(1, -1\) has Z = 0"):
+            stokes_product(self.unit, e, DTModel.an_intervals(), self.flat)
+        monkeypatch.setattr(Basis, "triangular", lambda n: self.unit)
+        monkeypatch.setattr(stokes_mod, "enumerate_an_chambers",
+                            lambda n, samples: [self.flat])
+        with pytest.raises(ChamberError, match=r"difference \(1, -1\) has Z = 0"):
+            verify_an_jet(2)
+
+    def test_active_class_with_zero_count(self, monkeypatch):
+        model = DTModel.table({}, simples_default=False)
+        ch = an_chamber(3, [(-5, 1), (2, 3), (1, 1)])
+        with pytest.raises(ChamberError, match="zero count"):
+            stokes_product(Basis.triangular(3), euler_form(linear_quiver(3)),
+                           model, ch)
+        monkeypatch.setattr(DTModel, "an_intervals", lambda: model)
+        with pytest.raises(ChamberError, match="zero count"):
+            verify_an_jet(3, 20)
+
+    def test_rank_mismatch(self, monkeypatch):
+        ch = Chamber(((-5, 1), (2, 3), (1, 1)), (lv(1, 0, 0),))
+        with pytest.raises(ValueError, match="rank mismatch"):
+            stokes_product(Basis.triangular(2), euler_form(linear_quiver(2)),
+                           DTModel.an_intervals(), ch)
+        monkeypatch.setattr(stokes_mod, "enumerate_an_chambers",
+                            lambda n, samples: [ch])
+        with pytest.raises(ValueError, match="rank mismatch"):
+            verify_an_jet(2)
+
+    def test_no_two_positions_share_a_class(self):
+        # alpha_1 - alpha_2 = alpha_2 - alpha_3 only for dependent rows,
+        # which a basis refuses; so a class has at most one factor
+        with pytest.raises(ValueError, match="linearly dependent"):
+            Basis([(2, 0, 1), (1, 0, 1), (0, 0, 1)])
+        basis = Basis.alternating(4)
+        diffs = [basis.diff(i, j).coords for i, j in
+                 itertools.permutations(range(1, 5), 2)]
+        assert len(set(diffs)) == len(diffs) == 12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_mismatches_count_chambers_not_sequences(self, n, monkeypatch):
+        # counts (-1)^len turn every product into the bidiagonal matrix at
+        # s -> -s: the chambers still agree, and every one of them mismatches
+        intervals = DTModel.an_intervals()
+        signed = DTModel("signed",
+                         lambda v: intervals.dt(v) * (-1) ** sum(v.coords))
+        monkeypatch.setattr(DTModel, "an_intervals", lambda: signed)
+        rep = verify_an_jet(n, 150)
+        assert rep == oracle_verify_an_jet(n, 150)
+        assert not rep["ok"] and rep["lift_values_mod_n_plus_1"] == 1
+        assert rep["mismatched_chambers"] == rep["chambers"] > \
+            rep["distinct_products"]
 
 
 class TestVerifyBuildsEachFixtureOnce:
