@@ -314,10 +314,6 @@ class PolyMatrix:
         m.entries[i - 1][j - 1] = m.entries[i - 1][j - 1] + coeff
         return m
 
-    def __getitem__(self, ij) -> TruncatedPoly:
-        i, j = ij
-        return self.entries[i][j]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
@@ -362,9 +358,6 @@ class PolyMatrix:
     def truncate(self, p: Optional[int]) -> "PolyMatrix":
         return PolyMatrix(self.n, [[e.truncate(p) for e in row] for row in self.entries])
 
-    def drop_bound(self) -> "PolyMatrix":
-        return PolyMatrix(self.n, [[e.drop_bound() for e in row] for row in self.entries])
-
     def evaluate(self, point) -> tuple:
         """Evaluate every entry; returns a tuple-of-tuples of Fractions."""
         return tuple(tuple(e.evaluate(point) for e in row) for row in self.entries)
@@ -387,24 +380,6 @@ class PolyMatrix:
                 if i != j and pos[i] > pos[j] and not self.entries[i][j].is_zero():
                     return False
         return True
-
-    def inverse_unipotent(self) -> "PolyMatrix":
-        """Neumann-series inverse; requires nilpotent off-diagonal part."""
-        n = self.n
-        ident = PolyMatrix.identity(n, self.nvars, self._join_trunc(self))
-        nil = PolyMatrix(n, [[self.entries[i][j] - ident.entries[i][j]
-                              for j in range(n)] for i in range(n)])
-        acc = ident
-        power = ident
-        for k in range(1, n):
-            power = power * nil
-            sign = -1 if k % 2 else 1
-            acc = PolyMatrix(n, [[acc.entries[i][j] + sign * power.entries[i][j]
-                                  for j in range(n)] for i in range(n)])
-        check = power * nil
-        if any(not check.entries[i][j].is_zero() for i in range(n) for j in range(n)):
-            raise ValueError("matrix is not unipotent (off-diagonal part not nilpotent)")
-        return acc
 
     def text(self, names: Optional[list[str]] = None) -> str:
         cells = [[e.text(names) for e in row] for row in self.entries]

@@ -401,15 +401,6 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
     return OrbitSearchResult("inconclusive", None, depth, len(parents), pruned)
 
 
-def equivalent(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
-               entry_bound: int = 64) -> Optional[EquivalenceCertificate]:
-    """Shortest-word certificate that S1 and S2 are related, or None when the
-    bounded search ends exhausted or inconclusive.  Like ``orbit_search`` it
-    raises ValueError when ``entry_bound`` or an entry of S1 exceeds
-    3 037 000 499 in absolute value, the int64 limit of one move."""
-    return orbit_search(S1, S2, depth, entry_bound).certificate
-
-
 # ---------------------------------------------------------------------------
 # Relations of the action
 # ---------------------------------------------------------------------------

@@ -72,26 +72,28 @@ class GoodnessReport:
 
 
 def check_quadratic(basis: Basis, e: EulerForm, p: int) -> GoodnessReport:
-    """Check the quadratic conditions at order p (p >= 3)."""
+    """Check the quadratic conditions at order p (p >= 3).
+
+    Every pairing comes from one table g[a][b] = <a_a, a_b>: the form is
+    skew, so <a_j - a_k, a_k - a_i> = g[j][k] - g[j][i] + g[k][i].
+    """
     if p < 3:
         raise ValueError("quadratic conditions are defined for p >= 3")
-    n = basis.n
-    violations = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j or lv_len(basis.diff(j, i)) >= p:
+    rows = basis.rows
+    g = [[e.pairing(a, b) for b in rows] for a in rows]
+    found = {}
+    for i, j in itertools.permutations(range(len(rows)), 2):
+        if lv_len(rows[j] - rows[i]) >= p:
+            continue
+        for k in range(len(rows)):
+            if k == i or k == j:
                 continue
-            for k in range(1, n + 1):
-                if k == i or k == j:
-                    continue
-                lhs = (e.pairing(basis[j], basis[i]) *
-                       e.pairing(basis.diff(j, k), basis.diff(k, i)))
-                rhs = e.pairing(basis[j], basis[k]) * e.pairing(basis[k], basis[i])
-                if lhs != rhs:
-                    key = (min(i, j), max(i, j), k)
-                    entry = ("quadratic", key, f"lhs={lhs} rhs={rhs}")
-                    if entry not in violations:
-                        violations.append(entry)
+            lhs = g[j][i] * (g[j][k] - g[j][i] + g[k][i])
+            rhs = g[j][k] * g[k][i]
+            if lhs != rhs:
+                key = (min(i, j) + 1, max(i, j) + 1, k + 1)
+                found[("quadratic", key, f"lhs={lhs} rhs={rhs}")] = None
+    violations = list(found)
     return GoodnessReport(quadratic_ok=not violations, violations=violations)
 
 
@@ -237,15 +239,6 @@ class SymbolicQuiver:
     n: int
     params: tuple[str, ...]
     arrows: tuple  # tuple of ((u, v), TruncatedPoly) sorted by (u, v)
-
-    def is_concrete(self) -> bool:
-        return all(p.degree() <= 0 for _, p in self.arrows)
-
-    def to_quiver(self) -> Quiver:
-        if not self.is_concrete():
-            raise ValueError("quiver has symbolic multiplicities")
-        pairs = {uv: int(p.constant_term()) for uv, p in self.arrows}
-        return Quiver.from_arrows(self.n, pairs)
 
     def substitute(self, values) -> Quiver:
         """Concrete quiver at given parameter values; a negative evaluated

@@ -181,8 +181,3 @@ def linear_quiver(n: int) -> Quiver:
     for i in range(n - 1):
         m[i][i + 1] = 1
     return Quiver(n, tuple(tuple(r) for r in m))
-
-
-def kronecker_quiver(lam: int) -> Quiver:
-    """Two vertices with lam arrows 1 -> 2."""
-    return Quiver(2, ((0, lam), (0, 0)))

@@ -54,12 +54,12 @@ def poly_to_json(p: TruncatedPoly) -> dict:
             for exps, coeff in p.key()}
 
 
-def poly_from_json(data: dict, nvars: int, trunc=None) -> TruncatedPoly:
+def poly_from_json(data: dict, nvars: int) -> TruncatedPoly:
     terms = {}
     for key, val in data.items():
         exps = tuple(int(e) for e in key.split(",")) if key else ()
         terms[exps] = Fraction(val)
-    return TruncatedPoly(nvars, terms, trunc)
+    return TruncatedPoly(nvars, terms)
 
 
 def pm_to_json(m: PolyMatrix) -> dict:
@@ -67,11 +67,9 @@ def pm_to_json(m: PolyMatrix) -> dict:
             "entries": [[poly_to_json(e) for e in row] for row in m.entries]}
 
 
-def pm_from_json(data: dict, nvars=None, trunc=None) -> PolyMatrix:
-    n = int(data["n"])
-    nv = n if nvars is None else nvars
-    return PolyMatrix(n, [[poly_from_json(cell, nv, trunc) for cell in row]
-                          for row in data["entries"]])
+def pm_from_json(data: dict, nvars: int) -> PolyMatrix:
+    return PolyMatrix(int(data["n"]), [[poly_from_json(cell, nvars) for cell in row]
+                                       for row in data["entries"]])
 
 
 def rational_matrix_to_json(m) -> list:

@@ -54,28 +54,21 @@ def _canon_class(v: LatticeVector) -> LatticeVector:
     return v
 
 
-def _is_simple(v: LatticeVector) -> bool:
-    return sum(abs(c) for c in v.coords) == 1
-
-
-def _interval_bounds(v: LatticeVector) -> Optional[tuple[int, int]]:
-    """(i, j) 1-based if +-v is a run of consecutive ones, else None."""
+def _is_interval(v: LatticeVector) -> bool:
+    """Whether +-v is a run of consecutive ones."""
     w = _canon_class(v)
     idx = [k for k, c in enumerate(w.coords) if c]
-    if not idx or any(w.coords[k] != 1 for k in idx):
-        return None
-    if idx != list(range(idx[0], idx[-1] + 1)):
-        return None
-    return idx[0] + 1, idx[-1] + 1
+    return (bool(idx) and all(w.coords[k] == 1 for k in idx)
+            and idx == list(range(idx[0], idx[-1] + 1)))
 
 
 class DTModel:
     """Rational counts attached to lattice classes, symmetric under negation.
 
-    Kinds: ``simples-only`` (1 on the signed simple classes), ``an-intervals``
-    (1 on signed consecutive-run classes), ``kronecker-chain`` (1 on simples,
-    (-1)^(lam-1) * lam on signed sums of adjacent simples), and ``table``
-    (explicit values; signed simple classes default to 1 unless overridden).
+    Kinds: ``an-intervals`` (1 on signed consecutive-run classes),
+    ``table`` (explicit values; signed simple classes default to 1 unless
+    overridden), and ``quiver-extensions`` (1 on simples, (-1)^(lam-1) * lam
+    on signed sums of two simples joined by lam arrows).
     """
 
     def __init__(self, kind: str, fn: Callable[[LatticeVector], Fraction]):
@@ -88,31 +81,12 @@ class DTModel:
         return self._fn(_canon_class(v))
 
     @classmethod
-    def simples_only(cls) -> "DTModel":
-        return cls("simples-only",
-                   lambda v: Fraction(1) if _is_simple(v) else Fraction(0))
-
-    @classmethod
     def an_intervals(cls) -> "DTModel":
         return cls("an-intervals",
-                   lambda v: Fraction(1) if _interval_bounds(v) else Fraction(0))
+                   lambda v: Fraction(1) if _is_interval(v) else Fraction(0))
 
     @classmethod
-    def kronecker_chain(cls, lam: int) -> "DTModel":
-        lam = int(lam)
-
-        def fn(v: LatticeVector) -> Fraction:
-            if _is_simple(v):
-                return Fraction(1)
-            b = _interval_bounds(v)
-            if b and b[1] - b[0] == 1:
-                return Fraction((-1) ** (lam - 1) * lam)
-            return Fraction(0)
-
-        return cls(f"kronecker-chain({lam})", fn)
-
-    @classmethod
-    def table(cls, mapping: dict, simples_default: bool = True) -> "DTModel":
+    def table(cls, mapping: dict) -> "DTModel":
         tab = {}
         for key, val in mapping.items():
             vec = key if isinstance(key, LatticeVector) else LatticeVector(tuple(key))
@@ -121,7 +95,7 @@ class DTModel:
         def fn(v: LatticeVector) -> Fraction:
             if v.coords in tab:
                 return tab[v.coords]
-            if simples_default and _is_simple(v):
+            if lv_len(v) == 1:
                 return Fraction(1)
             return Fraction(0)
 
@@ -133,7 +107,7 @@ class DTModel:
         lam arrows between the supports; 0 elsewhere."""
 
         def fn(v: LatticeVector) -> Fraction:
-            if _is_simple(v):
+            if lv_len(v) == 1:
                 return Fraction(1)
             w = _canon_class(v)
             idx = [k for k, c in enumerate(w.coords) if c]
@@ -159,15 +133,15 @@ def _arg_greater(a: tuple, b: tuple) -> bool:
     return b[0] * a[1] - b[1] * a[0] > 0
 
 
-def _scaled_charge(Z) -> tuple[tuple, tuple, int]:
-    """(Z as Fractions, D * Z as ints, D) with D the lcm of Z's denominators.
+def _scaled_charge(Z) -> tuple[tuple, tuple]:
+    """(Z as Fractions, D * Z as ints) with D the lcm of Z's denominators.
 
     Scaling by D > 0 keeps every argument, so ray tests may use the integers.
     """
     Z = tuple((_as_fraction(x), _as_fraction(y)) for x, y in Z)
     scale = math.lcm(*(c.denominator for z in Z for c in z))
     return Z, tuple((x.numerator * (scale // x.denominator),
-                     y.numerator * (scale // y.denominator)) for x, y in Z), scale
+                     y.numerator * (scale // y.denominator)) for x, y in Z)
 
 
 def _clockwise(rays: list) -> list:
@@ -193,7 +167,7 @@ class Chamber:
     Z_i must lie in the semi-closed upper half plane.  Active classes are
     recorded with their ray in the upper half plane and must have pairwise
     distinct rays.  Rays are compared on the charge scaled to integers by
-    the lcm of its denominators; ``Z`` and ``z_of`` give exact rationals.
+    the lcm of its denominators; ``Z`` keeps the exact rationals.
     ``active`` keeps the given order; the chamber also keeps the coordinates
     of its actives in clockwise order, sorted once at construction.
     """
@@ -201,14 +175,12 @@ class Chamber:
     Z: tuple
     active: tuple
     _zint: tuple = field(init=False, repr=False, compare=False)
-    _scale: int = field(init=False, repr=False, compare=False)
     _order: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        Z, zint, scale = _scaled_charge(self.Z)
+        Z, zint = _scaled_charge(self.Z)
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "_zint", zint)
-        object.__setattr__(self, "_scale", scale)
         act = tuple(v if isinstance(v, LatticeVector) else LatticeVector(tuple(v))
                     for v in self.active)
         object.__setattr__(self, "active", act)
@@ -244,10 +216,6 @@ class Chamber:
                 y += c * zy
         return x, y
 
-    def z_of(self, v: LatticeVector) -> tuple:
-        x, y = self._ray(v)
-        return (Fraction(x, self._scale), Fraction(y, self._scale))
-
     def active_set(self) -> set:
         return {v.coords for v in self.active}
 
@@ -274,20 +242,10 @@ def ray_order(chamber: Chamber, classes: Iterable[LatticeVector]) -> list[Lattic
 # Elementary factors and their ordered products
 # ---------------------------------------------------------------------------
 
-def stokes_factor(i: int, j: int, basis: Basis, e: EulerForm, dt,
-                  p: Optional[int] = None) -> PolyMatrix:
-    """I - (-1)^<a_i,a_j> <a_i,a_j> dt s^(a_i - a_j) E_ij (1-based i != j)."""
-    if i == j:
-        raise ValueError("factor position must be off-diagonal")
-    coeff = factor_coefficient(i, j, basis, e, dt, p)
-    n = basis.n
-    if coeff.is_zero():
-        return PolyMatrix.identity(n, n, p)
-    return PolyMatrix.elementary(n, i, j, coeff)
-
-
 def factor_coefficient(i: int, j: int, basis: Basis, e: EulerForm, dt,
                        p: Optional[int] = None) -> TruncatedPoly:
+    """-(-1)^<a_i,a_j> <a_i,a_j> dt s^(a_i - a_j), the E_ij coefficient of
+    the factor S_ij (1-based i != j)."""
     dt = _as_fraction(dt)
     x = e.pairing(basis[i], basis[j])
     sign = 1 if x % 2 == 0 else -1
@@ -591,7 +549,7 @@ def _charge_samples(n: int, count: int, seed: int = 20240915):
         yield tuple((exact[rnd(-12, 12)], exact[rnd(1, 9)]) for _ in range(n))
 
 
-def enumerate_an_chambers(n: int, samples: int = 600) -> list[Chamber]:
+def enumerate_an_chambers(n: int, samples: int) -> list[Chamber]:
     """Distinct linear-quiver chambers found by deterministic sampling.
 
     Chambers are keyed by the clockwise order of their stable intervals,
@@ -625,7 +583,7 @@ def enumerate_an_chambers(n: int, samples: int = 600) -> list[Chamber]:
     return list(seen.values())
 
 
-def verify_an_jet(n: int, samples: int = 600) -> dict:
+def verify_an_jet(n: int, samples: int = 400) -> dict:
     """Check that every sampled linear-quiver chamber yields the bidiagonal
     Stokes matrix exactly, and that the mod-(s)^(n+1) lifted products agree.
 

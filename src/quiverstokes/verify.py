@@ -169,10 +169,10 @@ def check_mutation_tables(fixtures=None) -> list[CheckLine]:
 # Scope: order-(n+1) jets
 # ---------------------------------------------------------------------------
 
-def check_an_jets(samples: int = 400) -> list[CheckLine]:
+def check_an_jets() -> list[CheckLine]:
     lines = []
     for n in range(2, 6):
-        rep = verify_an_jet(n, samples)
+        rep = verify_an_jet(n)
         lines.append(CheckLine(
             f"a{n}: all sampled chambers give the bidiagonal matrix "
             f"({rep['chambers']} chambers)", rep["ok"],

@@ -147,25 +147,6 @@ class TestPolyMatrix:
         m = PolyMatrix.elementary(3, 1, 3, rand_poly(random.Random(2), 3) * s(3, 1))
         assert m.evaluate([0, 0, 0]) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-    def test_unipotent_inverse_roundtrip(self):
-        rng = random.Random(23)
-        for _ in range(40):
-            n = rng.randint(2, 4)
-            m = PolyMatrix.identity(n, n)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    m.entries[i][j] = rand_poly(rng, n, None, 2, 2, 3)
-            inv = m.inverse_unipotent()
-            assert m * inv == PolyMatrix.identity(n, n)
-            assert inv * m == PolyMatrix.identity(n, n)
-
-    def test_inverse_requires_nilpotent_offdiagonal(self):
-        m = PolyMatrix.identity(2, 2)
-        m.entries[0][1] = TruncatedPoly.one(2)
-        m.entries[1][0] = TruncatedPoly.one(2)
-        with pytest.raises(ValueError):
-            m.inverse_unipotent()
-
     def test_matrix_serialization_roundtrip(self):
         from quiverstokes.stokes import an_stokes
         m = an_stokes(4)

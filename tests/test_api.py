@@ -11,6 +11,27 @@ import quiverstokes
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+PUBLIC = [
+    "Basis", "BraidWord", "Chamber", "DTModel", "EpsilonTensor",
+    "EquivalenceCertificate", "EulerForm", "GoodQuiverSolution",
+    "GoodnessReport", "LatticeVector", "OrbitSearchResult", "PolyMatrix",
+    "Quiver", "RayCollision", "StokesData", "SymbolicQuiver", "TruncatedPoly",
+    "an_chamber", "an_stokes", "apply_word", "beta", "beta_inv",
+    "check_quadratic", "check_vanishing_p3", "convex_charge",
+    "epsilon_solutions", "euler_form", "factor_product", "find_good_quivers",
+    "joyce_point", "level2_chamber", "linear_quiver", "lv_len", "lv_monomial",
+    "mutate", "mutation_basis", "mutation_class", "natural_lifts",
+    "orbit_search", "perm_conj", "ray_order", "sign_conj", "stokes_product",
+    "verify_an_jet", "verify_braid_group_relations",
+]
+
+
+def test_public_surface_is_pinned():
+    # a name enters or leaves the package only together with this list
+    assert PUBLIC == sorted(PUBLIC)
+    assert sorted(quiverstokes.__all__) == PUBLIC
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in quiverstokes.__all__
                if not hasattr(quiverstokes, name)]

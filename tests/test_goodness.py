@@ -5,14 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quiverstokes.algebra import Basis, TruncatedPoly
+from quiverstokes.algebra import Basis, TruncatedPoly, lv_len
 from quiverstokes.goodness import (EpsilonTensor, GoodQuiverSolution,
                                    SymbolicQuiver, UnrecognizedPattern,
                                    basis_domain, check_quadratic,
                                    check_vanishing_p3, epsilon_solutions,
                                    find_good_quivers, full_domain,
                                    mutation_basis)
-from quiverstokes.quiver import (Quiver, apply_word, euler_form,
+from quiverstokes.quiver import (EulerForm, Quiver, apply_word, euler_form,
                                  linear_quiver, mutation_class)
 
 
@@ -177,7 +177,56 @@ def sub_domains(draw):
     return n, dom
 
 
+def per_pairing_check_quadratic(basis, e, p):
+    """check_quadratic with every pairing and difference formed per triple."""
+    n = basis.n
+    violations = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j or lv_len(basis.diff(j, i)) >= p:
+                continue
+            for k in range(1, n + 1):
+                if k == i or k == j:
+                    continue
+                lhs = (e.pairing(basis[j], basis[i]) *
+                       e.pairing(basis.diff(j, k), basis.diff(k, i)))
+                rhs = e.pairing(basis[j], basis[k]) * e.pairing(basis[k], basis[i])
+                if lhs != rhs:
+                    entry = ("quadratic", (min(i, j), max(i, j), k),
+                             f"lhs={lhs} rhs={rhs}")
+                    if entry not in violations:
+                        violations.append(entry)
+    return not violations, violations
+
+
+@st.composite
+def bases_and_forms(draw):
+    """(basis, skew form): rank 2..6, entries in [-2, 2], form entries
+    mostly 0 or +-1 so that some triples pass and some fail."""
+    n = draw(st.integers(2, 6))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    try:
+        basis = Basis(rows)
+    except ValueError:
+        assume(False)
+    m = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        m[i][j] = draw(st.sampled_from((0, 0, 1, -1, 2)))
+        m[j][i] = -m[i][j]
+    return basis, EulerForm(m)
+
+
 class TestCheckQuadratic:
+    @settings(max_examples=300, deadline=None)
+    @given(bases_and_forms(), st.integers(3, 8))
+    def test_matches_per_pairing_oracle(self, case, p):
+        basis, e = case
+        rep = check_quadratic(basis, e, p)
+        assert (rep.quadratic_ok, rep.violations) == \
+            per_pairing_check_quadratic(basis, e, p)
+        assert rep.vanishing_ok is None
+
     def test_rank2_passes_vacuously(self):
         b = Basis.triangular(2)
         e = euler_form(Quiver.from_arrows(2, {(1, 2): 1}))
@@ -290,14 +339,15 @@ class TestFindGoodQuivers:
     def test_every_solution_passes_quadratic(self):
         for basis in (Basis.triangular(3), Basis.alternating(3)):
             for sol in find_good_quivers(basis):
-                q = sol.quiver.to_quiver()
+                assert all(m.degree() <= 0 for _, m in sol.quiver.arrows)
+                q = sol.quiver.substitute([])
                 assert check_quadratic(basis, euler_form(q), 3).quadratic_ok
 
     def test_tau4_free_parameter(self):
         sols = find_good_quivers(Basis.triangular(4))
         assert all(sol.params == ("k",) for sol in sols)
         # diagonal entries of the induced form depend on the parameter
-        assert any(not sol.quiver.is_concrete() for sol in sols)
+        assert any(m.degree() > 0 for sol in sols for _, m in sol.quiver.arrows)
 
     @settings(max_examples=150, deadline=None)
     @given(good_bases(), st.integers(3, 6), st.integers(-2, 3))

@@ -4,8 +4,8 @@ import pytest
 
 from quiverstokes.algebra import LatticeVector
 from quiverstokes.quiver import (MutationClassTooLarge, Quiver, apply_word,
-                                 euler_form, kronecker_quiver, linear_quiver,
-                                 mutate, mutation_class)
+                                 euler_form, linear_quiver, mutate,
+                                 mutation_class)
 
 
 def random_quiver(rng, n, max_mult=2):
@@ -68,7 +68,7 @@ class TestEulerForm:
         assert all(x == 0 for row in e.matrix for x in row)
 
     def test_kronecker(self):
-        e = euler_form(kronecker_quiver(3))
+        e = euler_form(Quiver.from_arrows(2, {(1, 2): 3}))
         assert e.matrix[0][1] == -3
 
     def test_skew_symmetry_random(self):
