@@ -4,11 +4,10 @@ Everything here is exact: lattice vectors have integer coordinates,
 polynomial coefficients are rationals of arbitrary precision, and matrix
 entries are polynomials.  No floating point is used anywhere.
 
-A ``TruncatedPoly`` is a sparse multivariate polynomial in the variables
-``s1, ..., sn``.  It optionally carries a total-degree bound ``p``: terms of
-total degree >= p are dropped by every operation, which makes the type double
-as the quotient ring by the ideal (s1, ..., sn)^p.  Mixing an exact value
-with a truncated one truncates the result (the smaller bound wins).
+A ``TruncatedPoly`` is an exact sparse multivariate polynomial in the
+variables ``s1, ..., sn``.  Reduction modulo the ideal (s1, ..., sn)^p is a
+ring map, so a jet of order p is the exact value reduced once, by
+``truncate(p)``; arithmetic never truncates.
 """
 
 from __future__ import annotations
@@ -73,29 +72,30 @@ def lv_len(v: LatticeVector) -> int:
     return sum(abs(a) for a in v.coords)
 
 
-def lv_monomial(v: LatticeVector, trunc: Optional[int] = None) -> "TruncatedPoly":
+def lv_monomial(v: LatticeVector) -> "TruncatedPoly":
     """The monomial with exponent vector (|a1|, ..., |an|) and coefficient 1."""
     exps = tuple(abs(a) for a in v.coords)
-    return TruncatedPoly.monomial(len(v.coords), exps, Fraction(1), trunc)
+    return TruncatedPoly.monomial(len(v.coords), exps, Fraction(1))
 
 
 # ---------------------------------------------------------------------------
-# Sparse polynomials with optional total-degree truncation
+# Sparse polynomials
 # ---------------------------------------------------------------------------
 
 class TruncatedPoly:
-    """Sparse polynomial over Q, optionally reduced mod (s1,...,sn)^p.
+    """Exact sparse polynomial over Q.
 
     ``terms`` maps exponent tuples to nonzero Fraction coefficients.  The
     instance is treated as immutable; do not mutate ``terms`` in place.
+    ``truncate(p)`` keeps the terms of total degree < p, and its result is
+    again an exact polynomial: arithmetic and braid moves on a jet treat it
+    as the polynomial it prints as, not as a class mod (s1, ..., sn)^p.
     """
 
-    __slots__ = ("nvars", "trunc", "terms")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Optional[dict] = None,
-                 trunc: Optional[int] = None):
+    def __init__(self, nvars: int, terms: Optional[dict] = None):
         self.nvars = int(nvars)
-        self.trunc = None if trunc is None else int(trunc)
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
@@ -106,64 +106,53 @@ class TruncatedPoly:
             coeff = _as_fraction(coeff)
             if coeff == 0:
                 continue
-            if self.trunc is not None and sum(exps) >= self.trunc:
-                continue
             clean[exps] = coeff
         self.terms = clean
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int, trunc: Optional[int] = None) -> "TruncatedPoly":
-        return cls(nvars, {}, trunc)
+    def zero(cls, nvars: int) -> "TruncatedPoly":
+        return cls(nvars, {})
 
     @classmethod
-    def constant(cls, nvars: int, c, trunc: Optional[int] = None) -> "TruncatedPoly":
-        return cls(nvars, {(0,) * nvars: _as_fraction(c)}, trunc)
+    def constant(cls, nvars: int, c) -> "TruncatedPoly":
+        return cls(nvars, {(0,) * nvars: _as_fraction(c)})
 
     @classmethod
-    def one(cls, nvars: int, trunc: Optional[int] = None) -> "TruncatedPoly":
-        return cls.constant(nvars, 1, trunc)
+    def one(cls, nvars: int) -> "TruncatedPoly":
+        return cls.constant(nvars, 1)
 
     @classmethod
-    def variable(cls, nvars: int, i: int, trunc: Optional[int] = None) -> "TruncatedPoly":
+    def variable(cls, nvars: int, i: int) -> "TruncatedPoly":
         """The variable s_i (1-based)."""
         exps = tuple(1 if j == i - 1 else 0 for j in range(nvars))
-        return cls(nvars, {exps: Fraction(1)}, trunc)
+        return cls(nvars, {exps: Fraction(1)})
 
     @classmethod
-    def monomial(cls, nvars: int, exps: Iterable[int], coeff=1,
-                 trunc: Optional[int] = None) -> "TruncatedPoly":
-        return cls(nvars, {tuple(exps): _as_fraction(coeff)}, trunc)
+    def monomial(cls, nvars: int, exps: Iterable[int], coeff=1) -> "TruncatedPoly":
+        return cls(nvars, {tuple(exps): _as_fraction(coeff)})
 
     # -- ring operations ----------------------------------------------------
-
-    def _join_trunc(self, other: "TruncatedPoly") -> Optional[int]:
-        if self.trunc is None:
-            return other.trunc
-        if other.trunc is None:
-            return self.trunc
-        return min(self.trunc, other.trunc)
 
     def _coerce(self, other) -> "TruncatedPoly":
         if isinstance(other, TruncatedPoly):
             if other.nvars != self.nvars:
                 raise ValueError("variable-count mismatch")
             return other
-        return TruncatedPoly.constant(self.nvars, other, self.trunc)
+        return TruncatedPoly.constant(self.nvars, other)
 
     def __add__(self, other) -> "TruncatedPoly":
         other = self._coerce(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
             terms[exps] = terms.get(exps, Fraction(0)) + c
-        return TruncatedPoly(self.nvars, terms, self._join_trunc(other))
+        return TruncatedPoly(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedPoly":
-        return TruncatedPoly(self.nvars, {e: -c for e, c in self.terms.items()},
-                             self.trunc)
+        return TruncatedPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "TruncatedPoly":
         return self + (-self._coerce(other))
@@ -175,23 +164,18 @@ class TruncatedPoly:
         if not isinstance(other, TruncatedPoly):
             c = _as_fraction(other)
             return TruncatedPoly(self.nvars,
-                                 {e: v * c for e, v in self.terms.items()},
-                                 self.trunc)
+                                 {e: v * c for e, v in self.terms.items()})
         other = self._coerce(other)
-        trunc = self._join_trunc(other)
         terms: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
-            d1 = sum(e1)
             for e2, c2 in other.terms.items():
-                if trunc is not None and d1 + sum(e2) >= trunc:
-                    continue
                 e = tuple(a + b for a, b in zip(e1, e2))
                 v = terms.get(e, Fraction(0)) + c1 * c2
                 if v:
                     terms[e] = v
                 elif e in terms:
                     del terms[e]
-        return TruncatedPoly(self.nvars, terms, trunc)
+        return TruncatedPoly(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -224,15 +208,10 @@ class TruncatedPoly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
-    def truncate(self, p: Optional[int]) -> "TruncatedPoly":
-        if p is None:
-            return TruncatedPoly(self.nvars, self.terms, self.trunc)
-        new = p if self.trunc is None else min(self.trunc, p)
-        return TruncatedPoly(self.nvars, self.terms, new)
-
-    def drop_bound(self) -> "TruncatedPoly":
-        """Same terms, no truncation bound (trivial lift of a jet)."""
-        return TruncatedPoly(self.nvars, self.terms, None)
+    def truncate(self, p: int) -> "TruncatedPoly":
+        """The terms of total degree < p: the image mod (s1, ..., sn)^p."""
+        kept = {e: c for e, c in self.terms.items() if sum(e) < p}
+        return self if len(kept) == len(self.terms) else TruncatedPoly(self.nvars, kept)
 
     def evaluate(self, point) -> Fraction:
         pt = [_as_fraction(x) for x in point]
@@ -246,9 +225,6 @@ class TruncatedPoly:
                     v *= x ** e
             total += v
         return total
-
-    def congruent(self, other: "TruncatedPoly", p: int) -> bool:
-        return (self - other).truncate(p).is_zero()
 
     # -- display ------------------------------------------------------------
 
@@ -276,7 +252,7 @@ class TruncatedPoly:
         return out
 
     def __repr__(self):
-        return f"TruncatedPoly({self.text()!r}, trunc={self.trunc})"
+        return f"TruncatedPoly({self.text()!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +276,9 @@ class PolyMatrix:
         self.entries = [list(row) for row in entries]
 
     @classmethod
-    def identity(cls, n: int, nvars: int, trunc: Optional[int] = None) -> "PolyMatrix":
-        return cls(n, [[TruncatedPoly.one(nvars, trunc) if i == j
-                        else TruncatedPoly.zero(nvars, trunc)
+    def identity(cls, n: int, nvars: int) -> "PolyMatrix":
+        return cls(n, [[TruncatedPoly.one(nvars) if i == j
+                        else TruncatedPoly.zero(nvars)
                         for j in range(n)] for i in range(n)])
 
     @classmethod
@@ -310,7 +286,7 @@ class PolyMatrix:
         """I + coeff * E_ij with 1-based positions, i != j."""
         if i == j:
             raise ValueError("elementary position must be off-diagonal")
-        m = cls.identity(n, coeff.nvars, coeff.trunc)
+        m = cls.identity(n, coeff.nvars)
         m.entries[i - 1][j - 1] = m.entries[i - 1][j - 1] + coeff
         return m
 
@@ -345,26 +321,18 @@ class PolyMatrix:
                     term = a * b
                     acc = term if acc is None else acc + term
                 if acc is None:
-                    acc = TruncatedPoly.zero(self.nvars, self._join_trunc(other))
+                    acc = TruncatedPoly.zero(self.nvars)
                 row.append(acc)
             rows.append(row)
         return PolyMatrix(n, rows)
 
-    def _join_trunc(self, other: "PolyMatrix") -> Optional[int]:
-        ts = [e.trunc for row in self.entries for e in row if e.trunc is not None]
-        ts += [e.trunc for row in other.entries for e in row if e.trunc is not None]
-        return min(ts) if ts else None
-
-    def truncate(self, p: Optional[int]) -> "PolyMatrix":
+    def truncate(self, p: int) -> "PolyMatrix":
+        """Every entry reduced mod (s1, ..., sn)^p."""
         return PolyMatrix(self.n, [[e.truncate(p) for e in row] for row in self.entries])
 
     def evaluate(self, point) -> tuple:
         """Evaluate every entry; returns a tuple-of-tuples of Fractions."""
         return tuple(tuple(e.evaluate(point) for e in row) for row in self.entries)
-
-    def congruent(self, other: "PolyMatrix", p: int) -> bool:
-        return all(self.entries[i][j].congruent(other.entries[i][j], p)
-                   for i in range(self.n) for j in range(self.n))
 
     def is_unipotent_wrt(self, order) -> bool:
         """Unit diagonal, and entry (i, j) = 0 whenever i comes after j in order.

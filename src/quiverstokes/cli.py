@@ -25,7 +25,7 @@ from .goodness import (check_quadratic, check_vanishing_p3, find_good_quivers,
 from .quiver import apply_word, euler_form
 from .serialize import (basis_from_json, certificate_to_json, chamber_from_json,
                         dt_model_from_chamber_json, dumps, frac_str,
-                        poly_to_json, quiver_from_json, quiver_to_json,
+                        parse_frac, poly_to_json, quiver_from_json, quiver_to_json,
                         rational_matrix_from_json, rational_matrix_to_json,
                         stokes_data_to_json)
 from .stokes import convex_charge, level2_stokes, stokes_product
@@ -55,7 +55,7 @@ def _parse_point(text: str, n: int):
     parts = text.split(",")
     if len(parts) != n:
         raise ValueError(f"evaluation point needs {n} coordinates")
-    return [Fraction(p) for p in parts]
+    return [parse_frac(p, "--eval") for p in parts]
 
 
 def cmd_mutate(args) -> int:
@@ -205,7 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", default="auto", help="basis JSON file or 'auto'")
     p.add_argument("--chamber", default="auto", help="chamber JSON file or 'auto'")
     p.add_argument("--p", type=int, default=None,
-                   help="truncation order (omit for the exact product)")
+                   help="truncation order p >= 1: drop the factors of classes of "
+                        "length >= p and reduce the product mod (s)^p once "
+                        "(omit for the exact product)")
     p.add_argument("--eval", default=None, metavar="sJ|0|x1,...,xn",
                    help="also evaluate the product at a rational point")
     common(p)

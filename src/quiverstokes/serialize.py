@@ -10,6 +10,7 @@ a ValueError that names it.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -34,16 +35,28 @@ def _int_field(data, name: str) -> int:
     value = _field(data, name)
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"field {name!r} must be an integer, got {value!r}") from None
 
 
+def parse_frac(value, name: str) -> Fraction:
+    """``value`` as a Fraction; a ValueError naming the field when it is not
+    a finite rational (a zero denominator or an infinity, say)."""
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"field {name!r} must hold finite rationals, "
+                         f"got {value!r}") from None
+
+
 def _rows(rows, name: str, width: Optional[int] = None) -> list:
-    """``rows`` checked to be a list of lists of numbers or number strings,
-    each of length ``width`` when given."""
+    """``rows`` checked to be a list of lists of finite numbers or number
+    strings, each of length ``width`` when given."""
     if not (isinstance(rows, list) and all(
             isinstance(r, list) and (width is None or len(r) == width)
-            and all(isinstance(x, (int, float, str)) for x in r) for r in rows)):
+            and all(isinstance(x, (int, str))
+                    or isinstance(x, float) and math.isfinite(x) for x in r)
+            for r in rows)):
         kind = "lists" if width is None else "pairs"
         raise ValueError(f"field {name!r} must be a list of {kind} of numbers")
     return rows
@@ -77,7 +90,8 @@ def rational_matrix_to_json(m) -> list:
 
 
 def rational_matrix_from_json(rows) -> tuple:
-    return tuple(tuple(Fraction(x) for x in row) for row in _rows(rows, "matrix"))
+    return tuple(tuple(parse_frac(x, "matrix") for x in row)
+                 for row in _rows(rows, "matrix"))
 
 
 def quiver_to_json(q: Quiver) -> dict:
@@ -98,7 +112,8 @@ def basis_from_json(data: dict) -> Basis:
 
 
 def chamber_from_json(data: dict) -> Chamber:
-    Z = tuple((Fraction(x), Fraction(y)) for x, y in _rows(_field(data, "Z"), "Z", 2))
+    Z = tuple((parse_frac(x, "Z"), parse_frac(y, "Z"))
+              for x, y in _rows(_field(data, "Z"), "Z", 2))
     active = tuple(LatticeVector(tuple(v))
                    for v in _rows(_field(data, "active"), "active"))
     return Chamber(Z, active)
@@ -114,7 +129,7 @@ def dt_model_from_chamber_json(data: dict) -> DTModel:
     table = {}
     for key, val in dt.items():
         coords = tuple(int(c) for c in key.split(","))
-        table[coords] = Fraction(val)
+        table[coords] = parse_frac(val, "dt")
     return DTModel.table(table)
 
 

@@ -41,6 +41,10 @@ class ChamberError(ValueError):
     pass
 
 
+class LiftDisagreement(ValueError):
+    """Chamber products that should agree below an order do not."""
+
+
 # ---------------------------------------------------------------------------
 # Counting models
 # ---------------------------------------------------------------------------
@@ -242,15 +246,15 @@ def ray_order(chamber: Chamber, classes: Iterable[LatticeVector]) -> list[Lattic
 # Elementary factors and their ordered products
 # ---------------------------------------------------------------------------
 
-def factor_coefficient(i: int, j: int, basis: Basis, e: EulerForm, dt,
-                       p: Optional[int] = None) -> TruncatedPoly:
+def factor_coefficient(i: int, j: int, basis: Basis, e: EulerForm,
+                       dt) -> TruncatedPoly:
     """-(-1)^<a_i,a_j> <a_i,a_j> dt s^(a_i - a_j), the E_ij coefficient of
     the factor S_ij (1-based i != j)."""
     dt = _as_fraction(dt)
     x = e.pairing(basis[i], basis[j])
     sign = 1 if x % 2 == 0 else -1
     c = Fraction(-sign * x) * dt
-    return lv_monomial(basis.diff(i, j), p) * c
+    return lv_monomial(basis.diff(i, j)) * c
 
 
 @dataclass
@@ -274,11 +278,15 @@ class StokesData:
 class _Factors:
     """The elementary factors of one basis, Euler form, count model and
     truncation order, shared by the chambers of one call: each difference
-    alpha_i - alpha_j is formed once and each coefficient built once.  The
-    differences are distinct, because the rows of a basis are independent."""
+    alpha_i - alpha_j is formed once and each exact coefficient built once.
+    The differences are distinct, because the rows of a basis are
+    independent.  The order p only selects factors: a class of length >= p
+    has a coefficient of degree >= p, which vanishes mod (s)^p."""
 
     def __init__(self, basis: Basis, e: EulerForm, model: DTModel,
                  p: Optional[int]):
+        if p is not None and p < 1:
+            raise ValueError(f"truncation order must be at least 1, got {p}")
         self.basis, self.e, self.model, self.p = basis, e, model, p
         self.diffs = [(i, j, basis.diff(i, j)) for i in range(1, basis.n + 1)
                       for j in range(1, basis.n + 1) if i != j]
@@ -307,20 +315,19 @@ class _Factors:
                     raise ChamberError(
                         f"active class {d.coords} has zero count under the model")
                 self.coeffs[i, j] = factor_coefficient(i, j, self.basis, self.e,
-                                                       dt, self.p)
+                                                       dt)
             found[d.coords] = (i, j, self.coeffs[i, j])
         return [found[c] for c in chamber._order if c in found]
 
 
-def _elementary_product(n: int, nvars: int, factors,
-                        p: Optional[int] = None) -> PolyMatrix:
+def _elementary_product(n: int, nvars: int, factors) -> PolyMatrix:
     """prod_k (I + c_k E_{i_k j_k}) over (i, j, c) in factors, leftmost first.
 
     Right-multiplying by I + c E_ij adds c times column i to column j, so
     each factor costs one column update instead of a matrix product.  Zero
     coefficients are skipped.
     """
-    m = PolyMatrix.identity(n, nvars, p)
+    m = PolyMatrix.identity(n, nvars)
     rows = m.entries
     for i, j, c in factors:
         if c.is_zero():
@@ -332,10 +339,12 @@ def _elementary_product(n: int, nvars: int, factors,
 
 
 def _stokes_data(basis: Basis, factors: list, p: Optional[int]) -> StokesData:
-    """The product of the factors, checked unipotent for the order they
-    induce."""
+    """The product of the factors, reduced mod (s)^p when p is given, checked
+    unipotent for the order they induce."""
     n = basis.n
-    product = _elementary_product(n, n, factors, p)
+    product = _elementary_product(n, n, factors)
+    if p is not None:
+        product = product.truncate(p)
     order = _index_order(n, [(i, j) for (i, j, _) in factors])
     if not product.is_unipotent_wrt(order):
         raise ChamberError("product is not unipotent for the induced order")
@@ -347,44 +356,32 @@ def stokes_product(basis: Basis, e: EulerForm, model: DTModel, chamber: Chamber,
     """Clockwise ordered product of the chamber's elementary factors.
 
     With p given, factors of classes of length >= p are dropped and the
-    product is reduced mod (s)^p; with p absent the product is exact.
+    exact product is reduced once mod (s)^p; with p absent it is exact.
     """
     return _stokes_data(basis, _Factors(basis, e, model, p).ordered(chamber), p)
 
 
 def natural_lifts(basis: Basis, e: EulerForm, model: DTModel,
                   chambers: Iterable[Chamber], p: int) -> list[PolyMatrix]:
-    """Distinct exact products of trivially lifted mod-(s)^p factors.
+    """Distinct exact products of the chambers' mod-(s)^p factors, sorted by
+    key.
 
-    Every returned matrix is an exact polynomial matrix; all of them agree
-    mod (s)^p (checked, ValueError otherwise).
+    The factors kept at order p are exact, so each is its own lift.  All
+    returned matrices agree mod (s)^p (checked, LiftDisagreement otherwise).
     """
     factors = _Factors(basis, e, model, p)
-    return _distinct_lifts(
-        (_elementary_product(basis.n, basis.n,
-                             [(i, j, c.drop_bound()) for (i, j, c)
-                              in factors.ordered(chamber)])
-         for chamber in chambers), p)
-
-
-def _distinct_lifts(products: Iterable[PolyMatrix], p: int) -> list[PolyMatrix]:
-    """The distinct products sorted by key, checked congruent mod (s)^p."""
-    values: list[PolyMatrix] = []
-    for product in products:
-        if product not in values:
-            values.append(product)
-    for a, b in itertools.combinations(values, 2):
-        if not a.congruent(b, p):
-            raise ValueError("chamber products disagree below the stated order")
-    values.sort(key=lambda m: m.key())
-    return values
+    values = {_elementary_product(basis.n, basis.n, factors.ordered(chamber))
+              for chamber in chambers}
+    if len({m.truncate(p) for m in values}) > 1:
+        raise LiftDisagreement("chamber products disagree below the stated order")
+    return sorted(values, key=PolyMatrix.key)
 
 
 def an_stokes(n: int) -> PolyMatrix:
     """I - sum_i s_i E_{i,i+1}, the bidiagonal unipotent matrix."""
     if n < 2:
         raise ValueError("need n >= 2")
-    m = PolyMatrix.identity(n, n, None)
+    m = PolyMatrix.identity(n, n)
     for i in range(1, n):
         m.entries[i - 1][i] = -TruncatedPoly.variable(n, i)
     return m
@@ -395,7 +392,8 @@ def factor_product(T: PolyMatrix, positions: list[tuple[int, int]]) -> list[Trun
 
     Solved level by level: adjusting a coefficient at order-distance l never
     changes entries at distance < l, so one sweep per level converges; the
-    result is verified by re-multiplication.
+    result is verified by re-multiplication.  The factorization is exact:
+    a jet T is factored as the polynomial matrix it prints as, not mod (s)^p.
     """
     n = T.n
     if len(set(positions)) != len(positions):
@@ -591,7 +589,9 @@ def verify_an_jet(n: int, samples: int = 400) -> dict:
     each distinct chamber and each distinct product is built once.  Returns
     a report dict; ``ok`` is True when every chamber product equals
     an_stokes(n) and the natural lifts at order n+1 take a single value;
-    ``mismatched_chambers`` counts chambers, ``distinct_products`` products.
+    ``mismatched_chambers`` counts chambers, ``distinct_products`` products
+    and ``lift_values_mod_n_plus_1`` the distinct products mod (s)^(n+1),
+    so chambers that disagree give a failing report rather than an error.
     """
     if not 2 <= n <= 5:
         raise ValueError("desk-scale check supports 2 <= n <= 5")
@@ -611,8 +611,8 @@ def verify_an_jet(n: int, samples: int = 400) -> dict:
     products = [(_stokes_data(basis, seq, None).product, count)
                 for seq, count in sequences.values()]
     mismatches = sum(count for prod, count in products if prod != expected)
-    lifts = _distinct_lifts((prod for prod, _ in products), n + 1)
-    ok = not mismatches and len(lifts) == 1 and lifts[0] == expected
+    lifts = {prod.truncate(n + 1) for prod, _ in products}
+    ok = not mismatches and len(lifts) == 1
     return {
         "n": n,
         "chambers": len(chambers),

@@ -12,12 +12,12 @@ from quiverstokes.serialize import (basis_from_json, basis_to_json,
                                     poly_to_json)
 
 
-def rand_poly(rng, nvars, trunc=None, nterms=4, deg=3, coeff=6):
+def rand_poly(rng, nvars, nterms=4, deg=3, coeff=6):
     terms = {}
     for _ in range(rng.randint(0, nterms)):
         exps = tuple(rng.randint(0, deg) for _ in range(nvars))
         terms[exps] = Fraction(rng.randint(-coeff, coeff), rng.randint(1, 4))
-    return TruncatedPoly(nvars, terms, trunc)
+    return TruncatedPoly(nvars, terms)
 
 
 def s(nvars, i):
@@ -54,23 +54,17 @@ class TestLatticeVector:
 
 class TestTruncatedPoly:
     def test_mul_examples(self):
-        one = TruncatedPoly.one(2, 3)
-        s1 = s(2, 1).truncate(3)
-        assert (one - s1) * (one + s1) == \
-            TruncatedPoly(2, {(0, 0): 1, (2, 0): -1}, 3)
-        # s1*s2*s3 vanishes mod (s)^3
-        a = TruncatedPoly.monomial(3, (1, 1, 0), 1, 3)
-        b = s(3, 3).truncate(3)
-        assert (a * b).is_zero()
+        one = TruncatedPoly.one(2)
+        s1 = s(2, 1)
+        assert ((one - s1) * (one + s1)).truncate(3) == \
+            TruncatedPoly(2, {(0, 0): 1, (2, 0): -1})
+        # s1*s2*s3 is exact, and vanishes mod (s)^3
+        a = TruncatedPoly.monomial(3, (1, 1, 0))
+        assert a * s(3, 3) == TruncatedPoly.monomial(3, (1, 1, 1))
+        assert (a * s(3, 3)).truncate(3).is_zero()
         # exact binomial square
         t = s(2, 1) + s(2, 2)
         assert t * t == TruncatedPoly(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
-
-    def test_mixed_truncation_takes_minimum(self):
-        a = rand_poly(random.Random(0), 2, None, 5)
-        b = rand_poly(random.Random(1), 2, 4, 5)
-        assert (a * b).trunc == 4
-        assert (a + b).trunc == 4
 
     def test_ring_laws_random(self):
         rng = random.Random(7)
@@ -134,7 +128,7 @@ class TestPolyMatrix:
     def test_associativity_random(self):
         rng = random.Random(17)
         for _ in range(30):
-            mats = [PolyMatrix(2, [[rand_poly(rng, 2, None, 2, 2, 3) for _ in range(2)]
+            mats = [PolyMatrix(2, [[rand_poly(rng, 2, 2, 2, 3) for _ in range(2)]
                                    for _ in range(2)]) for _ in range(3)]
             a, b, c = mats
             assert (a * b) * c == a * (b * c)

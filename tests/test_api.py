@@ -2,6 +2,7 @@
 README's library example."""
 
 import contextlib
+import inspect
 import io
 import re
 from pathlib import Path
@@ -37,6 +38,28 @@ def test_every_exported_name_resolves():
                if not hasattr(quiverstokes, name)]
     assert not missing
     assert len(set(quiverstokes.__all__)) == len(quiverstokes.__all__)
+
+
+def callables_of(obj):
+    """A function itself; for a class every function, classmethod and
+    staticmethod defined on it, ``__init__`` included."""
+    if not inspect.isclass(obj):
+        yield obj
+        return
+    for member in vars(obj).values():
+        if isinstance(member, (classmethod, staticmethod)):
+            member = member.__func__
+        if inspect.isfunction(member):
+            yield member
+
+
+def test_no_exported_callable_takes_a_truncation_bound():
+    # polynomials are exact, and a jet is truncated once, by truncate(p)
+    takers = [fn.__qualname__ for name in quiverstokes.__all__
+              for fn in callables_of(getattr(quiverstokes, name))
+              if "trunc" in inspect.signature(fn).parameters]
+    assert takers == []
+    assert quiverstokes.TruncatedPoly.__slots__ == ("nvars", "terms")
 
 
 def test_readme_library_example_runs():

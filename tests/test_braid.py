@@ -77,9 +77,9 @@ def mat_mul(a, b):
 
 
 def constant(A, value):
-    """``value`` as an entry of A's kind, at the truncation of A[0][0]."""
+    """``value`` as an entry of A's kind."""
     if isinstance(A, PolyMatrix):
-        return TruncatedPoly.constant(A.nvars, value, A.entries[0][0].trunc)
+        return TruncatedPoly.constant(A.nvars, value)
     return Fraction(value)
 
 
@@ -99,9 +99,8 @@ def xax(i, A, forward):
 
 @st.composite
 def exact_matrices(draw, min_n=2, max_n=5):
-    """Unit-diagonal Fraction matrices or PolyMatrix values (one truncation
-    bound for every entry), with zeros common and entries on both sides of
-    the diagonal."""
+    """Unit-diagonal Fraction matrices or PolyMatrix values, with zeros
+    common and entries on both sides of the diagonal."""
     n = draw(st.integers(min_n, max_n))
     small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
     if draw(st.booleans()):
@@ -109,11 +108,10 @@ def exact_matrices(draw, min_n=2, max_n=5):
                            draw(st.one_of(st.just(Fraction(0)), small))
                            for c in range(n)) for r in range(n))
     nvars = draw(st.integers(1, 3))
-    trunc = draw(st.sampled_from([None, 2, 3]))
     poly = st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars), small,
                            max_size=3)
-    return PolyMatrix(n, [[TruncatedPoly.one(nvars, trunc) if r == c else
-                           TruncatedPoly(nvars, draw(poly), trunc)
+    return PolyMatrix(n, [[TruncatedPoly.one(nvars) if r == c else
+                           TruncatedPoly(nvars, draw(poly))
                            for c in range(n)] for r in range(n)])
 
 
@@ -137,9 +135,6 @@ class TestExactMovesMatchOracle:
             assert type(out) is type(A)
             want = xax(i, A, forward)
             assert rows_of(out) == want
-            if isinstance(A, PolyMatrix):
-                assert [e.trunc for row in rows_of(out) for e in row] == \
-                    [e.trunc for row in want for e in row]
 
     @settings(max_examples=150, deadline=None)
     @given(exact_matrices(), st.data())

@@ -196,6 +196,10 @@ class TestErrors:
          "input is not unipotent with respect to any order"),
         ("equiv", [[["1", str(2 ** 70)], ["0", "1"]], [["1", "1"], ["0", "1"]]],
          "orbit search entries must fit in int64"),
+        ("equiv", [[["1", "1/0"], ["0", "1"]], [["1", "1"], ["0", "1"]]],
+         "field 'matrix' must hold finite rationals, got '1/0'"),
+        ("equiv", [[["1", float("inf")], ["0", "1"]], [["1", "1"], ["0", "1"]]],
+         "field 'matrix' must be a list of lists of numbers"),
     ])
     def test_library_error_is_one_line(self, tmp_path, command, files, message):
         paths = []
@@ -216,6 +220,10 @@ class TestErrors:
          "field 'arrows' must be a list of lists of numbers"),
         ({"n": [3], "arrows": [[0]]}, "field 'n' must be an integer, got [3]"),
         ([1, 2], "missing field 'n'"),
+        ({"n": float("inf"), "arrows": [[0]]},
+         "field 'n' must be an integer, got inf"),
+        ({"n": 2, "arrows": [[0, float("inf")], [0, 0]]},
+         "field 'arrows' must be a list of lists of numbers"),
     ])
     def test_malformed_quiver_file(self, tmp_path, content, message):
         path = tmp_path / "q.json"
@@ -235,6 +243,17 @@ class TestErrors:
         ("--chamber", {"Z": [["-1", "1"], ["0", "1"], ["1", "1"]],
                        "active": [], "dt": [1]},
          "field 'dt' must map classes to counts"),
+        ("--chamber", {"Z": [["1", "1/0"], ["0", "1"], ["1", "1"]],
+                       "active": []},
+         "field 'Z' must hold finite rationals, got '1/0'"),
+        ("--chamber", {"Z": [["-1", "1"], ["0", "1"], ["1", "1"]],
+                       "active": [[1, 0, 0]], "dt": {"1,0,0": "1/0"}},
+         "field 'dt' must hold finite rationals, got '1/0'"),
+        ("--chamber", {"Z": [["-1", "1"], ["0", "1"], ["1", "1"]],
+                       "active": [[1, 0, 0]], "dt": {"1,0,0": float("inf")}},
+         "field 'dt' must hold finite rationals, got inf"),
+        ("--basis", {"rows": [[1, 0, 0], [0, float("inf"), 0], [0, 0, 1]]},
+         "field 'rows' must be a list of lists of numbers"),
     ])
     def test_malformed_basis_or_chamber_file(self, tmp_path, a3_file, flag,
                                              content, message):
@@ -256,6 +275,22 @@ class TestErrors:
         assert (out.returncode, out.stdout, out.stderr) == \
             (2, "", "quiverstokes: error: evaluation point needs 3 "
                     "coordinates\n")
+
+    @pytest.mark.parametrize("point,bad", [("1/0,1,1", "1/0"),
+                                           ("1,-2/0,1", "-2/0"),
+                                           ("nan,1,1", "nan")])
+    def test_evaluation_point_that_is_not_rational(self, a3_file, point, bad):
+        out = run_cli("stokes", a3_file, "--eval", point)
+        assert (out.returncode, out.stdout, out.stderr) == \
+            (2, "", f"quiverstokes: error: field '--eval' must hold finite "
+                    f"rationals, got {bad!r}\n")
+
+    @pytest.mark.parametrize("p", ["0", "-1"])
+    def test_truncation_order_below_one(self, a3_file, p):
+        out = run_cli("stokes", a3_file, "--p", p)
+        assert (out.returncode, out.stdout, out.stderr) == \
+            (2, "", f"quiverstokes: error: truncation order must be at "
+                    f"least 1, got {p}\n")
 
     def test_chamber_class_of_the_wrong_rank(self, tmp_path, a3_file):
         chamber = tmp_path / "chamber.json"
@@ -531,7 +566,10 @@ class TestPinnedOutput:
     # charge, its level-2 actives in reversed order and a "dt" table that
     # doubles every two-simple count and gives the first simple class the
     # count -1/2; recorded before a chamber sorted its rays once at
-    # construction
+    # construction, and the p1 and p6 runs before polynomials became exact
+    # and a jet the exact product truncated once.  Every class has length
+    # >= 1, so --p 1 drops every factor; no class reaches length 6, so
+    # --p 6 prints the exact product
     CHAMBER_FIXTURES = ("a3/mu2", "a3/mu2mu1mu3", "a4/mu1", "a4/mu2mu1",
                         "a5/mu3", "a5/mu1mu3")
     CHAMBER_RUNS = {
@@ -541,6 +579,8 @@ class TestPinnedOutput:
         "p3-json": ["--p", "3", "--format", "json"],
         "p3-eval-text": ["--p", "3", "--eval", "point", "--format", "text"],
         "exact-eval-json": ["--eval", "point", "--format", "json"],
+        "p1-json": ["--p", "1", "--format", "json"],
+        "p6-json": ["--p", "6", "--format", "json"],
     }
     STOKES_CHAMBER_FILES = {
         "a3/mu2 exact-json":
@@ -555,6 +595,10 @@ class TestPinnedOutput:
             "8583d8ddf51370f053566811da6914fead8077c128a5f82dc722e05f416e2dba",
         "a3/mu2 exact-eval-json":
             "04c7b89b08dd9609709826c6aa1e7d0390dbb7b55b2881ce297d867b03020588",
+        "a3/mu2 p1-json":
+            "4add980c2e027660c93efd5f3896ff009653a92a9388eeb7e96d33e55c3c1733",
+        "a3/mu2 p6-json":
+            "0114c978760a8928c03e32b457e77a29e0af2ef3586e40a969b0f6fd80589b4c",
         "a3/mu2mu1mu3 exact-json":
             "4bcde6903e177c350784d4f27ac904004056b6ef17772b93b7ff36c3d995fc1d",
         "a3/mu2mu1mu3 exact-text":
@@ -567,6 +611,10 @@ class TestPinnedOutput:
             "68f2d8c5c636227efb5bcfadab167f523e7518e0f1b652050d2eb85b692f04ea",
         "a3/mu2mu1mu3 exact-eval-json":
             "b5afed67b638f373cb03b26b86bc47304ecfa78785da5be418717f7eaf4aea9b",
+        "a3/mu2mu1mu3 p1-json":
+            "4add980c2e027660c93efd5f3896ff009653a92a9388eeb7e96d33e55c3c1733",
+        "a3/mu2mu1mu3 p6-json":
+            "4bcde6903e177c350784d4f27ac904004056b6ef17772b93b7ff36c3d995fc1d",
         "a4/mu1 exact-json":
             "bdc5cedbcbaf7c9d07ec70b84c6f9203c08569e98b6d4e096976c00566321f19",
         "a4/mu1 exact-text":
@@ -579,6 +627,10 @@ class TestPinnedOutput:
             "f235a7d0d92de3c8f5f1f8e7d1bb96b20d3d21f38cf27b2fc5fbe7e3b8eace9a",
         "a4/mu1 exact-eval-json":
             "0edb90d5f2c94c97cac3c0de47670cd55b86153d3816870a30164ceea6d998b2",
+        "a4/mu1 p1-json":
+            "b7de38883580cdabcf627bbe8edba5551c2ef660b4988f77d4f3093e465f10b0",
+        "a4/mu1 p6-json":
+            "bdc5cedbcbaf7c9d07ec70b84c6f9203c08569e98b6d4e096976c00566321f19",
         "a4/mu2mu1 exact-json":
             "4c876e4b43cca9e22e34fc202cd1bceb32faa1eb958bf38566e3efcf7f05f9cd",
         "a4/mu2mu1 exact-text":
@@ -591,6 +643,10 @@ class TestPinnedOutput:
             "36e51ca5672169cb7707cd1d099f3e6da7eb8e0353d09fba583920b1f858ac0a",
         "a4/mu2mu1 exact-eval-json":
             "1015fd4b3cb123ca9e62c433d5de30f076dada16de9e005f21024659f0ac8412",
+        "a4/mu2mu1 p1-json":
+            "b7de38883580cdabcf627bbe8edba5551c2ef660b4988f77d4f3093e465f10b0",
+        "a4/mu2mu1 p6-json":
+            "4c876e4b43cca9e22e34fc202cd1bceb32faa1eb958bf38566e3efcf7f05f9cd",
         "a5/mu3 exact-json":
             "c2731f0483e4ecc6042370223518e3ef70300786203364426f46faf31d3d7bea",
         "a5/mu3 exact-text":
@@ -603,6 +659,10 @@ class TestPinnedOutput:
             "29a7ae928140c1a11fcd16badf274c70ed51582a57e93400ca926eebd4c66f64",
         "a5/mu3 exact-eval-json":
             "14dc139ed86732ca605140df2048ce95154280f99d98889362fde261b0d4a50c",
+        "a5/mu3 p1-json":
+            "6f568d45960e2fa3fe5ca237f974afd86344cd23956fd51b77191008c75a410a",
+        "a5/mu3 p6-json":
+            "c2731f0483e4ecc6042370223518e3ef70300786203364426f46faf31d3d7bea",
         "a5/mu1mu3 exact-json":
             "89e21fda79ae726e204238995c37cf2bcdab0120752427fe0cf94231c044ca34",
         "a5/mu1mu3 exact-text":
@@ -615,6 +675,10 @@ class TestPinnedOutput:
             "3dff7bd29e144f4e0ab7810fdde363cd19ec3a1daeeb52eb14cc46fc9bf3ff72",
         "a5/mu1mu3 exact-eval-json":
             "78bc9b0f4e1e3004a1605e27ce14f229c0d13b53fec3396f46a29faf81e15ba4",
+        "a5/mu1mu3 p1-json":
+            "6f568d45960e2fa3fe5ca237f974afd86344cd23956fd51b77191008c75a410a",
+        "a5/mu1mu3 p6-json":
+            "89e21fda79ae726e204238995c37cf2bcdab0120752427fe0cf94231c044ca34",
     }
 
     def test_stokes_on_chamber_files(self, capsys, tmp_path):

@@ -125,13 +125,12 @@ def brute_find_good_quivers(basis, lam=1, p=3):
 
 
 def poly_fields(poly):
-    return (poly.nvars, poly.trunc,
-            tuple((e, type(c), c) for e, c in poly.key()))
+    return (poly.nvars, tuple((e, type(c), c) for e, c in poly.key()))
 
 
 def solution_fields(sol):
-    """Every field of a solution; polynomials by variable count, bound and
-    terms, coefficient types included."""
+    """Every field of a solution; polynomials by variable count and terms,
+    coefficient types included."""
     q = sol.quiver
     return (q.n, q.params, tuple((uv, poly_fields(m)) for uv, m in q.arrows),
             sol.eps, sol.params,

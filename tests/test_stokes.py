@@ -15,8 +15,9 @@ from quiverstokes.goodness import mutation_basis
 from quiverstokes.quiver import Quiver, apply_word, euler_form, linear_quiver
 from quiverstokes import stokes as stokes_mod
 from quiverstokes import verify
-from quiverstokes.stokes import (Chamber, ChamberError, DTModel, RayCollision,
-                                 an_chamber, an_stable_intervals, an_stokes,
+from quiverstokes.stokes import (Chamber, ChamberError, DTModel,
+                                 LiftDisagreement, RayCollision, an_chamber,
+                                 an_stable_intervals, an_stokes,
                                  enumerate_an_chambers, factor_coefficient,
                                  factor_product, level2_chamber, natural_lifts,
                                  ray_order, stokes_product, verify_an_jet,
@@ -322,11 +323,12 @@ class TestPipelineEvaluations:
 
 def elementary_chain(n, nvars, factors, p):
     """Reference ordered product: the left-to-right PolyMatrix product of
-    the factors I + c E_ij, as full matrix products."""
-    m = PolyMatrix.identity(n, nvars, p)
+    the factors I + c E_ij, as full matrix products, reduced once mod (s)^p
+    when p is given."""
+    m = PolyMatrix.identity(n, nvars)
     for i, j, c in factors:
         m = m * PolyMatrix.elementary(n, i, j, c)
-    return m
+    return m if p is None else m.truncate(p)
 
 
 @st.composite
@@ -352,10 +354,19 @@ class TestProductsMatchOracle:
         basis = Basis.triangular(n)
         data = stokes_product(basis, euler_form(linear_quiver(n)), model,
                               chamber, p)
-        want = elementary_chain(n, n, data.factors, p)
-        assert data.product == want
-        assert [e.trunc for row in data.product.entries for e in row] == \
-            [e.trunc for row in want.entries for e in row]
+        assert data.product == elementary_chain(n, n, data.factors, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(an_chambers(), st.data())
+    def test_jet_is_the_exact_product_truncated(self, case, data):
+        # a dropped factor's coefficient has degree >= p, so it only adds
+        # terms of degree >= p to the exact product
+        n, chamber, model = case
+        p = data.draw(st.integers(1, n + 1))
+        basis = Basis.triangular(n)
+        e = euler_form(linear_quiver(n))
+        assert stokes_product(basis, e, model, chamber, p).product == \
+            stokes_product(basis, e, model, chamber, None).product.truncate(p)
 
     @settings(max_examples=40, deadline=None)
     @given(an_chambers(), st.sampled_from([2, 3, 5]))
@@ -364,8 +375,7 @@ class TestProductsMatchOracle:
         basis = Basis.triangular(n)
         e = euler_form(linear_quiver(n))
         factors = stokes_product(basis, e, model, chamber, p).factors
-        want = elementary_chain(
-            n, n, [(i, j, c.drop_bound()) for (i, j, c) in factors], None)
+        want = elementary_chain(n, n, factors, None)
         assert natural_lifts(basis, e, model, [chamber], p) == [want]
 
     @settings(max_examples=40, deadline=None)
@@ -626,7 +636,7 @@ def oracle_verify_an_jet(n, samples):
     chambers = oracle_enumerate(n, samples)
     expected = an_stokes(n)
     data = [stokes_product(basis, e, model, ch, None) for ch in chambers]
-    lifts = natural_lifts(basis, e, model, chambers, n + 1)
+    lifts = {d.product.truncate(n + 1) for d in data}
     mismatches = sum(d.product != expected for d in data)
     return {
         "n": n,
@@ -634,7 +644,7 @@ def oracle_verify_an_jet(n, samples):
         "distinct_products": len({tuple(d.factor_positions()) for d in data}),
         "mismatched_chambers": mismatches,
         "lift_values_mod_n_plus_1": len(lifts),
-        "ok": not mismatches and lifts == [expected],
+        "ok": not mismatches and lifts == {expected},
     }
 
 
@@ -782,6 +792,32 @@ class TestJetCheckErrors:
         diffs = [basis.diff(i, j).coords for i, j in
                  itertools.permutations(range(1, 5), 2)]
         assert len(set(diffs)) == len(diffs) == 12
+
+    def test_chamber_dependence_is_reported_not_raised(self, monkeypatch):
+        # count 2 on the length-2 intervals: chambers disagree below order
+        # n + 1, which the check reports and natural_lifts refuses
+        intervals = DTModel.an_intervals()
+        doubled = DTModel("doubled", lambda v: intervals.dt(v)
+                          * (2 if sum(v.coords) == 2 else 1))
+        monkeypatch.setattr(DTModel, "an_intervals", lambda: doubled)
+        assert verify_an_jet(3) == {
+            "n": 3, "chambers": 9, "distinct_products": 2,
+            "mismatched_chambers": 5, "lift_values_mod_n_plus_1": 2,
+            "ok": False}
+        rep = verify_an_jet(4)
+        assert rep == oracle_verify_an_jet(4, 400)
+        assert not rep["ok"] and rep["lift_values_mod_n_plus_1"] > 1
+        with pytest.raises(LiftDisagreement):
+            natural_lifts(Basis.triangular(4), euler_form(linear_quiver(4)),
+                          doubled, enumerate_an_chambers(4, 400), 5)
+        lines = verify.run_scope("an_jets")
+        assert [l.ok for l in lines] == [True] + [False] * 5
+        assert [l.detail for l in lines[1:]] == [
+            "mismatches=5 lifts=2",
+            f"mismatches={rep['mismatched_chambers']} "
+            f"lifts={rep['lift_values_mod_n_plus_1']}",
+            "mismatches=241 lifts=19",
+            "products disagree mod (s)^3", "products disagree mod (s)^5"]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_mismatches_count_chambers_not_sequences(self, n, monkeypatch):
