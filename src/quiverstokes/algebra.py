@@ -8,10 +8,18 @@ A ``TruncatedPoly`` is an exact sparse multivariate polynomial in the
 variables ``s1, ..., sn``.  Reduction modulo the ideal (s1, ..., sn)^p is a
 ring map, so a jet of order p is the exact value reduced once, by
 ``truncate(p)``; arithmetic never truncates.
+
+A polynomial's terms are checked once, where they enter from outside:
+``TruncatedPoly(nvars, terms)`` and the public constructors built on it
+check exponent lengths and signs and turn coefficients into Fractions.
+Arithmetic trusts operands that are already valid: sums, differences,
+negations, products, truncations and scalar coercions wrap the terms they
+compute without checking them again.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -90,6 +98,11 @@ class TruncatedPoly:
     ``truncate(p)`` keeps the terms of total degree < p, and its result is
     again an exact polynomial: arithmetic and braid moves on a jet treat it
     as the polynomial it prints as, not as a class mod (s1, ..., sn)^p.
+
+    The constructor is the one place that validates terms: exponent tuples
+    of length ``nvars`` with nonnegative ``int`` entries, coefficients
+    converted to Fractions, zero coefficients dropped.  Arithmetic results
+    are built from valid operands by ``_from_valid`` and not checked again.
     """
 
     __slots__ = ("nvars", "terms")
@@ -108,6 +121,19 @@ class TruncatedPoly:
                 continue
             clean[exps] = coeff
         self.terms = clean
+
+    @classmethod
+    def _from_valid(cls, nvars: int, terms: dict) -> "TruncatedPoly":
+        """Wrap ``terms`` without a check or a copy.
+
+        ``terms`` must already be valid: exponent tuples of length ``nvars``
+        with nonnegative ``int`` entries and nonzero Fraction coefficients,
+        as every result of arithmetic on valid polynomials is.
+        """
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        return poly
 
     # -- constructors -------------------------------------------------------
 
@@ -140,22 +166,36 @@ class TruncatedPoly:
             if other.nvars != self.nvars:
                 raise ValueError("variable-count mismatch")
             return other
-        return TruncatedPoly.constant(self.nvars, other)
+        c = _as_fraction(other)
+        return TruncatedPoly._from_valid(self.nvars,
+                                         {(0,) * self.nvars: c} if c else {})
+
+    def _merge(self, other, subtract: bool) -> "TruncatedPoly":
+        """self + other, or self - other, in one pass over other's terms."""
+        terms = dict(self.terms)
+        for e, c in self._coerce(other).terms.items():
+            v = terms.get(e)
+            if v is None:
+                terms[e] = -c if subtract else c
+                continue
+            v = v - c if subtract else v + c
+            if v:
+                terms[e] = v
+            else:
+                del terms[e]
+        return TruncatedPoly._from_valid(self.nvars, terms)
 
     def __add__(self, other) -> "TruncatedPoly":
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + c
-        return TruncatedPoly(self.nvars, terms)
+        return self._merge(other, False)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedPoly":
-        return TruncatedPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return TruncatedPoly._from_valid(self.nvars,
+                                         {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "TruncatedPoly":
-        return self + (-self._coerce(other))
+        return self._merge(other, True)
 
     def __rsub__(self, other) -> "TruncatedPoly":
         return self._coerce(other) - self
@@ -163,19 +203,24 @@ class TruncatedPoly:
     def __mul__(self, other) -> "TruncatedPoly":
         if not isinstance(other, TruncatedPoly):
             c = _as_fraction(other)
-            return TruncatedPoly(self.nvars,
-                                 {e: v * c for e, v in self.terms.items()})
+            return TruncatedPoly._from_valid(
+                self.nvars, {e: v * c for e, v in self.terms.items()} if c else {})
         other = self._coerce(other)
         terms: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = terms.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(operator.add, e1, e2))
+                c = c1 * c2
+                v = terms.get(e)
+                if v is None:
+                    terms[e] = c
+                    continue
+                v += c
                 if v:
                     terms[e] = v
-                elif e in terms:
+                else:
                     del terms[e]
-        return TruncatedPoly(self.nvars, terms)
+        return TruncatedPoly._from_valid(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -189,12 +234,15 @@ class TruncatedPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = TruncatedPoly.constant(self.nvars, other)
+            return self.terms == ({(0,) * self.nvars: other} if other else {})
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its scalar (see __eq__), so it hashes as one
+        if self.degree() <= 0:
+            return hash(self.constant_term())
         return hash((self.nvars, self.key()))
 
     def key(self):
@@ -211,7 +259,8 @@ class TruncatedPoly:
     def truncate(self, p: int) -> "TruncatedPoly":
         """The terms of total degree < p: the image mod (s1, ..., sn)^p."""
         kept = {e: c for e, c in self.terms.items() if sum(e) < p}
-        return self if len(kept) == len(self.terms) else TruncatedPoly(self.nvars, kept)
+        return (self if len(kept) == len(self.terms)
+                else TruncatedPoly._from_valid(self.nvars, kept))
 
     def evaluate(self, point) -> Fraction:
         pt = [_as_fraction(x) for x in point]
@@ -277,9 +326,11 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, n: int, nvars: int) -> "PolyMatrix":
-        return cls(n, [[TruncatedPoly.one(nvars) if i == j
-                        else TruncatedPoly.zero(nvars)
-                        for j in range(n)] for i in range(n)])
+        nvars = int(nvars)
+        one = TruncatedPoly._from_valid(nvars, {(0,) * nvars: Fraction(1)})
+        zero = TruncatedPoly._from_valid(nvars, {})
+        return cls(n, [[one if i == j else zero for j in range(n)]
+                       for i in range(n)])
 
     @classmethod
     def elementary(cls, n: int, i: int, j: int, coeff: TruncatedPoly) -> "PolyMatrix":
@@ -321,7 +372,7 @@ class PolyMatrix:
                     term = a * b
                     acc = term if acc is None else acc + term
                 if acc is None:
-                    acc = TruncatedPoly.zero(self.nvars)
+                    acc = TruncatedPoly._from_valid(self.nvars, {})
                 row.append(acc)
             rows.append(row)
         return PolyMatrix(n, rows)

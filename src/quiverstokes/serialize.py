@@ -31,12 +31,37 @@ def _field(data, name: str):
     return data[name]
 
 
+def _whole(value) -> Optional[int]:
+    """``value`` as an int when it is a whole number (an int, an integral
+    float or an integer string), else None; int() would truncate 1.5."""
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else None
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            return None
+    return None
+
+
 def _int_field(data, name: str) -> int:
     value = _field(data, name)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"field {name!r} must be an integer, got {value!r}") from None
+    n = _whole(value)
+    if n is None:
+        raise ValueError(f"field {name!r} must be an integer, got {value!r}")
+    return n
+
+
+def _ints(values, name: str) -> tuple:
+    """``values`` as a tuple of ints; a ValueError naming the field when one
+    of them is not a whole number."""
+    out = tuple(map(_whole, values))
+    if None in out:
+        raise ValueError(f"field {name!r} must hold integers, "
+                         f"got {values[out.index(None)]!r}")
+    return out
 
 
 def parse_frac(value, name: str) -> Fraction:
@@ -100,7 +125,8 @@ def quiver_to_json(q: Quiver) -> dict:
 
 def quiver_from_json(data: dict) -> Quiver:
     n = _int_field(data, "n")
-    return Quiver(n, tuple(tuple(r) for r in _rows(_field(data, "arrows"), "arrows")))
+    return Quiver(n, tuple(_ints(r, "arrows")
+                           for r in _rows(_field(data, "arrows"), "arrows")))
 
 
 def basis_to_json(b: Basis) -> dict:
@@ -108,13 +134,13 @@ def basis_to_json(b: Basis) -> dict:
 
 
 def basis_from_json(data: dict) -> Basis:
-    return Basis([tuple(r) for r in _rows(_field(data, "rows"), "rows")])
+    return Basis([_ints(r, "rows") for r in _rows(_field(data, "rows"), "rows")])
 
 
 def chamber_from_json(data: dict) -> Chamber:
     Z = tuple((parse_frac(x, "Z"), parse_frac(y, "Z"))
               for x, y in _rows(_field(data, "Z"), "Z", 2))
-    active = tuple(LatticeVector(tuple(v))
+    active = tuple(LatticeVector(_ints(v, "active"))
                    for v in _rows(_field(data, "active"), "active"))
     return Chamber(Z, active)
 
@@ -128,7 +154,7 @@ def dt_model_from_chamber_json(data: dict) -> DTModel:
         raise ValueError("field 'dt' must map classes to counts")
     table = {}
     for key, val in dt.items():
-        coords = tuple(int(c) for c in key.split(","))
+        coords = _ints(key.split(","), "dt")
         table[coords] = parse_frac(val, "dt")
     return DTModel.table(table)
 

@@ -534,7 +534,7 @@ def an_chamber(n: int, Z) -> Chamber:
 
 
 def _charge_samples(n: int, count: int, seed: int = 20240915):
-    """Deterministic pseudo-random rational charges in the upper half plane."""
+    """Deterministic pseudo-random integer charges in the upper half plane."""
     state = seed
 
     def rnd(lo, hi):
@@ -542,9 +542,8 @@ def _charge_samples(n: int, count: int, seed: int = 20240915):
         state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
         return lo + (state >> 33) % (hi - lo + 1)
 
-    exact = {v: Fraction(v) for v in range(-12, 13)}
     for _ in range(count):
-        yield tuple((exact[rnd(-12, 12)], exact[rnd(1, 9)]) for _ in range(n))
+        yield tuple((rnd(-12, 12), rnd(1, 9)) for _ in range(n))
 
 
 def enumerate_an_chambers(n: int, samples: int) -> list[Chamber]:
@@ -567,7 +566,9 @@ def enumerate_an_chambers(n: int, samples: int) -> list[Chamber]:
                  for i in range(1, n + 1) for j in range(i, n + 1)}
     seen = {}
     for Z in itertools.chain(structured, _charge_samples(n, samples)):
-        zint = _scaled_charge(Z)[1]
+        # an all-int charge is its own scaled charge
+        zint = (Z if all(type(x) is int and type(y) is int for x, y in Z)
+                else _scaled_charge(Z)[1])
         if not all(_in_upper(x, y) for x, y in zint):
             continue
         rays = _an_stable_rays(n, zint)

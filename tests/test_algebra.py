@@ -1,12 +1,17 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverstokes import algebra as algebra_mod
+from quiverstokes import stokes as stokes_mod
 from quiverstokes.algebra import (Basis, LatticeVector, PolyMatrix,
                                   TruncatedPoly, joyce_point, lv_len,
                                   lv_monomial)
+from quiverstokes.braid import beta, beta_inv
 from quiverstokes.serialize import (basis_from_json, basis_to_json,
                                     pm_from_json, pm_to_json, poly_from_json,
                                     poly_to_json)
@@ -99,6 +104,145 @@ class TestTruncatedPoly:
             # graded-lex key order is canonical
             keys = [tuple(int(x) for x in k.split(",")) for k in j]
             assert keys == sorted(keys, key=lambda e: (sum(e), e))
+
+
+class TestValidation:
+    """TruncatedPoly(nvars, terms) is where terms are checked."""
+
+    @pytest.mark.parametrize("terms,error,message", [
+        ({(1,): 1}, ValueError, "exponent vector has wrong length"),
+        ({(1, 0, 2): 1}, ValueError, "exponent vector has wrong length"),
+        ({(1, -1): 1}, ValueError, "negative exponent"),
+        ({(1, 0): 0.5}, TypeError, "not an exact rational"),
+        ({(1, 0): None}, TypeError, "not an exact rational"),
+    ])
+    def test_rejects_invalid_terms(self, terms, error, message):
+        with pytest.raises(error, match=message):
+            TruncatedPoly(2, terms)
+
+    def test_converts_coefficients_and_drops_zeros(self):
+        p = TruncatedPoly(2, {(0, 0): 0, (1, 0): "1/2", (0, 1): 3,
+                              (1, 1): Fraction(0), (2, 0): "0"})
+        assert p.terms == {(1, 0): Fraction(1, 2), (0, 1): Fraction(3)}
+        assert all(type(c) is Fraction for c in p.terms.values())
+        assert TruncatedPoly(3, {(0, 0, 0): 0}).is_zero()
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_variable_count_mismatch(self, op):
+        with pytest.raises(ValueError, match="variable-count mismatch"):
+            op(s(2, 1), s(3, 1))
+
+    @pytest.mark.parametrize("poly,c", [
+        (TruncatedPoly.zero(2), 0),
+        (TruncatedPoly.one(2), 1),
+        (TruncatedPoly.constant(3, Fraction(1, 2)), Fraction(1, 2)),
+    ])
+    def test_constant_hashes_as_its_scalar(self, poly, c):
+        assert poly == c and hash(poly) == hash(c)
+        assert len({poly, c}) == 1
+
+
+coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+scalars = st.one_of(st.integers(-3, 3), coeffs)
+
+
+@st.composite
+def poly_cases(draw):
+    """(a, b, k, p): two polynomials in one to three variables, whose terms
+    often cancel, a scalar and a truncation order."""
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    a, b = (TruncatedPoly(nvars, draw(st.dictionaries(exps, coeffs, max_size=5)))
+            for _ in range(2))
+    if draw(st.booleans()):
+        b = b - a  # a + b, a - b then cancel terms
+    return a, b, draw(scalars), draw(st.integers(0, 4))
+
+
+def reference(op, a, b):
+    """a op b built term by term and checked by the constructor, as before
+    arithmetic skipped the check."""
+    if op is operator.mul:
+        terms = {}
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                v = terms.get(e, Fraction(0)) + c1 * c2
+                if v:
+                    terms[e] = v
+                elif e in terms:
+                    del terms[e]
+        return TruncatedPoly(a.nvars, terms)
+    if op is operator.sub:
+        b = TruncatedPoly(b.nvars, {e: -c for e, c in b.terms.items()})
+    terms = dict(a.terms)
+    for e, c in b.terms.items():
+        terms[e] = terms.get(e, Fraction(0)) + c
+    return TruncatedPoly(a.nvars, terms)
+
+
+class TestArithmeticKeepsTheInvariant:
+    @settings(max_examples=300, deadline=None)
+    @given(poly_cases())
+    def test_results_are_valid_polynomials(self, case):
+        a, b, k, p = case
+        n = a.nvars
+        results = [a + b, a - b, a * b, -a, a * k, k * a, a + k, k + a,
+                   a - k, k - a, a.truncate(p)]
+        for r in results:
+            assert r.nvars == n
+            assert r == TruncatedPoly(r.nvars, dict(r.terms))
+            for e, c in r.terms.items():
+                assert type(e) is tuple and len(e) == n
+                assert all(type(x) is int and x >= 0 for x in e)
+                assert type(c) is Fraction and c != 0
+            for c in (0, 1, -1, k, r.constant_term(), Fraction(1, 2)):
+                assert (r == c) == (r == TruncatedPoly.constant(n, c))
+                assert (r != c) == (r != TruncatedPoly.constant(n, c))
+        for op, r in zip((operator.add, operator.sub, operator.mul), results):
+            assert list(r.terms.items()) == list(reference(op, a, b).terms.items())
+
+
+class TestArithmeticSkipsTheCheck:
+    """Values built from valid polynomials never pass through __init__."""
+
+    @pytest.fixture
+    def inits(self, monkeypatch):
+        calls = []
+        original = TruncatedPoly.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TruncatedPoly, "__init__", counting)
+        return calls
+
+    def test_polynomial_arithmetic(self, inits):
+        rng = random.Random(19)
+        pairs = [(rand_poly(rng, 3), rand_poly(rng, 3)) for _ in range(30)]
+        inits.clear()
+        for a, b in pairs:
+            _ = (a + b, a - b, a * b, -a, a * 3, Fraction(1, 2) * a, a + 1,
+                 1 - a, a == 1, a != 0, (a * b).truncate(3), hash(a))
+        assert inits == []
+
+    def test_braid_moves_on_a_polynomial_matrix(self, inits):
+        m = stokes_mod.an_stokes(5)
+        inits.clear()
+        for i in range(1, 5):
+            assert beta_inv(i, beta(i, m)) == m
+            assert beta(i, beta_inv(i, m)) == m
+        assert inits == []
+
+    def test_elementary_product(self, inits):
+        rng = random.Random(23)
+        factors = [(i, j, rand_poly(rng, 4)) for i in range(1, 5)
+                   for j in range(i + 1, 5)]
+        inits.clear()
+        m = stokes_mod._elementary_product(4, 4, factors).truncate(3)
+        assert all(m.entries[k][k] == 1 for k in range(4))
+        assert inits == []
 
 
 class TestPolyMatrix:

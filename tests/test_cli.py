@@ -224,6 +224,12 @@ class TestErrors:
          "field 'n' must be an integer, got inf"),
         ({"n": 2, "arrows": [[0, float("inf")], [0, 0]]},
          "field 'arrows' must be a list of lists of numbers"),
+        ({"n": 2.7, "arrows": [[0, 1], [0, 0]]},
+         "field 'n' must be an integer, got 2.7"),
+        ({"n": 2, "arrows": [[0, 1.5], [0, 0]]},
+         "field 'arrows' must hold integers, got 1.5"),
+        ({"n": 2, "arrows": [[0, "1.5"], [0, 0]]},
+         "field 'arrows' must hold integers, got '1.5'"),
     ])
     def test_malformed_quiver_file(self, tmp_path, content, message):
         path = tmp_path / "q.json"
@@ -254,6 +260,14 @@ class TestErrors:
          "field 'dt' must hold finite rationals, got inf"),
         ("--basis", {"rows": [[1, 0, 0], [0, float("inf"), 0], [0, 0, 1]]},
          "field 'rows' must be a list of lists of numbers"),
+        ("--basis", {"rows": [[1, 0, 0], [0, 1, 0.5], [0, 0, 1]]},
+         "field 'rows' must hold integers, got 0.5"),
+        ("--chamber", {"Z": [["-1", "1"], ["0", "1"], ["1", "1"]],
+                       "active": [[1, 0.5, 0]]},
+         "field 'active' must hold integers, got 0.5"),
+        ("--chamber", {"Z": [["-1", "1"], ["0", "1"], ["1", "1"]],
+                       "active": [[1, 0, 0]], "dt": {"1.5,0,0": 1}},
+         "field 'dt' must hold integers, got '1.5'"),
     ])
     def test_malformed_basis_or_chamber_file(self, tmp_path, a3_file, flag,
                                              content, message):
