@@ -13,9 +13,9 @@ from .algebra import (Basis, LatticeVector, PolyMatrix, TruncatedPoly,
 from .braid import (BraidWord, EquivalenceCertificate, OrbitSearchResult,
                     beta, beta_inv, orbit_search, perm_conj, sign_conj,
                     verify_braid_group_relations)
-from .goodness import (EpsilonTensor, GoodnessReport, GoodQuiverSolution,
-                       SymbolicQuiver, check_quadratic, check_vanishing_p3,
-                       epsilon_solutions, find_good_quivers, mutation_basis)
+from .goodness import (EpsilonTensor, GoodQuiverSolution, SymbolicQuiver,
+                       check_quadratic, check_vanishing_p3, epsilon_solutions,
+                       find_good_quivers, mutation_basis)
 from .quiver import (EulerForm, Quiver, apply_word, euler_form, linear_quiver,
                      mutate, mutation_class)
 from .stokes import (Chamber, DTModel, RayCollision, StokesData, an_chamber,
@@ -27,8 +27,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Basis", "BraidWord", "Chamber", "DTModel", "EpsilonTensor",
     "EquivalenceCertificate", "EulerForm", "GoodQuiverSolution",
-    "GoodnessReport", "LatticeVector", "OrbitSearchResult", "PolyMatrix",
-    "Quiver", "RayCollision", "StokesData", "SymbolicQuiver", "TruncatedPoly",
+    "LatticeVector", "OrbitSearchResult", "PolyMatrix", "Quiver",
+    "RayCollision", "StokesData", "SymbolicQuiver", "TruncatedPoly",
     "an_chamber", "an_stokes", "apply_word", "beta", "beta_inv",
     "check_quadratic", "check_vanishing_p3", "convex_charge",
     "epsilon_solutions", "euler_form", "factor_product", "find_good_quivers",

@@ -274,10 +274,18 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
     conjugations.  Absence of a certificate within the bounds is reported as
     exhausted or inconclusive, never as inequivalence.
 
-    Moves run in int64, so before the first level a ValueError is raised
-    when ``entry_bound`` or an entry of S1 exceeds 3 037 000 499 in absolute
-    value, the largest B with B + B^2 < 2^63.
+    A ValueError is raised before any work when ``depth`` is negative or
+    ``entry_bound`` is below 1: every unit-diagonal child has an entry 1, so
+    a smaller bound would prune every move.  Moves run in int64, so before
+    the first level a ValueError is raised when ``entry_bound`` or an entry
+    of S1 exceeds 3 037 000 499 in absolute value, the largest B with
+    B + B^2 < 2^63.
     """
+    if depth < 0:
+        raise ValueError(f"orbit search depth must be at least 0, got {depth}")
+    if entry_bound < 1:
+        raise ValueError(f"orbit search entry bound must be at least 1, "
+                         f"got {entry_bound}")
     a1 = _to_int_matrix(S1)
     a2 = _to_int_matrix(S2)
     if a1.shape != a2.shape:

@@ -18,19 +18,26 @@ of conditions hold:
   a signed simple class, a sum of two signed simple classes that splits
   through some alpha_k, or not a sum of two signed simple classes at all.
 
+`check_quadratic` and `check_vanishing_p3` return the list of violated
+conditions, as (kind, indices, detail) triples; an empty list means the
+conditions hold.
+
 Given a basis and a scale lambda, `find_good_quivers` solves
 <a_i, a_j> = eps_ij * lambda for the skew form, transports it to the simple
 classes, and realizes each resulting form as a quiver.  Pairs whose length
 is >= p are unconstrained; they enter the form as named free parameters and
 are printed symbolically on the quiver arrows.  The transport is linear in
 eps, so the forms of all sign tensors come from one integer matrix product.
+A solution holds the quiver, its sign tensor and the parameter names: at
+integer parameter values the quiver's Euler form pairs the basis as eps_ij *
+lambda in range and as the parameter out of range.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,39 +47,13 @@ from .quiver import EulerForm, Quiver, euler_form
 
 
 # ---------------------------------------------------------------------------
-# Reports
+# Checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GoodnessReport:
-    """Outcome of the quadratic and/or vanishing checks.
-
-    A flag of None means the corresponding family of conditions was not
-    evaluated by the producing call.
-    """
-
-    quadratic_ok: Optional[bool] = None
-    vanishing_ok: Optional[bool] = None
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return (self.quadratic_ok is not False) and (self.vanishing_ok is not False)
-
-    def merge(self, other: "GoodnessReport") -> "GoodnessReport":
-        def pick(a, b):
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return a and b
-        return GoodnessReport(pick(self.quadratic_ok, other.quadratic_ok),
-                              pick(self.vanishing_ok, other.vanishing_ok),
-                              self.violations + other.violations)
-
-
-def check_quadratic(basis: Basis, e: EulerForm, p: int) -> GoodnessReport:
-    """Check the quadratic conditions at order p (p >= 3).
+def check_quadratic(basis: Basis, e: EulerForm, p: int) -> list:
+    """Violations of the quadratic conditions at order p (p >= 3), as
+    ("quadratic", (min(i, j), max(i, j), k), detail) in first-found order;
+    an empty list means the conditions hold.
 
     Every pairing comes from one table g[a][b] = <a_a, a_b>: the form is
     skew, so <a_j - a_k, a_k - a_i> = g[j][k] - g[j][i] + g[k][i].
@@ -93,12 +74,13 @@ def check_quadratic(basis: Basis, e: EulerForm, p: int) -> GoodnessReport:
             if lhs != rhs:
                 key = (min(i, j) + 1, max(i, j) + 1, k + 1)
                 found[("quadratic", key, f"lhs={lhs} rhs={rhs}")] = None
-    violations = list(found)
-    return GoodnessReport(quadratic_ok=not violations, violations=violations)
+    return list(found)
 
 
-def check_vanishing_p3(basis: Basis) -> GoodnessReport:
-    """Check the order-3 vanishing conditions.
+def check_vanishing_p3(basis: Basis) -> list:
+    """Violations of the order-3 vanishing conditions, as
+    ("vanishing", (i, j), detail) for i < j in order; an empty list means
+    the conditions hold.
 
     The only way a pair can fail is a difference of length exactly 2 that
     does not split as (alpha_j - alpha_k) + (alpha_k - alpha_i) with both
@@ -117,7 +99,7 @@ def check_vanishing_p3(basis: Basis) -> GoodnessReport:
             if not has_split:
                 violations.append(("vanishing", (i, j),
                                    "length-2 difference with no admissible split"))
-    return GoodnessReport(vanishing_ok=not violations, violations=violations)
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +240,12 @@ class SymbolicQuiver:
 
 @dataclass(frozen=True)
 class GoodQuiverSolution:
+    """A quiver whose skew form makes the basis good, the sign tensor it
+    realizes and the names of its free parameters."""
+
     quiver: SymbolicQuiver
     eps: EpsilonTensor
     params: tuple[str, ...]
-    # skew form on the basis and on the simple classes, entries polynomial
-    # in the free parameters
-    basis_form: tuple
-    simple_form: tuple
 
 
 def find_good_quivers(basis: Basis, lam: int = 1,
@@ -277,7 +258,8 @@ def find_good_quivers(basis: Basis, lam: int = 1,
     (this orientation matches the published arrow labels).  A solution is
     emitted only when the transported form on the simple classes has integer
     entries, so that every concrete entry e[u][v] is realized by |e[u][v]|
-    arrows (u -> v when the entry is negative).
+    arrows (u -> v when the entry is negative).  Solutions are sorted by
+    their arrows.
 
     The transport F -> B^-1 F B^-T is linear in eps.  With D the lcm of the
     denominators of B^-1, the pair (i, j) contributes the integer slice
@@ -287,9 +269,10 @@ def find_good_quivers(basis: Basis, lam: int = 1,
     the in-range slices, times lam, and a tensor survives when every entry
     of its row is divisible by D^2.  The product and the divisibility test
     run in int64 when a bound on the sums and D^2 prove that nothing wraps,
-    and on Python integers otherwise.  Only survivors get forms and quivers.
+    and on Python integers otherwise.  Only survivors get quivers, read off
+    the entries above the diagonal of their transported forms.
     """
-    if not check_vanishing_p3(basis).ok:
+    if check_vanishing_p3(basis):
         raise ValueError("basis fails the order-3 vanishing conditions")
     n = basis.n
     dom = basis_domain(basis, p)
@@ -327,54 +310,38 @@ def find_good_quivers(basis: Basis, lam: int = 1,
     keep = np.flatnonzero((consts % d2 == 0).all(axis=1))
 
     # per-call tables: the parameter part of each simple-form entry, and the
-    # entries, arrows and sort keys shared by (u, v, constant)
+    # arrows and sort keys shared by (u, v, constant)
     units = [tuple(int(t == s) for t in range(nparams)) for s in range(nparams)]
     param_terms = [dict(zip(units, col)) for col in (-free.T // d2).tolist()]
     origin = (0,) * nparams
     shared: dict = {}
 
-    def entry(u: int, v: int, c: int):
-        """Simple-form entry e[u][v] with constant c and, for u < v, its
-        arrow and sort key: c < 0 gives -c arrows u -> v, c > 0 gives c
-        arrows v -> u, a symbolic entry an arrow u -> v of multiplicity
-        -e[u][v]."""
+    def arrow(u: int, v: int, c: int):
+        """The arrow and its sort key realizing the simple-form entry
+        e[u][v], u < v, with constant c, or None when the entry is zero:
+        c < 0 gives -c arrows u -> v, c > 0 gives c arrows v -> u, a
+        symbolic entry an arrow u -> v of multiplicity -e[u][v]."""
         key = (u, v, c)
         if key not in shared:
             poly = TruncatedPoly(nparams, {origin: c, **param_terms[u * n + v]})
-            arrow = None
-            if u < v and poly:
+            found = None
+            if poly:
                 if poly.degree() > 0:
                     uv, mult = (u + 1, v + 1), -poly
                 else:
                     uv, m = ((u + 1, v + 1), -c) if c < 0 else ((v + 1, u + 1), c)
                     mult = TruncatedPoly.constant(nparams, m)
-                arrow = (uv, mult), (uv, mult.key())
-            shared[key] = poly, arrow
+                found = (uv, mult), (uv, mult.key())
+            shared[key] = found
         return shared[key]
-
-    zero = TruncatedPoly.zero(nparams)
-    plus = TruncatedPoly.constant(nparams, lam)
-    minus = -plus
-    template = [[zero] * n for _ in range(n)]
-    for t, (i, j) in enumerate(free_pairs):
-        k = TruncatedPoly.variable(nparams, t + 1)  # k is <alpha_j, alpha_i>
-        template[i - 1][j - 1] = -k
-        template[j - 1][i - 1] = k
 
     keyed = []
     for r, row in zip(keep.tolist(), (consts[keep] // d2).tolist()):
-        eps = tensors[r]
-        form = [list(line) for line in template]
-        for (i, j), s in eps.signs:
-            form[i - 1][j - 1], form[j - 1][i - 1] = \
-                (plus, minus) if s > 0 else (minus, plus)
-        cells = [[entry(u, v, row[u * n + v]) for v in range(n)] for u in range(n)]
-        arrows = sorted(cell[1] for line in cells for cell in line if cell[1])
+        arrows = sorted(filter(None, (arrow(u, v, row[u * n + v])
+                                      for u in range(n) for v in range(u + 1, n))))
         quiver = SymbolicQuiver(n, params, tuple(item for item, _ in arrows))
-        keyed.append((tuple(sort_key for _, sort_key in arrows), GoodQuiverSolution(
-            quiver=quiver, eps=eps, params=params,
-            basis_form=tuple(tuple(line) for line in form),
-            simple_form=tuple(tuple(cell[0] for cell in line) for line in cells))))
+        keyed.append((tuple(sort_key for _, sort_key in arrows),
+                      GoodQuiverSolution(quiver, tensors[r], params)))
     keyed.sort(key=lambda ks: ks[0])
     return [sol for _, sol in keyed]
 
@@ -471,7 +438,7 @@ def _validate_mutation_basis(basis: Basis, target: Quiver) -> None:
     d = basis.det()
     if d not in (1, -1):
         raise UnrecognizedPattern(f"assembled basis has determinant {d}")
-    rep = check_vanishing_p3(basis).merge(
-        check_quadratic(basis, euler_form(target), 3))
-    if not rep.ok:
-        raise UnrecognizedPattern(f"assembled basis is not good: {rep.violations}")
+    violations = (check_vanishing_p3(basis)
+                  + check_quadratic(basis, euler_form(target), 3))
+    if violations:
+        raise UnrecognizedPattern(f"assembled basis is not good: {violations}")

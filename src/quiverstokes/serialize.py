@@ -125,6 +125,8 @@ def quiver_to_json(q: Quiver) -> dict:
 
 def quiver_from_json(data: dict) -> Quiver:
     n = _int_field(data, "n")
+    if n < 1:
+        raise ValueError(f"field 'n' must be a positive integer, got {n}")
     return Quiver(n, tuple(_ints(r, "arrows")
                            for r in _rows(_field(data, "arrows"), "arrows")))
 
@@ -147,14 +149,19 @@ def chamber_from_json(data: dict) -> Chamber:
 
 def dt_model_from_chamber_json(data: dict) -> DTModel:
     """Table model from a chamber file's "dt" map; signed simples default
-    to count 1 unless overridden."""
+    to count 1 unless overridden.  Every class must have the rank of the
+    chamber, the length of its "Z" list."""
     dt = data.get("dt", {})
     if not (isinstance(dt, dict)
             and all(isinstance(v, (int, float, str)) for v in dt.values())):
         raise ValueError("field 'dt' must map classes to counts")
+    rank = len(_field(data, "Z"))
     table = {}
     for key, val in dt.items():
         coords = _ints(key.split(","), "dt")
+        if len(coords) != rank:
+            raise ValueError(f"field 'dt' class {key!r} has rank {len(coords)}, "
+                             f"the chamber has rank {rank}")
         table[coords] = parse_frac(val, "dt")
     return DTModel.table(table)
 

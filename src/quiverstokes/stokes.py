@@ -266,7 +266,6 @@ class StokesData:
     (i, j, coefficient) from the leftmost factor to the rightmost.
     """
 
-    basis: Basis
     order: tuple[int, ...]
     factors: list
     product: PolyMatrix
@@ -338,17 +337,16 @@ def _elementary_product(n: int, nvars: int, factors) -> PolyMatrix:
     return m
 
 
-def _stokes_data(basis: Basis, factors: list, p: Optional[int]) -> StokesData:
-    """The product of the factors, reduced mod (s)^p when p is given, checked
-    unipotent for the order they induce."""
-    n = basis.n
+def _stokes_data(n: int, factors: list, p: Optional[int]) -> StokesData:
+    """The product of the rank-n factors, reduced mod (s)^p when p is given,
+    checked unipotent for the order they induce."""
     product = _elementary_product(n, n, factors)
     if p is not None:
         product = product.truncate(p)
     order = _index_order(n, [(i, j) for (i, j, _) in factors])
     if not product.is_unipotent_wrt(order):
         raise ChamberError("product is not unipotent for the induced order")
-    return StokesData(basis, order, factors, product)
+    return StokesData(order, factors, product)
 
 
 def stokes_product(basis: Basis, e: EulerForm, model: DTModel, chamber: Chamber,
@@ -358,7 +356,7 @@ def stokes_product(basis: Basis, e: EulerForm, model: DTModel, chamber: Chamber,
     With p given, factors of classes of length >= p are dropped and the
     exact product is reduced once mod (s)^p; with p absent it is exact.
     """
-    return _stokes_data(basis, _Factors(basis, e, model, p).ordered(chamber), p)
+    return _stokes_data(basis.n, _Factors(basis, e, model, p).ordered(chamber), p)
 
 
 def natural_lifts(basis: Basis, e: EulerForm, model: DTModel,
@@ -609,7 +607,7 @@ def verify_an_jet(n: int, samples: int = 400) -> dict:
             raise ChamberError(f"chamber with an active class longer than {n}")
         seq = factors.ordered(ch)
         sequences.setdefault(tuple((i, j) for i, j, _ in seq), [seq, 0])[1] += 1
-    products = [(_stokes_data(basis, seq, None).product, count)
+    products = [(_stokes_data(n, seq, None).product, count)
                 for seq, count in sequences.values()]
     mismatches = sum(count for prod, count in products if prod != expected)
     lifts = {prod.truncate(n + 1) for prod, _ in products}

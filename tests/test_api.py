@@ -2,6 +2,7 @@
 README's library example."""
 
 import contextlib
+import dataclasses
 import inspect
 import io
 import re
@@ -15,8 +16,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 PUBLIC = [
     "Basis", "BraidWord", "Chamber", "DTModel", "EpsilonTensor",
     "EquivalenceCertificate", "EulerForm", "GoodQuiverSolution",
-    "GoodnessReport", "LatticeVector", "OrbitSearchResult", "PolyMatrix",
-    "Quiver", "RayCollision", "StokesData", "SymbolicQuiver", "TruncatedPoly",
+    "LatticeVector", "OrbitSearchResult", "PolyMatrix", "Quiver",
+    "RayCollision", "StokesData", "SymbolicQuiver", "TruncatedPoly",
     "an_chamber", "an_stokes", "apply_word", "beta", "beta_inv",
     "check_quadratic", "check_vanishing_p3", "convex_charge",
     "epsilon_solutions", "euler_form", "factor_product", "find_good_quivers",
@@ -31,6 +32,22 @@ def test_public_surface_is_pinned():
     # a name enters or leaves the package only together with this list
     assert PUBLIC == sorted(PUBLIC)
     assert sorted(quiverstokes.__all__) == PUBLIC
+
+
+RESULT_FIELDS = {
+    "EquivalenceCertificate": ["source", "target", "word", "verified"],
+    "GoodQuiverSolution": ["quiver", "eps", "params"],
+    "OrbitSearchResult": ["status", "certificate", "depth_reached", "states",
+                          "pruned"],
+    "StokesData": ["order", "factors", "product"],
+}
+
+
+def test_result_fields_are_pinned():
+    # a field enters or leaves an exported result type only together with
+    # this table
+    assert {name: [f.name for f in dataclasses.fields(getattr(quiverstokes, name))]
+            for name in RESULT_FIELDS} == RESULT_FIELDS
 
 
 def test_every_exported_name_resolves():

@@ -363,6 +363,18 @@ class TestOrbitSearch:
         with pytest.raises(ValueError):
             orbit_search(F([[1, Fraction(1, 2)], [0, 1]]), F([[1, 1], [0, 1]]))
 
+    @pytest.mark.parametrize("bounds,message", [
+        ({"depth": -1}, "depth must be at least 0, got -1"),
+        ({"entry_bound": -5}, "entry bound must be at least 1, got -5"),
+        ({"entry_bound": 0}, "entry bound must be at least 1, got 0"),
+    ])
+    def test_rejects_negative_depth_or_bound(self, bounds, message):
+        # refused before any work, even where the inputs are equal and the
+        # search would otherwise end at once
+        for target in (((1, 1), (0, 1)), ((1, 2), (0, 1))):
+            with pytest.raises(ValueError, match=message):
+                orbit_search(((1, 2), (0, 1)), target, **bounds)
+
     def test_rejects_entries_beyond_int64(self):
         with pytest.raises(ValueError, match="int64"):
             orbit_search(((1, 2 ** 70), (0, 1)), ((1, 1), (0, 1)))

@@ -200,6 +200,10 @@ class TestErrors:
          "field 'matrix' must hold finite rationals, got '1/0'"),
         ("equiv", [[["1", float("inf")], ["0", "1"]], [["1", "1"], ["0", "1"]]],
          "field 'matrix' must be a list of lists of numbers"),
+        ("mutate", [{"n": 0, "arrows": []}],
+         "field 'n' must be a positive integer, got 0"),
+        ("stokes", [{"n": 0, "arrows": []}],
+         "field 'n' must be a positive integer, got 0"),
     ])
     def test_library_error_is_one_line(self, tmp_path, command, files, message):
         paths = []
@@ -268,6 +272,9 @@ class TestErrors:
         ("--chamber", {"Z": [["-1", "1"], ["0", "1"], ["1", "1"]],
                        "active": [[1, 0, 0]], "dt": {"1.5,0,0": 1}},
          "field 'dt' must hold integers, got '1.5'"),
+        ("--chamber", {"Z": [["-1", "1"], ["0", "1"], ["1", "1"]],
+                       "active": [[1, 0, 0]], "dt": {"1,0": "7"}},
+         "field 'dt' class '1,0' has rank 2, the chamber has rank 3"),
     ])
     def test_malformed_basis_or_chamber_file(self, tmp_path, a3_file, flag,
                                              content, message):
@@ -316,6 +323,24 @@ class TestErrors:
         assert out.stdout == ""
         assert out.stderr == ("quiverstokes: error: class (1, 1, 0, 5) has "
                               "rank 4, the chamber has rank 3\n")
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--depth", "-1", "orbit search depth must be at least 0, got -1"),
+        ("--entry-bound", "-5",
+         "orbit search entry bound must be at least 1, got -5"),
+        ("--entry-bound", "0",
+         "orbit search entry bound must be at least 1, got 0"),
+    ])
+    def test_negative_depth_or_entry_bound(self, tmp_path, flag, value, message):
+        paths = []
+        for k in range(2):
+            path = tmp_path / f"in{k}.json"
+            path.write_text(json.dumps([["1", "1"], ["0", "1"]] if k else
+                                       [["1", "2"], ["0", "1"]]))
+            paths.append(str(path))
+        out = run_cli("equiv", *paths, flag, value)
+        assert (out.returncode, out.stdout, out.stderr) == \
+            (2, "", f"quiverstokes: error: {message}\n")
 
     def test_entry_bound_beyond_the_move_limit(self, tmp_path):
         paths = []
