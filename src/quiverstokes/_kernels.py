@@ -19,17 +19,17 @@ over the stack:
   row-major scan with a union-find that tracks relative signs: n(n-1) steps,
   each vectorized over the stack.
 
-The orbit search canonicalizes the children of ``CHUNK`` frontier states per
-``sign_canonical`` call.  One call per child spends the search's time in the
-interpreter; one call per level holds the temporaries of every child of the
-level at once and raises the peak memory of a search.
+The orbit search expands and canonicalizes ``CHUNK`` frontier states at a
+time.  One call per child spends the search's time in the interpreter; one
+call per level holds the children of the whole level, and their temporaries,
+at once and raises the peak memory of a search.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Frontier states whose children the orbit search canonicalizes in one call.
+# Frontier states the orbit search expands and canonicalizes in one call.
 CHUNK = 256
 
 

@@ -452,7 +452,7 @@ def _index_order(n: int, positions: Iterable[tuple[int, int]]) -> tuple[int, ...
 class Basis:
     """An ordered tuple of n rank-n lattice vectors, independent over Q."""
 
-    __slots__ = ("rows", "_det")
+    __slots__ = ("rows", "_det", "_inv")
 
     def __init__(self, rows):
         rows = tuple(r if isinstance(r, LatticeVector) else LatticeVector(tuple(r))
@@ -461,7 +461,7 @@ class Basis:
         if any(r.rank != n for r in rows):
             raise ValueError("basis rows must be square")
         self.rows = rows
-        self._det = _gauss_jordan(self.matrix())[0]
+        self._det, self._inv = _gauss_jordan(self.matrix())
         if self._det == 0:
             raise ValueError("basis rows are linearly dependent")
 
@@ -491,7 +491,8 @@ class Basis:
         return self._det
 
     def inverse(self) -> list[list[Fraction]]:
-        return _gauss_jordan(self.matrix())[1]
+        """A copy of the inverse found by the elimination at construction."""
+        return [row[:] for row in self._inv]
 
     @classmethod
     def triangular(cls, n: int) -> "Basis":

@@ -373,37 +373,32 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
         raise ValueError(f"orbit search entries and entry bound must be at most "
                          f"{limit} so that a move stays within int64")
     moves_per = 2 * (n - 1)
-    step = _kernels.CHUNK * moves_per
     frontier = canon0[None]
-    frontier_keys = [key0]
     for level in range(1, depth + 1):
-        children, ok = _kernels.expand_frontier(frontier, entry_bound)
         new_frontier = []
-        new_keys = []
-        for lo in range(0, len(children), step):
-            canons, _ = _kernels.sign_canonical(children[lo:lo + step])
+        for lo in range(0, len(frontier), _kernels.CHUNK):
+            children, ok = _kernels.expand_frontier(
+                frontier[lo:lo + _kernels.CHUNK], entry_bound)
+            canons, _ = _kernels.sign_canonical(children)
             fresh = []
             for j, canon in enumerate(canons):
-                idx = lo + j
-                if not ok[idx]:
+                if not ok[j]:
                     pruned += 1
                     continue
                 key = canon.tobytes()
                 if key in parents:
                     continue
-                s, k = divmod(idx, moves_per)
+                s, k = divmod(j, moves_per)
                 direction = 1 if k < n - 1 else -1
                 i = (k if k < n - 1 else k - (n - 1)) + 1
-                parents[key] = (frontier_keys[s], (i, direction))
+                parents[key] = (frontier[lo + s].tobytes(), (i, direction))
                 if key in targets:
                     return OrbitSearchResult("found", reconstruct(key), level,
                                              len(parents), pruned)
                 fresh.append(j)
-                new_keys.append(key)
             new_frontier.append(canons[fresh])
         frontier = np.concatenate(new_frontier)
-        frontier_keys = new_keys
-        if not new_keys:
+        if not len(frontier):
             return OrbitSearchResult("exhausted", None, level, len(parents),
                                      pruned)
     return OrbitSearchResult("inconclusive", None, depth, len(parents), pruned)

@@ -105,14 +105,14 @@ def cmd_stokes(args) -> int:
     out = stokes_data_to_json(data)
     if args.eval is not None:
         point = _parse_point(args.eval, q.n)
+        ev = data.product.evaluate(point)
         out["evaluated_at"] = [frac_str(x) for x in point]
-        out["evaluation"] = rational_matrix_to_json(data.product.evaluate(point))
+        out["evaluation"] = rational_matrix_to_json(ev)
 
     def text():
         bits = ["order: " + " ".join(str(i) for i in data.order),
                 data.product.text()]
         if args.eval is not None:
-            ev = rational_matrix_from_json(out["evaluation"])
             width = max(len(frac_str(x)) for row in ev for x in row)
             bits.append(f"at ({', '.join(out['evaluated_at'])}):")
             bits.append("\n".join(

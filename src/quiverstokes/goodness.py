@@ -53,13 +53,16 @@ from .quiver import EulerForm, Quiver, euler_form
 def check_quadratic(basis: Basis, e: EulerForm, p: int) -> list:
     """Violations of the quadratic conditions at order p (p >= 3), as
     ("quadratic", (min(i, j), max(i, j), k), detail) in first-found order;
-    an empty list means the conditions hold.
+    an empty list means the conditions hold.  A basis whose rank differs
+    from the form's, the empty basis included, raises ValueError.
 
     Every pairing comes from one table g[a][b] = <a_a, a_b>: the form is
     skew, so <a_j - a_k, a_k - a_i> = g[j][k] - g[j][i] + g[k][i].
     """
     if p < 3:
         raise ValueError("quadratic conditions are defined for p >= 3")
+    if basis.n != e.n:
+        raise ValueError("rank mismatch")
     rows = basis.rows
     g = [[e.pairing(a, b) for b in rows] for a in rows]
     found = {}

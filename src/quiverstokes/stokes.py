@@ -10,13 +10,13 @@ elementary unipotent factor
 attached to the ray of Z(alpha_i - alpha_j).  The Stokes matrix is the
 product of these factors over rays in the semi-closed upper half plane,
 ordered clockwise: strictly decreasing argument in (0, pi], leftmost factor
-first.  All ray comparisons are exact sign tests: a chamber scales its
-charge once by the least common multiple of its denominators, which keeps
-every argument, and compares rays by integer dot and cross products.  A
-chamber sorts its active classes clockwise once, when it is built, and
-every product over it walks that order.  Within one call, each factor
-coefficient is built once, and the linear-quiver jet check builds each
-distinct chamber and each distinct ordered product once.
+first.  All ray comparisons are exact sign tests: every charge is scaled
+once by the least common multiple of its denominators, which keeps every
+argument, and rays are compared by integer dot and cross products.  A
+chamber sorts its active classes clockwise once, when it is built, and the
+factors of every product over it are read off that order.  Within one
+call, each factor coefficient is built once, and the linear-quiver jet
+check builds each distinct chamber and each distinct ordered product once.
 """
 
 from __future__ import annotations
@@ -59,20 +59,21 @@ def _canon_class(v: LatticeVector) -> LatticeVector:
 
 
 def _is_interval(v: LatticeVector) -> bool:
-    """Whether +-v is a run of consecutive ones."""
-    w = _canon_class(v)
-    idx = [k for k, c in enumerate(w.coords) if c]
-    return (bool(idx) and all(w.coords[k] == 1 for k in idx)
+    """Whether the canonical class v is a run of consecutive ones."""
+    idx = [k for k, c in enumerate(v.coords) if c]
+    return (bool(idx) and all(v.coords[k] == 1 for k in idx)
             and idx == list(range(idx[0], idx[-1] + 1)))
 
 
 class DTModel:
     """Rational counts attached to lattice classes, symmetric under negation.
 
-    Kinds: ``an-intervals`` (1 on signed consecutive-run classes),
-    ``table`` (explicit values; signed simple classes default to 1 unless
-    overridden), and ``quiver-extensions`` (1 on simples, (-1)^(lam-1) * lam
-    on signed sums of two simples joined by lam arrows).
+    ``dt`` hands its function the canonical class of +-v, the one whose
+    first nonzero coordinate is positive.  Kinds: ``an-intervals`` (1 on
+    signed consecutive-run classes), ``table`` (explicit values; signed
+    simple classes default to 1 unless overridden), and
+    ``quiver-extensions`` (1 on simples, (-1)^(lam-1) * lam on signed sums
+    of two simples joined by lam arrows).
     """
 
     def __init__(self, kind: str, fn: Callable[[LatticeVector], Fraction]):
@@ -113,9 +114,8 @@ class DTModel:
         def fn(v: LatticeVector) -> Fraction:
             if lv_len(v) == 1:
                 return Fraction(1)
-            w = _canon_class(v)
-            idx = [k for k, c in enumerate(w.coords) if c]
-            if len(idx) == 2 and all(w.coords[k] == 1 for k in idx):
+            idx = [k for k, c in enumerate(v.coords) if c]
+            if len(idx) == 2 and all(v.coords[k] == 1 for k in idx):
                 lam = q.arrows_between(idx[0] + 1, idx[1] + 1)
                 return Fraction((-1) ** (lam - 1) * lam) if lam else Fraction(0)
             return Fraction(0)
@@ -137,15 +137,13 @@ def _arg_greater(a: tuple, b: tuple) -> bool:
     return b[0] * a[1] - b[1] * a[0] > 0
 
 
-def _scaled_charge(Z) -> tuple[tuple, tuple]:
-    """(Z as Fractions, D * Z as ints) with D the lcm of Z's denominators.
-
-    Scaling by D > 0 keeps every argument, so ray tests may use the integers.
-    """
-    Z = tuple((_as_fraction(x), _as_fraction(y)) for x, y in Z)
+def _scaled_charge(Z) -> tuple:
+    """D * Z as ints, with D the lcm of the denominators of Z's int or
+    Fraction coordinates: scaling by D > 0 keeps every argument, so every
+    ray test uses the integers."""
     scale = math.lcm(*(c.denominator for z in Z for c in z))
-    return Z, tuple((x.numerator * (scale // x.denominator),
-                     y.numerator * (scale // y.denominator)) for x, y in Z)
+    return tuple((x.numerator * (scale // x.denominator),
+                  y.numerator * (scale // y.denominator)) for x, y in Z)
 
 
 def _clockwise(rays: list) -> list:
@@ -182,7 +180,8 @@ class Chamber:
     _order: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        Z, zint = _scaled_charge(self.Z)
+        Z = tuple((_as_fraction(x), _as_fraction(y)) for x, y in self.Z)
+        zint = _scaled_charge(Z)
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "_zint", zint)
         act = tuple(v if isinstance(v, LatticeVector) else LatticeVector(tuple(v))
@@ -219,9 +218,6 @@ class Chamber:
                 x += c * zx
                 y += c * zy
         return x, y
-
-    def active_set(self) -> set:
-        return {v.coords for v in self.active}
 
 
 def ray_order(chamber: Chamber, classes: Iterable[LatticeVector]) -> list[LatticeVector]:
@@ -287,25 +283,28 @@ class _Factors:
         if p is not None and p < 1:
             raise ValueError(f"truncation order must be at least 1, got {p}")
         self.basis, self.e, self.model, self.p = basis, e, model, p
-        self.diffs = [(i, j, basis.diff(i, j)) for i in range(1, basis.n + 1)
-                      for j in range(1, basis.n + 1) if i != j]
+        self.diffs = {}
+        for i, j in itertools.permutations(range(1, basis.n + 1), 2):
+            d = basis.diff(i, j)
+            self.diffs[d.coords] = (i, j, d)
         self.coeffs = {}
 
     def ordered(self, chamber: Chamber) -> list:
         """The chamber's factors (i, j, coefficient) in its clockwise order,
-        leftmost first: one for each pair whose difference is active with its
-        ray in the upper half plane; with p given, classes of length >= p are
-        dropped."""
+        leftmost first: one for each active class that is a difference;
+        with p given, classes of length >= p are dropped.  A chamber's
+        actives all have their ray in the upper half plane."""
         if chamber.n != self.basis.n:
             raise ValueError("chamber and basis rank mismatch")
-        act = chamber.active_set()
-        found = {}
-        for i, j, d in self.diffs:
-            x, y = chamber._ray(d)
-            if (x, y) == (0, 0):
+        # Z(a_j - a_i) = -Z(a_i - a_j), so the pairs i < j find every zero
+        for i, j, d in self.diffs.values():
+            if i < j and chamber._ray(d) == (0, 0):
                 raise ChamberError(f"difference {d.coords} has Z = 0")
-            if not _in_upper(x, y) or d.coords not in act:
+        out = []
+        for c in chamber._order:
+            if c not in self.diffs:
                 continue
+            i, j, d = self.diffs[c]
             if self.p is not None and lv_len(d) >= self.p:
                 continue
             if (i, j) not in self.coeffs:
@@ -315,8 +314,8 @@ class _Factors:
                         f"active class {d.coords} has zero count under the model")
                 self.coeffs[i, j] = factor_coefficient(i, j, self.basis, self.e,
                                                        dt)
-            found[d.coords] = (i, j, self.coeffs[i, j])
-        return [found[c] for c in chamber._order if c in found]
+            out.append((i, j, self.coeffs[i, j]))
+        return out
 
 
 def _elementary_product(n: int, nvars: int, factors) -> PolyMatrix:
@@ -401,8 +400,6 @@ def factor_product(T: PolyMatrix, positions: list[tuple[int, int]]) -> list[Trun
     if not T.is_unipotent_wrt(order):
         raise ValueError("matrix is not unipotent for the order induced by positions")
     level = {(i, j): pos_of[j] - pos_of[i] for (i, j) in positions}
-    if any(l <= 0 for l in level.values()):
-        raise ValueError("positions incompatible with a triangular order")
     coeffs = {pos: TruncatedPoly.zero(T.nvars) for pos in positions}
 
     def rebuild() -> PolyMatrix:
@@ -425,13 +422,14 @@ def factor_product(T: PolyMatrix, positions: list[tuple[int, int]]) -> list[Trun
 # Chambers for concrete quivers
 # ---------------------------------------------------------------------------
 
-def convex_charge(n: int, seed_x: int = 0) -> tuple:
-    """A generic central charge with strictly decreasing phases.
+def convex_charge(n: int) -> tuple:
+    """A central charge with strictly decreasing phases, Z_k = (k^2 - n - 2, 1).
 
-    x-coordinates grow quadratically so that sums of distinct index sets
-    never align; good enough as a default chamber for small ranks.
+    Sums of distinct index sets can still align: at rank 7, 2 * 5^2 = 1^2 + 7^2
+    puts Z(e1 + e7) on the ray of Z(e5), so the level-2 chamber of the
+    linear quiver plus an arrow 1 -> 7 raises RayCollision.
     """
-    return tuple((Fraction((k + 1) ** 2 - (n + 2) + seed_x), Fraction(1))
+    return tuple((Fraction((k + 1) ** 2 - (n + 2)), Fraction(1))
                  for k in range(n))
 
 
@@ -443,14 +441,14 @@ def extension_actives(q: Quiver, Z) -> list[LatticeVector]:
     arg Z_u > arg Z_v.
     """
     n = q.n
-    Z = tuple((_as_fraction(x), _as_fraction(y)) for x, y in Z)
+    zint = _scaled_charge(tuple((_as_fraction(x), _as_fraction(y)) for x, y in Z))
     act = [LatticeVector(tuple(1 if t == k else 0 for t in range(n)))
            for k in range(n)]
     for u in range(1, n + 1):
         for v in range(1, n + 1):
             if u == v or q.arrows[u - 1][v - 1] == 0:
                 continue
-            if _arg_greater(Z[u - 1], Z[v - 1]):
+            if _arg_greater(zint[u - 1], zint[v - 1]):
                 vec = [0] * n
                 vec[u - 1] = 1
                 vec[v - 1] = 1
@@ -472,17 +470,17 @@ def level2_stokes(q: Quiver, basis: Basis, Z,
 
 
 def quiver_stokes_jet(q: Quiver, basis: Basis, p: int = 3) -> PolyMatrix:
-    """Order-p jet of the Stokes matrix of (quiver, basis).
+    """Order-p jet of the Stokes matrix of (quiver, basis) on the level-2
+    chamber of ``convex_charge(q.n)``; RayCollision when two of its actives
+    share a ray.
 
     Chamber independent below order p, so any valid chamber gives the same
-    answer; a generic convex charge is used, nudged until no rays collide.
+    answer.  No other charge is tried: every Z(v) is linear in Z, and a
+    shear x -> x + s * y has determinant 1, so it keeps every cross product,
+    hence every collision and every clockwise order; it keeps y, hence
+    upper-half-plane membership.
     """
-    for shift in range(24):
-        try:
-            return level2_stokes(q, basis, convex_charge(q.n, shift), p).product
-        except RayCollision:
-            continue
-    raise RayCollision("no collision-free convex charge found")
+    return level2_stokes(q, basis, convex_charge(q.n), p).product
 
 
 # ---------------------------------------------------------------------------
@@ -523,17 +521,18 @@ def an_stable_intervals(n: int, Z) -> list[LatticeVector]:
     i < k <= j.  Z([i, j]) is a difference of prefix sums of the charge
     scaled to integers.
     """
+    Z = tuple((_as_fraction(x), _as_fraction(y)) for x, y in Z)
     return [_interval_class(n, i, j)
-            for (i, j), _ in _an_stable_rays(n, _scaled_charge(Z)[1])]
+            for (i, j), _ in _an_stable_rays(n, _scaled_charge(Z))]
 
 
 def an_chamber(n: int, Z) -> Chamber:
     return Chamber(tuple(Z), tuple(an_stable_intervals(n, Z)))
 
 
-def _charge_samples(n: int, count: int, seed: int = 20240915):
+def _charge_samples(n: int, count: int):
     """Deterministic pseudo-random integer charges in the upper half plane."""
-    state = seed
+    state = 20240915
 
     def rnd(lo, hi):
         nonlocal state
@@ -555,8 +554,8 @@ def enumerate_an_chambers(n: int, samples: int) -> list[Chamber]:
     included.
     """
     structured = [
-        convex_charge(n, 0),
-        tuple(reversed(convex_charge(n, 0))),
+        convex_charge(n),
+        tuple(reversed(convex_charge(n))),
         tuple((Fraction(-10 * 3 ** k), Fraction(1 + k)) for k in range(n)),
         tuple((Fraction(10 * 3 ** (n - k)), Fraction(1 + k)) for k in range(n)),
     ]
@@ -564,9 +563,7 @@ def enumerate_an_chambers(n: int, samples: int) -> list[Chamber]:
                  for i in range(1, n + 1) for j in range(i, n + 1)}
     seen = {}
     for Z in itertools.chain(structured, _charge_samples(n, samples)):
-        # an all-int charge is its own scaled charge
-        zint = (Z if all(type(x) is int and type(y) is int for x, y in Z)
-                else _scaled_charge(Z)[1])
+        zint = _scaled_charge(Z)
         if not all(_in_upper(x, y) for x, y in zint):
             continue
         rays = _an_stable_rays(n, zint)

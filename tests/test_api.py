@@ -50,6 +50,47 @@ def test_result_fields_are_pinned():
             for name in RESULT_FIELDS} == RESULT_FIELDS
 
 
+PARAMETERS = {
+    "an_chamber": ["n", "Z"],
+    "an_stokes": ["n"],
+    "apply_word": ["q", "word"],
+    "beta": ["i", "A"],
+    "beta_inv": ["i", "A"],
+    "check_quadratic": ["basis", "e", "p"],
+    "check_vanishing_p3": ["basis"],
+    "convex_charge": ["n"],
+    "epsilon_solutions": ["n", "domain"],
+    "euler_form": ["q"],
+    "factor_product": ["T", "positions"],
+    "find_good_quivers": ["basis", "lam", "p"],
+    "joyce_point": ["nvars"],
+    "level2_chamber": ["q", "Z"],
+    "linear_quiver": ["n"],
+    "lv_len": ["v"],
+    "lv_monomial": ["v"],
+    "mutate": ["q", "k"],
+    "mutation_basis": ["n", "target"],
+    "mutation_class": ["q", "max_size"],
+    "natural_lifts": ["basis", "e", "model", "chambers", "p"],
+    "orbit_search": ["S1", "S2", "depth", "entry_bound"],
+    "perm_conj": ["sigma", "A"],
+    "ray_order": ["chamber", "classes"],
+    "sign_conj": ["k_or_vec", "A"],
+    "stokes_product": ["basis", "e", "model", "chamber", "p"],
+    "verify_an_jet": ["n", "samples"],
+    "verify_braid_group_relations": ["n", "samples", "seed"],
+}
+
+
+def test_function_parameters_are_pinned():
+    # a parameter enters or leaves an exported function only together with
+    # this table
+    functions = {name: getattr(quiverstokes, name) for name in quiverstokes.__all__
+                 if inspect.isfunction(getattr(quiverstokes, name))}
+    assert {name: list(inspect.signature(fn).parameters)
+            for name, fn in functions.items()} == PARAMETERS
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in quiverstokes.__all__
                if not hasattr(quiverstokes, name)]

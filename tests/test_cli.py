@@ -204,6 +204,11 @@ class TestErrors:
          "field 'n' must be a positive integer, got 0"),
         ("stokes", [{"n": 0, "arrows": []}],
          "field 'n' must be a positive integer, got 0"),
+        ("goodness", [{"n": 2, "arrows": [[0, 1], [0, 0]]}, {"rows": []}],
+         "rank mismatch"),
+        ("goodness", [{"n": 3, "arrows": [[0, 1, 0], [0, 0, 1], [0, 0, 0]]},
+                      {"rows": [[1]]}],
+         "rank mismatch"),
     ])
     def test_library_error_is_one_line(self, tmp_path, command, files, message):
         paths = []
@@ -283,6 +288,20 @@ class TestErrors:
         out = run_cli("stokes", a3_file, flag, str(path))
         assert (out.returncode, out.stdout, out.stderr) == \
             (2, "", f"quiverstokes: error: {message}\n")
+
+    def test_automatic_charge_with_a_shared_ray(self, tmp_path):
+        # the linear quiver plus an arrow 1 -> 7: under convex_charge(7),
+        # 2 * 5^2 = 1^2 + 7^2 puts e1 + e7 on the ray of e5
+        arrows = [list(row) for row in linear_quiver(7).arrows]
+        arrows[0][6] = 1
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps({"n": 7, "arrows": arrows}))
+        b = tmp_path / "b.json"
+        b.write_text(json.dumps(basis_to_json(Basis.triangular(7))))
+        out = run_cli("stokes", str(q), "--basis", str(b), "--p", "3")
+        assert (out.returncode, out.stdout, out.stderr) == \
+            (2, "", "quiverstokes: error: classes (1, 0, 0, 0, 0, 0, 1) and "
+                    "(0, 0, 0, 0, 1, 0, 0) lie on the same ray\n")
 
     def test_missing_file(self, tmp_path):
         path = tmp_path / "missing.json"
