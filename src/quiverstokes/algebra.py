@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 def _as_fraction(x) -> Fraction:
@@ -107,10 +107,10 @@ class TruncatedPoly:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Optional[dict] = None):
+    def __init__(self, nvars: int, terms: dict):
         self.nvars = int(nvars)
         clean: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in (terms or {}).items():
+        for exps, coeff in terms.items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != self.nvars:
                 raise ValueError("exponent vector has wrong length")
@@ -277,16 +277,13 @@ class TruncatedPoly:
 
     # -- display ------------------------------------------------------------
 
-    def text(self, names: Optional[list[str]] = None) -> str:
+    def text(self) -> str:
         if not self.terms:
             return "0"
-        names = names or [f"s{i+1}" for i in range(self.nvars)]
         bits = []
         for exps, coeff in self.key():
-            mono = "*".join(
-                (names[i] if e == 1 else f"{names[i]}^{e}")
-                for i, e in enumerate(exps) if e
-            )
+            mono = "*".join(f"s{i + 1}" if e == 1 else f"s{i + 1}^{e}"
+                            for i, e in enumerate(exps) if e)
             if not mono:
                 bits.append(str(coeff))
             elif coeff == 1:
@@ -400,17 +397,14 @@ class PolyMatrix:
                     return False
         return True
 
-    def text(self, names: Optional[list[str]] = None) -> str:
-        cells = [[e.text(names) for e in row] for row in self.entries]
+    def text(self) -> str:
+        cells = [[e.text() for e in row] for row in self.entries]
         width = max(len(c) for row in cells for c in row)
         return "\n".join("[ " + "  ".join(c.rjust(width) for c in row) + " ]"
                          for row in cells)
 
     def __repr__(self):
         return f"PolyMatrix(n={self.n})\n{self.text()}"
-
-
-JOYCE_POINT = "sJ"
 
 
 def joyce_point(nvars: int) -> list[Fraction]:

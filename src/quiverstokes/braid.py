@@ -96,11 +96,13 @@ def _inverse_permutation(sigma) -> tuple:
     return tuple(inv)
 
 
-def _conj_np(sigma: tuple, a: np.ndarray) -> np.ndarray:
+def _conj_np(sigma, a: np.ndarray) -> np.ndarray:
     """Permutation conjugation of an (n, n) array of any dtype: entry (i, j)
-    moves to (sigma(i), sigma(j))."""
-    inv = np.argsort(sigma)
-    return a[np.ix_(inv, inv)]
+    moves to (sigma(i), sigma(j)).  ``sigma`` is one permutation, giving an
+    (n, n) array, or a (k, n) stack of them, giving the (k, n, n) stack of
+    conjugates."""
+    inv = np.argsort(sigma, axis=-1)
+    return a[inv[..., :, None], inv[..., None, :]]
 
 
 def perm_conj(sigma, A: MatrixLike):
@@ -222,7 +224,8 @@ class OrbitSearchResult:
 _INT64 = np.iinfo(np.int64)
 
 
-def _to_int_matrix(m) -> np.ndarray:
+def _to_int_matrix(m) -> tuple[RationalMatrix, np.ndarray]:
+    """The exact rows of ``m`` and the same entries as an int64 array."""
     if isinstance(m, PolyMatrix):
         raise ValueError("orbit search works on evaluated matrices; "
                          "evaluate at a rational point first")
@@ -237,11 +240,7 @@ def _to_int_matrix(m) -> np.ndarray:
             if not _INT64.min <= x <= _INT64.max:
                 raise ValueError("orbit search entries must fit in int64")
             out[i, j] = int(x)
-    return out
-
-
-def _np_to_rational(a: np.ndarray) -> RationalMatrix:
-    return tuple(tuple(Fraction(int(x)) for x in row) for row in a)
+    return rows, out
 
 
 def _sorting_permutation(a: np.ndarray) -> Optional[tuple]:
@@ -275,8 +274,9 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
     exhausted or inconclusive, never as inequivalence.
 
     A ValueError is raised before any work when ``depth`` is negative or
-    ``entry_bound`` is below 1: every unit-diagonal child has an entry 1, so
-    a smaller bound would prune every move.  Moves run in int64, so before
+    ``entry_bound`` is below 1 (every unit-diagonal child has an entry 1, so
+    a smaller bound would prune every move), and when the matrices are
+    0 x 0, as no quiver of rank 0 exists.  Moves run in int64, so before
     the first level a ValueError is raised when ``entry_bound`` or an entry
     of S1 exceeds 3 037 000 499 in absolute value, the largest B with
     B + B^2 < 2^63.
@@ -286,16 +286,16 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
     if entry_bound < 1:
         raise ValueError(f"orbit search entry bound must be at least 1, "
                          f"got {entry_bound}")
-    a1 = _to_int_matrix(S1)
-    a2 = _to_int_matrix(S2)
+    src, a1 = _to_int_matrix(S1)
+    tgt, a2 = _to_int_matrix(S2)
     if a1.shape != a2.shape:
         raise ValueError("dimension mismatch")
     n = a1.shape[0]
+    if n == 0:
+        raise ValueError("orbit search needs matrices of size at least 1")
     if any(a1[i, i] != 1 for i in range(n)) or any(a2[i, i] != 1 for i in range(n)):
         raise ValueError("matrices must have unit diagonal")
 
-    src = _np_to_rational(a1)
-    tgt = _np_to_rational(a2)
     if np.array_equal(a1, a2):
         cert = EquivalenceCertificate(src, tgt, BraidWord(()), True)
         return OrbitSearchResult("found", cert, 0, 1, 0)
@@ -313,8 +313,7 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
     targets: dict[bytes, tuple] = {}
     perms = itertools.permutations(range(1, n + 1))
     while block := list(itertools.islice(perms, _PERM_BLOCK)):
-        inv = np.argsort(np.array(block), axis=1)
-        cands = up2[inv[:, :, None], inv[:, None, :]]
+        cands = _conj_np(block, up2)
         upper = ~np.tril(cands, -1).any(axis=(1, 2))
         canons, signs = _kernels.sign_canonical(cands[upper])
         for sigma, canon, sign in zip(itertools.compress(block, upper),

@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="replay the bundled reference dataset")
     p.add_argument("scope", nargs="?", default="all",
-                   choices=(*verify_mod.SCOPES, "all"))
+                   choices=tuple(verify_mod.SCOPES))
     common(p)
     p.set_defaults(fn=cmd_verify_paper)
     return ap

@@ -33,8 +33,9 @@ def _field(data, name: str):
 
 def _whole(value) -> Optional[int]:
     """``value`` as an int when it is a whole number (an int, an integral
-    float or an integer string), else None; int() would truncate 1.5."""
-    if isinstance(value, int):
+    float or an integer string), else None; int() would truncate 1.5.  A
+    JSON boolean is not a number, though Python's bool is an int."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, float):
         return int(value) if value.is_integer() else None
@@ -66,20 +67,21 @@ def _ints(values, name: str) -> tuple:
 
 def parse_frac(value, name: str) -> Fraction:
     """``value`` as a Fraction; a ValueError naming the field when it is not
-    a finite rational (a zero denominator or an infinity, say)."""
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise ValueError(f"field {name!r} must hold finite rationals, "
-                         f"got {value!r}") from None
+    a finite rational (a zero denominator, an infinity or a boolean, say)."""
+    if not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise ValueError(f"field {name!r} must hold finite rationals, got {value!r}")
 
 
 def _rows(rows, name: str, width: Optional[int] = None) -> list:
     """``rows`` checked to be a list of lists of finite numbers or number
-    strings, each of length ``width`` when given."""
+    strings, each of length ``width`` when given; booleans are not numbers."""
     if not (isinstance(rows, list) and all(
             isinstance(r, list) and (width is None or len(r) == width)
-            and all(isinstance(x, (int, str))
+            and all(isinstance(x, (int, str)) and not isinstance(x, bool)
                     or isinstance(x, float) and math.isfinite(x) for x in r)
             for r in rows)):
         kind = "lists" if width is None else "pairs"

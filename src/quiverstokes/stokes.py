@@ -15,8 +15,9 @@ once by the least common multiple of its denominators, which keeps every
 argument, and rays are compared by integer dot and cross products.  A
 chamber sorts its active classes clockwise once, when it is built, and the
 factors of every product over it are read off that order.  Within one
-call, each factor coefficient is built once, and the linear-quiver jet
-check builds each distinct chamber and each distinct ordered product once.
+call, each factor coefficient is built once; a set of chambers shares one
+product table, which multiplies out each distinct ordered factor sequence
+once, and the linear-quiver jet check builds each distinct chamber once.
 """
 
 from __future__ import annotations
@@ -317,6 +318,19 @@ class _Factors:
             out.append((i, j, self.coeffs[i, j]))
         return out
 
+    def products(self, chambers: Iterable[Chamber]) -> list:
+        """(exact product, chamber count) for each distinct ordered factor
+        sequence of the chambers, in first-seen order.  Equal positions carry
+        equal coefficients, so the positions key a sequence, and each
+        product is built once."""
+        table = {}
+        for chamber in chambers:
+            seq = self.ordered(chamber)
+            table.setdefault(tuple((i, j) for i, j, _ in seq), [seq, 0])[1] += 1
+        n = self.basis.n
+        return [(_elementary_product(n, n, seq), count)
+                for seq, count in table.values()]
+
 
 def _elementary_product(n: int, nvars: int, factors) -> PolyMatrix:
     """prod_k (I + c_k E_{i_k j_k}) over (i, j, c) in factors, leftmost first.
@@ -336,26 +350,22 @@ def _elementary_product(n: int, nvars: int, factors) -> PolyMatrix:
     return m
 
 
-def _stokes_data(n: int, factors: list, p: Optional[int]) -> StokesData:
-    """The product of the rank-n factors, reduced mod (s)^p when p is given,
-    checked unipotent for the order they induce."""
-    product = _elementary_product(n, n, factors)
-    if p is not None:
-        product = product.truncate(p)
-    order = _index_order(n, [(i, j) for (i, j, _) in factors])
-    if not product.is_unipotent_wrt(order):
-        raise ChamberError("product is not unipotent for the induced order")
-    return StokesData(order, factors, product)
-
-
 def stokes_product(basis: Basis, e: EulerForm, model: DTModel, chamber: Chamber,
                    p: Optional[int] = None) -> StokesData:
-    """Clockwise ordered product of the chamber's elementary factors.
+    """Clockwise ordered product of the chamber's elementary factors,
+    checked unipotent for the order they induce.
 
     With p given, factors of classes of length >= p are dropped and the
     exact product is reduced once mod (s)^p; with p absent it is exact.
     """
-    return _stokes_data(basis.n, _Factors(basis, e, model, p).ordered(chamber), p)
+    factors = _Factors(basis, e, model, p).ordered(chamber)
+    product = _elementary_product(basis.n, basis.n, factors)
+    if p is not None:
+        product = product.truncate(p)
+    order = _index_order(basis.n, [(i, j) for (i, j, _) in factors])
+    if not product.is_unipotent_wrt(order):
+        raise ChamberError("product is not unipotent for the induced order")
+    return StokesData(order, factors, product)
 
 
 def natural_lifts(basis: Basis, e: EulerForm, model: DTModel,
@@ -363,12 +373,12 @@ def natural_lifts(basis: Basis, e: EulerForm, model: DTModel,
     """Distinct exact products of the chambers' mod-(s)^p factors, sorted by
     key.
 
-    The factors kept at order p are exact, so each is its own lift.  All
-    returned matrices agree mod (s)^p (checked, LiftDisagreement otherwise).
+    The factors kept at order p are exact, so each is its own lift.  One
+    product is built per distinct ordered factor sequence, not per chamber.
+    All returned matrices agree mod (s)^p (checked, LiftDisagreement
+    otherwise).
     """
-    factors = _Factors(basis, e, model, p)
-    values = {_elementary_product(basis.n, basis.n, factors.ordered(chamber))
-              for chamber in chambers}
+    values = {prod for prod, _ in _Factors(basis, e, model, p).products(chambers)}
     if len({m.truncate(p) for m in values}) > 1:
         raise LiftDisagreement("chamber products disagree below the stated order")
     return sorted(values, key=PolyMatrix.key)
@@ -581,31 +591,26 @@ def verify_an_jet(n: int, samples: int = 400) -> dict:
     """Check that every sampled linear-quiver chamber yields the bidiagonal
     Stokes matrix exactly, and that the mod-(s)^(n+1) lifted products agree.
 
-    Chambers with the same ordered factor sequence share one product, so
-    each distinct chamber and each distinct product is built once.  Returns
-    a report dict; ``ok`` is True when every chamber product equals
-    an_stokes(n) and the natural lifts at order n+1 take a single value;
-    ``mismatched_chambers`` counts chambers, ``distinct_products`` products
-    and ``lift_values_mod_n_plus_1`` the distinct products mod (s)^(n+1),
-    so chambers that disagree give a failing report rather than an error.
+    Each distinct chamber is built once, and the chambers share one product
+    table, so each distinct ordered factor sequence is multiplied out once;
+    every product is compared with an_stokes(n), so none is checked for
+    unipotency.  Returns a report dict; ``ok`` is True when every chamber
+    product equals an_stokes(n) and the natural lifts at order n+1 take a
+    single value; ``mismatched_chambers`` counts chambers,
+    ``distinct_products`` products and ``lift_values_mod_n_plus_1`` the
+    distinct products mod (s)^(n+1), so chambers that disagree give a
+    failing report rather than an error.
     """
     if not 2 <= n <= 5:
         raise ValueError("desk-scale check supports 2 <= n <= 5")
-    basis = Basis.triangular(n)
-    factors = _Factors(basis, euler_form(linear_quiver(n)), DTModel.an_intervals(),
-                       None)
     chambers = enumerate_an_chambers(n, samples)
+    # an interval has length <= n, so no factor is dropped at order n + 1
+    # and the natural lift of a chamber is its exact product
+    if any(lv_len(v) > n for ch in chambers for v in ch.active):
+        raise ChamberError(f"chamber with an active class longer than {n}")
+    products = _Factors(Basis.triangular(n), euler_form(linear_quiver(n)),
+                        DTModel.an_intervals(), None).products(chambers)
     expected = an_stokes(n)
-    sequences = {}
-    for ch in chambers:
-        # an interval has length <= n, so no factor is dropped at order
-        # n + 1 and the natural lift of a chamber is its exact product
-        if any(lv_len(v) > n for v in ch.active):
-            raise ChamberError(f"chamber with an active class longer than {n}")
-        seq = factors.ordered(ch)
-        sequences.setdefault(tuple((i, j) for i, j, _ in seq), [seq, 0])[1] += 1
-    products = [(_stokes_data(n, seq, None).product, count)
-                for seq, count in sequences.values()]
     mismatches = sum(count for prod, count in products if prod != expected)
     lifts = {prod.truncate(n + 1) for prod, _ in products}
     ok = not mismatches and len(lifts) == 1

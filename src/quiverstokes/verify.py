@@ -147,19 +147,14 @@ def _pipeline_fixtures() -> list:
     return [*_family_fixtures(), *_annulus_fixtures()]
 
 
-def fixture_matrices_sj(fixtures=None) -> dict:
-    """Unit-point evaluations of every mutation-family fixture, recomputed
-    through the pipeline (not read off the stored matrices).  ``fixtures``
-    defaults to a fresh ``_pipeline_fixtures()``."""
-    if fixtures is None:
-        fixtures = _pipeline_fixtures()
+def fixture_matrices_sj(fixtures: list) -> dict:
+    """Unit-point evaluations of the pipeline products of ``fixtures``, as
+    ``_pipeline_fixtures`` lists them (not read off the stored matrices)."""
     return {id_: prod.evaluate(joyce_point(prod.nvars))
             for id_, prod, _, _ in fixtures}
 
 
-def check_mutation_tables(fixtures=None) -> list[CheckLine]:
-    if fixtures is None:
-        fixtures = _pipeline_fixtures()
+def check_mutation_tables(fixtures: list) -> list[CheckLine]:
     return [CheckLine(f"{id_}: pipeline product", prod == expected,
                       "product differs from fixture", note)
             for id_, prod, expected, note in fixtures]
@@ -204,7 +199,7 @@ def check_an_jets() -> list[CheckLine]:
 # Scope: braiding identities
 # ---------------------------------------------------------------------------
 
-def check_relations(fixtures=None) -> list[CheckLine]:
+def check_relations(fixtures: list) -> list[CheckLine]:
     return _replay(_load("relations.json")["relations"],
                    fixture_matrices_sj(fixtures))
 
@@ -221,8 +216,6 @@ def _replay(relations, mats: dict) -> list[CheckLine]:
             return mats[ref["ref"]]
         if ref.get("annulus_printed_S"):
             return pm_from_json(annulus["printed_S"], nvars=3).evaluate(joyce_point(3))
-        if ref.get("annulus_printed_Sprime"):
-            return mats["annulus/double"]
         raise ValueError(f"unresolvable reference {ref!r}")
 
     lines = []
@@ -262,19 +255,19 @@ def check_mutation_theorem() -> list[CheckLine]:
     return check_mutation_tables(fixtures) + check_relations(fixtures)
 
 
+# Every scope of `verify-paper`, in the order the CLI lists them.
 SCOPES = {
     "tables": check_tables,
     "an_jets": check_an_jets,
     "mutation_theorem": check_mutation_theorem,
     "annulus": check_annulus,
-    "braid_relations": check_relations,
+    "braid_relations": lambda: check_relations(_pipeline_fixtures()),
+    "all": lambda: check_tables() + check_an_jets() + check_mutation_theorem(),
 }
 
 
 def run_scope(scope: str) -> list[CheckLine]:
-    if scope == "all":
-        return check_tables() + check_an_jets() + check_mutation_theorem()
+    """The check lines of one ``SCOPES`` entry."""
     if scope not in SCOPES:
-        raise ValueError(f"unknown scope {scope!r}; choose from "
-                         f"{sorted(SCOPES)} or 'all'")
+        raise ValueError(f"unknown scope {scope!r}; choose from {list(SCOPES)}")
     return SCOPES[scope]()

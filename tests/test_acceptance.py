@@ -97,7 +97,7 @@ def test_criterion_4_mutation_class_matrices():
     """Every tabulated rank-4 and rank-5 mutation Stokes matrix is
     reproduced from mutation_basis + stokes_product over its chamber."""
     with Budget("4 mutation-class Stokes matrices", 30):
-        lines = verify.check_mutation_tables()
+        lines = verify.check_mutation_tables(verify._pipeline_fixtures())
         bad = [l for l in lines if not l.ok]
         assert not bad, [l.render() for l in bad]
         a4 = [l for l in lines if l.id.startswith("a4/")]
@@ -111,7 +111,7 @@ def test_criterion_5_braid_identities():
     outcome; the three misprinted identities fail as printed and their
     corrected twins pass."""
     with Budget("5 braiding identities", 10):
-        lines = verify.check_relations()
+        lines = verify.check_relations(verify._pipeline_fixtures())
         bad = [l for l in lines if not l.ok]
         assert not bad, [l.render() for l in bad]
         printed_misprints = [l for l in lines if "(as printed)" in l.id]
@@ -126,7 +126,7 @@ def test_criterion_6_orbit_certification():
     rank 2..5 linear quivers against the linear-quiver matrix, within
     depth 12 and entry bound 64, and every certificate replays exactly."""
     with Budget("6 orbit-search certification", 300):
-        mats = verify.fixture_matrices_sj()
+        mats = verify.fixture_matrices_sj(verify._pipeline_fixtures())
         listed = [(n, e["id"]) for n, e in verify._family_entries()
                   if e.get("listed", True)]
         assert len(listed) == 26

@@ -375,6 +375,10 @@ class TestOrbitSearch:
             with pytest.raises(ValueError, match=message):
                 orbit_search(((1, 2), (0, 1)), target, **bounds)
 
+    def test_rejects_empty_matrices(self):
+        with pytest.raises(ValueError, match="matrices of size at least 1"):
+            orbit_search((), ())
+
     def test_rejects_entries_beyond_int64(self):
         with pytest.raises(ValueError, match="int64"):
             orbit_search(((1, 2 ** 70), (0, 1)), ((1, 1), (0, 1)))

@@ -15,7 +15,8 @@ from quiverstokes.quiver import apply_word, linear_quiver
 from quiverstokes.serialize import (basis_to_json, quiver_to_json,
                                     rational_matrix_to_json)
 from quiverstokes.stokes import DTModel, an_stokes, extension_actives
-from quiverstokes.verify import _family_entries, fixture_matrices_sj
+from quiverstokes.verify import (_family_entries, _pipeline_fixtures,
+                                 fixture_matrices_sj)
 
 
 # the child process imports the package the tests import, from a checkout
@@ -209,6 +210,13 @@ class TestErrors:
         ("goodness", [{"n": 3, "arrows": [[0, 1, 0], [0, 0, 1], [0, 0, 0]]},
                       {"rows": [[1]]}],
          "rank mismatch"),
+        ("mutate", [{"n": True, "arrows": [[False]]}],
+         "field 'n' must be an integer, got True"),
+        ("mutate", [{"n": 1, "arrows": [[False]]}],
+         "field 'arrows' must be a list of lists of numbers"),
+        ("equiv", [[[True, 2], [False, True]], [["1", "2"], ["0", "1"]]],
+         "field 'matrix' must be a list of lists of numbers"),
+        ("equiv", [[], []], "orbit search needs matrices of size at least 1"),
     ])
     def test_library_error_is_one_line(self, tmp_path, command, files, message):
         paths = []
@@ -280,6 +288,14 @@ class TestErrors:
         ("--chamber", {"Z": [["-1", "1"], ["0", "1"], ["1", "1"]],
                        "active": [[1, 0, 0]], "dt": {"1,0": "7"}},
          "field 'dt' class '1,0' has rank 2, the chamber has rank 3"),
+        ("--chamber", {"Z": [["-1", "1"], ["0", "1"], ["1", True]],
+                       "active": [[1, 0, 0]]},
+         "field 'Z' must be a list of pairs of numbers"),
+        ("--chamber", {"Z": [["-1", "1"], ["0", "1"], ["1", "1"]],
+                       "active": [[1, 0, 0]], "dt": {"1,0,0": True}},
+         "field 'dt' must hold finite rationals, got True"),
+        ("--basis", {"rows": [[1, 0, 0], [0, True, 0], [0, 0, 1]]},
+         "field 'rows' must be a list of lists of numbers"),
     ])
     def test_malformed_basis_or_chamber_file(self, tmp_path, a3_file, flag,
                                              content, message):
@@ -800,7 +816,7 @@ class TestPinnedOutput:
     }
 
     def test_equiv_on_disguised_pairs(self, capsys, tmp_path):
-        values = fixture_matrices_sj()
+        values = fixture_matrices_sj(_pipeline_fixtures())
         seen = {}
         for fid, sigma1, signs1, sigma2, signs2 in self.EQUIV_PAIRS:
             n = len(sigma1)
@@ -818,3 +834,15 @@ class TestPinnedOutput:
             assert ["perm" in mv for mv in word[:1] + word[-2:]] == [True] * 3
             seen[fid] = hashlib.sha256(out.encode()).hexdigest()
         assert seen == self.EQUIV_DISGUISED
+
+
+def test_verify_paper_scopes_are_the_scope_table():
+    parser = quiverstokes.cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command")
+    scope = next(a for a in commands.choices["verify-paper"]._actions
+                 if a.dest == "scope")
+    assert list(scope.choices) == list(quiverstokes.verify.SCOPES)
+    assert scope.choices[-1] == "all"
+    with pytest.raises(ValueError) as err:
+        quiverstokes.verify.run_scope("nope")
+    assert all(repr(name) in str(err.value) for name in scope.choices)

@@ -768,8 +768,8 @@ class TestVerifyAnJetBuildsEachProductOnce:
         sequences = {tuple(stokes_product(basis, e, model, ch).factor_positions())
                      for ch in chambers}
         built = []
-        original = stokes_mod._stokes_data
-        monkeypatch.setattr(stokes_mod, "_stokes_data",
+        original = stokes_mod._elementary_product
+        monkeypatch.setattr(stokes_mod, "_elementary_product",
                             lambda *a: built.append(a) or original(*a))
         monkeypatch.setattr(stokes_mod, "natural_lifts", None)
         rep = verify_an_jet(n, 150)
@@ -780,8 +780,8 @@ class TestVerifyAnJetBuildsEachProductOnce:
 
     def test_two_calls_do_the_same_work(self, monkeypatch):
         built = []
-        original = stokes_mod._stokes_data
-        monkeypatch.setattr(stokes_mod, "_stokes_data",
+        original = stokes_mod._elementary_product
+        monkeypatch.setattr(stokes_mod, "_elementary_product",
                             lambda *a: built.append(a) or original(*a))
         reports = [verify_an_jet(4, 150) for _ in range(2)]
         assert reports[0] == reports[1]
@@ -794,6 +794,51 @@ class TestVerifyAnJetBuildsEachProductOnce:
                             lambda n, samples: [long])
         with pytest.raises(ChamberError, match="longer than 2"):
             verify_an_jet(2)
+
+
+@functools.lru_cache(maxsize=None)
+def sampled_an_chambers(n):
+    return tuple(enumerate_an_chambers(n, 150))
+
+
+class TestProductTable:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_table_groups_the_chamber_products(self, data):
+        # sampled chambers drawn with repeats and in random order, random
+        # nonzero interval counts so that distinct sequences give distinct
+        # products, and every truncation order that drops factors or none
+        n = data.draw(st.integers(2, 5))
+        pool = sampled_an_chambers(n)
+        chambers = [pool[k] for k in data.draw(
+            st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))]
+        model = DTModel.table({
+            stokes_mod._interval_class(n, i, j).coords:
+                data.draw(st.sampled_from([-2, -1, 1, 2]))
+            for i in range(1, n + 1) for j in range(i, n + 1)})
+        p = data.draw(st.sampled_from([None, *range(1, n + 2)]))
+        basis, e = Basis.triangular(n), euler_form(linear_quiver(n))
+        oracle = stokes_mod._Factors(basis, e, model, p)
+        groups = {}
+        for ch in chambers:
+            seq = oracle.ordered(ch)
+            prod = stokes_mod._elementary_product(n, n, seq)
+            group = groups.setdefault(tuple((i, j) for i, j, _ in seq), [prod, 0])
+            assert group[0] == prod
+            group[1] += 1
+        table = stokes_mod._Factors(basis, e, model, p).products(chambers)
+        assert table == [(prod, count) for prod, count in groups.values()]
+
+    def test_natural_lifts_builds_one_product_per_sequence(self, monkeypatch):
+        chambers = enumerate_an_chambers(5, 400)
+        built = []
+        original = stokes_mod._elementary_product
+        monkeypatch.setattr(stokes_mod, "_elementary_product",
+                            lambda *a: built.append(a) or original(*a))
+        lifts = natural_lifts(Basis.triangular(5), euler_form(linear_quiver(5)),
+                              DTModel.an_intervals(), chambers, 6)
+        assert lifts == [an_stokes(5)]
+        assert (len(chambers), len(built)) == (247, 82)
 
 
 class TestJetCheckErrors:
