@@ -19,6 +19,11 @@ update of those two rows followed by the same update of those two columns:
 ``_kernels.braid_apply``, the same code for the int64 stacks of the orbit
 search and for the exact ``Fraction`` and ``TruncatedPoly`` entries handled
 here as numpy object arrays.
+
+``_move`` is the one function that checks and applies a move to exact
+entries; every move, alone or in a ``BraidWord``, goes through it.
+``_entries`` and ``_like`` are the only boundary between a matrix and its
+object array, and a word crosses it once, not once per move.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .algebra import PolyMatrix, _as_fraction, _index_order
 
 RationalMatrix = tuple  # tuple of tuples of Fractions
 MatrixLike = Union[PolyMatrix, tuple, list]
+Move = tuple  # ("braid", i, +1/-1) | ("perm", sigma) | ("sign", k or vec)
 
 
 # ---------------------------------------------------------------------------
@@ -65,27 +71,53 @@ def _like(A: MatrixLike, arr: np.ndarray):
     return tuple(map(tuple, arr.tolist()))
 
 
-def _braid(i: int, A: MatrixLike, forward: bool):
-    a = _entries(A)
-    n = len(a)
-    if any(a[k, k] != 1 for k in range(n)):
-        raise ValueError("matrix must have unit diagonal")
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"braid index {i} out of range 1..{n - 1}")
-    if a[i - 1, i] != 0 and a[i, i - 1] != 0:
-        raise ValueError("matrix is not unipotent for any order at the braid position")
-    return _like(A, _kernels.braid_apply(a[None], i - 1, forward)[0])
+def _move(mv: Move, a: np.ndarray) -> np.ndarray:
+    """The move ``mv`` checked against and applied to the (n, n) object
+    array ``a`` of exact entries; a braid move is forward when mv[2] > 0."""
+    kind, n = mv[0], len(a)
+    if kind == "braid":
+        i = mv[1]
+        if any(a[k, k] != 1 for k in range(n)):
+            raise ValueError("matrix must have unit diagonal")
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"braid index {i} out of range 1..{n - 1}")
+        if a[i - 1, i] != 0 and a[i, i - 1] != 0:
+            raise ValueError("matrix is not unipotent for any order at the braid position")
+        return _kernels.braid_apply(a[None], i - 1, mv[2] > 0)[0]
+    if kind == "perm":
+        sigma = tuple(int(s) for s in mv[1])
+        if sorted(sigma) != list(range(1, len(sigma) + 1)):
+            raise ValueError("not a permutation of 1..n")
+        if len(sigma) != n:
+            raise ValueError(f"permutation of length {len(sigma)} for a "
+                             f"{n} x {n} matrix")
+        return _conj_np(sigma, a)
+    if kind == "sign":
+        if isinstance(mv[1], int):
+            if not 1 <= mv[1] <= n:
+                raise ValueError(f"sign index {mv[1]} out of range 1..{n}")
+            d = tuple(-1 if t == mv[1] - 1 else 1 for t in range(n))
+        else:
+            d = tuple(int(x) for x in mv[1])
+            if len(d) != n or any(x not in (1, -1) for x in d):
+                raise ValueError("sign vector must consist of +-1 of length n")
+        return a * np.outer(d, d)
+    raise ValueError(f"unknown move {mv!r}")
+
+
+def apply_move(mv: Move, A: MatrixLike):
+    return _like(A, _move(mv, _entries(A)))
 
 
 def beta(i: int, A: MatrixLike):
     """Forward braiding action at (i, i+1); accepts rational or polynomial
     matrices with unit diagonal."""
-    return _braid(i, A, True)
+    return _like(A, _move(("braid", i, 1), _entries(A)))
 
 
 def beta_inv(i: int, A: MatrixLike):
     """Inverse braiding action at (i, i+1)."""
-    return _braid(i, A, False)
+    return _like(A, _move(("braid", i, -1), _entries(A)))
 
 
 def _inverse_permutation(sigma) -> tuple:
@@ -111,14 +143,7 @@ def perm_conj(sigma, A: MatrixLike):
     (P A P^-1)[sigma(i), sigma(j)] = A[i, j]; output triangularity is not
     guaranteed and is re-checked by callers that need it.
     """
-    sigma = tuple(int(s) for s in sigma)
-    if sorted(sigma) != list(range(1, len(sigma) + 1)):
-        raise ValueError("not a permutation of 1..n")
-    a = _entries(A)
-    if len(sigma) != len(a):
-        raise ValueError(f"permutation of length {len(sigma)} for a "
-                         f"{len(a)} x {len(a)} matrix")
-    return _like(A, _conj_np(sigma, a))
+    return _like(A, _move(("perm", sigma), _entries(A)))
 
 
 def sign_conj(k_or_vec, A: MatrixLike):
@@ -127,38 +152,23 @@ def sign_conj(k_or_vec, A: MatrixLike):
     Accepts a single 1-based index (flip that one sign) or a full vector
     of +-1.  Involutive.
     """
-    a = _entries(A)
-    d = _sign_vector(k_or_vec, len(a))
-    return _like(A, a * np.outer(d, d))
-
-
-def _sign_vector(k_or_vec, n) -> tuple:
-    if isinstance(k_or_vec, int):
-        if not 1 <= k_or_vec <= n:
-            raise ValueError(f"sign index {k_or_vec} out of range 1..{n}")
-        return tuple(-1 if t == k_or_vec - 1 else 1 for t in range(n))
-    d = tuple(int(x) for x in k_or_vec)
-    if len(d) != n or any(x not in (1, -1) for x in d):
-        raise ValueError("sign vector must consist of +-1 of length n")
-    return d
+    return _like(A, _move(("sign", k_or_vec), _entries(A)))
 
 
 # ---------------------------------------------------------------------------
 # Words of moves
 # ---------------------------------------------------------------------------
 
-Move = tuple  # ("braid", i, +1/-1) | ("perm", sigma) | ("sign", vec)
-
-
 @dataclass(frozen=True)
 class BraidWord:
     moves: tuple
 
     def apply(self, A: MatrixLike):
-        m = A
+        """The moves, left to right, on one array of A's entries."""
+        a = _entries(A)
         for mv in self.moves:
-            m = apply_move(mv, m)
-        return m
+            a = _move(mv, a)
+        return _like(A, a)
 
     def inverse(self) -> "BraidWord":
         out = []
@@ -173,17 +183,6 @@ class BraidWord:
 
     def __len__(self):
         return len(self.moves)
-
-
-def apply_move(mv: Move, A: MatrixLike):
-    kind = mv[0]
-    if kind == "braid":
-        return beta(mv[1], A) if mv[2] > 0 else beta_inv(mv[1], A)
-    if kind == "perm":
-        return perm_conj(mv[1], A)
-    if kind == "sign":
-        return sign_conj(mv[1], A)
-    raise ValueError(f"unknown move {mv!r}")
 
 
 @dataclass

@@ -23,8 +23,8 @@ from .braid import orbit_search
 from .goodness import (check_quadratic, check_vanishing_p3, find_good_quivers,
                        mutation_basis)
 from .quiver import apply_word, euler_form
-from .serialize import (basis_from_json, certificate_to_json, chamber_from_json,
-                        dt_model_from_chamber_json, dumps, frac_str,
+from .serialize import (_ints, basis_from_json, certificate_to_json,
+                        chamber_from_json, dt_model_from_chamber_json, dumps, frac_str,
                         parse_frac, poly_to_json, quiver_from_json, quiver_to_json,
                         rational_matrix_from_json, rational_matrix_to_json,
                         stokes_data_to_json)
@@ -40,11 +40,13 @@ def _read_json(path: str) -> dict:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _parse_word(text: str) -> list[int]:
-    text = text.strip().strip("[]")
+def _parse_word(text: str) -> tuple:
+    """Comma-separated vertices, optionally in brackets; each item must be
+    one integer, so spaces never join two vertices."""
+    text = text.strip().strip("[]").strip()
     if not text:
-        return []
-    return [int(t) for t in text.replace(" ", "").split(",")]
+        return ()
+    return _ints([t.strip() for t in text.split(",")], "--word")
 
 
 def _parse_point(text: str, n: int):
@@ -53,6 +55,9 @@ def _parse_point(text: str, n: int):
     if text == "0":
         return [Fraction(0)] * n
     parts = text.split(",")
+    if n > 1 and len(parts) == 1:
+        raise ValueError(f"field '--eval' must be sJ, 0 or {n} comma-separated "
+                         f"rationals, got {text!r}")
     if len(parts) != n:
         raise ValueError(f"evaluation point needs {n} coordinates")
     return [parse_frac(p, "--eval") for p in parts]

@@ -152,12 +152,14 @@ def _clockwise(rays: list) -> list:
     argument in (0, pi].
 
     A comparison sort compares every two entries that end up adjacent, so
-    two labels on one ray always meet, and raise RayCollision.
+    two labels on one ray always meet, and raise RayCollision.  One cross
+    product decides a comparison: zero collides, negative puts a first.
     """
     def cmp(a, b):
-        if a[1][0] * b[1][1] - a[1][1] * b[1][0] == 0:
+        cross = a[1][0] * b[1][1] - a[1][1] * b[1][0]
+        if cross == 0:
             raise RayCollision(f"classes {a[0]} and {b[0]} lie on the same ray")
-        return -1 if _arg_greater(a[1], b[1]) else 1
+        return -1 if cross < 0 else 1
 
     return [v for v, _ in sorted(rays, key=functools.cmp_to_key(cmp))]
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quiverstokes import _kernels
+from quiverstokes import _kernels, braid
 from quiverstokes.algebra import PolyMatrix, TruncatedPoly, joyce_point
 from quiverstokes.braid import (_MOVE_ENTRY_LIMIT, BraidWord, apply_move,
                                 beta, beta_inv, orbit_search, perm_conj,
@@ -254,6 +254,74 @@ class TestWord:
             word = BraidWord(tuple(moves))
             assert word.apply(a) == current
             assert word.inverse().apply(current) == a
+
+    def test_polynomial_words(self):
+        # a word on a PolyMatrix is the moves one by one, and evaluating
+        # afterwards is the word on the evaluated matrix
+        rng = random.Random(71)
+        for _ in range(30):
+            n = rng.randint(2, 4)
+            m = an_stokes(n)
+            moves, current = [], m
+            for _ in range(rng.randint(1, 5)):
+                kind = rng.choice(("braid", "perm", "sign"))
+                if kind == "braid":
+                    mv = ("braid", rng.randint(1, n - 1), rng.choice((1, -1)))
+                elif kind == "perm":
+                    mv = ("perm", tuple(rng.sample(range(1, n + 1), n)))
+                else:
+                    mv = ("sign", rng.randint(1, n))
+                try:
+                    current = apply_move(mv, current)
+                except ValueError:
+                    continue
+                moves.append(mv)
+            word = BraidWord(tuple(moves))
+            out = word.apply(m)
+            assert isinstance(out, PolyMatrix) and out == current
+            point = joyce_point(n)
+            assert out.evaluate(point) == word.apply(m.evaluate(point))
+            assert word.inverse().apply(out) == m
+
+    @pytest.mark.parametrize("bad,message", [
+        (("braid", 1, 1),
+         "matrix is not unipotent for any order at the braid position"),
+        (("perm", (1, 1, 2, 3)), "not a permutation of 1..n"),
+        (("sign", (1, 0, 1, 1)), "sign vector must consist of +-1 of length n"),
+    ])
+    def test_invalid_move_in_a_word(self, bad, message):
+        # rows and columns 1, 2 are left alone by the prefix, so the braid
+        # position (1, 2) stays blocked
+        a = F([[1, 2, 0, 0], [3, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+        prefix = (("sign", 4), ("perm", (1, 2, 3, 4)), ("braid", 3, 1))
+        current = a
+        for mv in prefix:
+            current = apply_move(mv, current)
+        with pytest.raises(ValueError) as alone:
+            apply_move(bad, current)
+        with pytest.raises(ValueError) as in_word:
+            BraidWord(prefix + (bad, ("sign", 1))).apply(a)
+        assert str(in_word.value) == str(alone.value) == message
+
+    @pytest.mark.parametrize("length", [0, 1, 7, 40])
+    def test_word_converts_its_matrix_once(self, monkeypatch, length):
+        calls, entries = [], braid._entries
+
+        def counting(A):
+            calls.append(A)
+            return entries(A)
+
+        monkeypatch.setattr(braid, "_entries", counting)
+        a = random_unipotent(4, random.Random(length))
+        word = BraidWord(tuple(("braid", 1 + k % 3, 1) if k % 2 else
+                               ("sign", 1 + k % 4) for k in range(length)))
+        out = word.apply(a)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        expected = a
+        for mv in word.moves:
+            expected = apply_move(mv, expected)
+        assert out == expected
 
 
 class TestOrbitSearch:

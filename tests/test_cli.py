@@ -398,6 +398,38 @@ class TestErrors:
         assert out.stderr.splitlines()[-1].startswith(
             "quiverstokes verify-paper: error: argument scope")
 
+    @pytest.mark.parametrize("word,bad", [("1 2", "1 2"), ("1.5", "1.5"),
+                                          ("1,,2", ""), ("true", "true"),
+                                          ("[1, 2 3]", "2 3")])
+    def test_word_item_that_is_not_one_integer(self, a3_file, word, bad):
+        out = run_cli("mutate", a3_file, "--word", word)
+        assert (out.returncode, out.stdout, out.stderr) == \
+            (2, "", f"quiverstokes: error: field '--word' must hold integers, "
+                    f"got {bad!r}\n")
+
+    def test_spaced_word_is_not_read_as_one_vertex(self, tmp_path):
+        # on a rank-12 quiver, "1 2" read as 12 would be a valid word
+        path = tmp_path / "a12.json"
+        path.write_text(json.dumps(quiver_to_json(linear_quiver(12))))
+        out = run_cli("mutate", str(path), "--word", "1 2")
+        assert (out.returncode, out.stdout, out.stderr) == \
+            (2, "", "quiverstokes: error: field '--word' must hold integers, "
+                    "got '1 2'\n")
+
+    @pytest.mark.parametrize("point", ["sj", "SJ", "5", "x"])
+    def test_evaluation_point_that_is_one_unknown_token(self, a3_file, point):
+        out = run_cli("stokes", a3_file, "--eval", point)
+        assert (out.returncode, out.stdout, out.stderr) == \
+            (2, "", f"quiverstokes: error: field '--eval' must be sJ, 0 or 3 "
+                    f"comma-separated rationals, got {point!r}\n")
+
+    @pytest.mark.parametrize("word", ["2,1", "[2, 1]", " 2 , 1 ", "", "[]"])
+    def test_word_forms_that_parse(self, capsys, a3_file, word):
+        expected = apply_word(linear_quiver(3), [2, 1] if word.strip("[] ")
+                              else [])
+        assert main(["mutate", a3_file, "--word", word]) == 0
+        assert json.loads(capsys.readouterr().out) == quiver_to_json(expected)
+
 
 def stdout_sha256(capsys, argv):
     assert main(argv) == 0
