@@ -19,16 +19,32 @@ compute without checking them again.
 
 from __future__ import annotations
 
+import numbers
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 
+def _as_int(x) -> int:
+    """``x`` as an int when it is a whole number: an int or numpy integer
+    (not a bool), an integral float, or a string of plain ASCII digits with
+    an optional sign.  Anything else raises ValueError, where int() would
+    truncate 1.5 and read True, '1_0', ' 7 ' or a non-ASCII digit."""
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return int(x)
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    if isinstance(x, str) and re.fullmatch(r"[+-]?[0-9]+", x):
+        return int(x)
+    raise ValueError(f"not an integer: {x!r}")
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
@@ -46,7 +62,8 @@ class LatticeVector:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(
+            c if type(c) is int else _as_int(c) for c in self.coords))
 
     @property
     def rank(self) -> int:
@@ -111,7 +128,7 @@ class TruncatedPoly:
         self.nvars = int(nvars)
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in terms.items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(e if type(e) is int else _as_int(e) for e in exps)
             if len(exps) != self.nvars:
                 raise ValueError("exponent vector has wrong length")
             if any(e < 0 for e in exps):

@@ -20,7 +20,8 @@ of conditions hold:
 
 `check_quadratic` and `check_vanishing_p3` return the list of violated
 conditions, as (kind, indices, detail) triples; an empty list means the
-conditions hold.
+conditions hold.  The two checks, `basis_domain` and `find_good_quivers`
+read every len(alpha_a - alpha_b) from one table, `_lengths(basis)`.
 
 Given a basis and a scale lambda, `find_good_quivers` solves
 <a_i, a_j> = eps_ij * lambda for the skew form, transports it to the simple
@@ -35,6 +36,7 @@ lambda in range and as the parameter out of range.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,13 +44,20 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Basis, LatticeVector, TruncatedPoly, lv_len
+from .algebra import Basis, LatticeVector, TruncatedPoly
 from .quiver import EulerForm, Quiver, euler_form
 
 
 # ---------------------------------------------------------------------------
 # Checks
 # ---------------------------------------------------------------------------
+
+def _lengths(basis: Basis) -> list:
+    """The symmetric table length[a][b] = len(alpha_a - alpha_b), 0-based."""
+    coords = [r.coords for r in basis.rows]
+    return [[sum(abs(x - y) for x, y in zip(ra, rb)) for rb in coords]
+            for ra in coords]
+
 
 def check_quadratic(basis: Basis, e: EulerForm, p: int) -> list:
     """Violations of the quadratic conditions at order p (p >= 3), as
@@ -65,9 +74,10 @@ def check_quadratic(basis: Basis, e: EulerForm, p: int) -> list:
         raise ValueError("rank mismatch")
     rows = basis.rows
     g = [[e.pairing(a, b) for b in rows] for a in rows]
+    length = _lengths(basis)
     found = {}
     for i, j in itertools.permutations(range(len(rows)), 2):
-        if lv_len(rows[j] - rows[i]) >= p:
+        if length[j][i] >= p:
             continue
         for k in range(len(rows)):
             if k == i or k == j:
@@ -87,22 +97,15 @@ def check_vanishing_p3(basis: Basis) -> list:
 
     The only way a pair can fail is a difference of length exactly 2 that
     does not split as (alpha_j - alpha_k) + (alpha_k - alpha_i) with both
-    parts of length 1.
+    parts of length 1; the table is symmetric, so row i gives the second
+    part, and k = i or j gives a part of length 0.
     """
-    n = basis.n
-    violations = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            gamma = basis.diff(j, i)
-            if lv_len(gamma) != 2:
-                continue
-            has_split = any(
-                lv_len(basis.diff(j, k)) == 1 and lv_len(basis.diff(k, i)) == 1
-                for k in range(1, n + 1) if k != i and k != j)
-            if not has_split:
-                violations.append(("vanishing", (i, j),
-                                   "length-2 difference with no admissible split"))
-    return violations
+    length = _lengths(basis)
+    return [("vanishing", (i + 1, j + 1),
+             "length-2 difference with no admissible split")
+            for i, j in itertools.combinations(range(basis.n), 2)
+            if length[j][i] == 2 and not any(
+                a == 1 and b == 1 for a, b in zip(length[j], length[i]))]
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +118,10 @@ def full_domain(n: int) -> frozenset:
 
 def basis_domain(basis: Basis, p: int) -> frozenset:
     """Pairs (i, j), i < j, with len(alpha_j - alpha_i) < p."""
-    return frozenset((i, j) for i in range(1, basis.n + 1)
-                     for j in range(i + 1, basis.n + 1)
-                     if lv_len(basis.diff(j, i)) < p)
+    length = _lengths(basis)
+    return frozenset((i + 1, j + 1)
+                     for i, j in itertools.combinations(range(basis.n), 2)
+                     if length[j][i] < p)
 
 
 @dataclass(frozen=True)
@@ -278,9 +282,10 @@ def find_good_quivers(basis: Basis, lam: int = 1,
     if check_vanishing_p3(basis):
         raise ValueError("basis fails the order-3 vanishing conditions")
     n = basis.n
-    dom = basis_domain(basis, p)
-    pairs = sorted(dom)
-    free_pairs = sorted(set(full_domain(n)) - dom)
+    length = _lengths(basis)
+    pairs, free_pairs = [], []
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        (pairs if length[j - 1][i - 1] < p else free_pairs).append((i, j))
     params = tuple("k" if len(free_pairs) == 1 else f"k{t+1}"
                    for t in range(len(free_pairs)))
     nparams = len(free_pairs)
@@ -300,7 +305,7 @@ def find_good_quivers(basis: Basis, lam: int = 1,
     free = slices(free_pairs)
     if (free % d2 != 0).any():
         return []
-    tensors = epsilon_solutions(n, dom)
+    tensors = epsilon_solutions(n, pairs)
     signs = np.array([[s for _, s in t.signs] for t in tensors],
                      dtype=np.int64).reshape(len(tensors), len(pairs))
     stack = slices(pairs) * lam
@@ -317,26 +322,22 @@ def find_good_quivers(basis: Basis, lam: int = 1,
     units = [tuple(int(t == s) for t in range(nparams)) for s in range(nparams)]
     param_terms = [dict(zip(units, col)) for col in (-free.T // d2).tolist()]
     origin = (0,) * nparams
-    shared: dict = {}
 
+    @functools.cache
     def arrow(u: int, v: int, c: int):
         """The arrow and its sort key realizing the simple-form entry
         e[u][v], u < v, with constant c, or None when the entry is zero:
         c < 0 gives -c arrows u -> v, c > 0 gives c arrows v -> u, a
         symbolic entry an arrow u -> v of multiplicity -e[u][v]."""
-        key = (u, v, c)
-        if key not in shared:
-            poly = TruncatedPoly(nparams, {origin: c, **param_terms[u * n + v]})
-            found = None
-            if poly:
-                if poly.degree() > 0:
-                    uv, mult = (u + 1, v + 1), -poly
-                else:
-                    uv, m = ((u + 1, v + 1), -c) if c < 0 else ((v + 1, u + 1), c)
-                    mult = TruncatedPoly.constant(nparams, m)
-                found = (uv, mult), (uv, mult.key())
-            shared[key] = found
-        return shared[key]
+        poly = TruncatedPoly(nparams, {origin: c, **param_terms[u * n + v]})
+        if not poly:
+            return None
+        if poly.degree() > 0:
+            uv, mult = (u + 1, v + 1), -poly
+        else:
+            uv, m = ((u + 1, v + 1), -c) if c < 0 else ((v + 1, u + 1), c)
+            mult = TruncatedPoly.constant(nparams, m)
+        return (uv, mult), (uv, mult.key())
 
     keyed = []
     for r, row in zip(keep.tolist(), (consts[keep] // d2).tolist()):

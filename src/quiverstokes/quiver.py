@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LatticeVector
+from .algebra import LatticeVector, _as_int
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,8 @@ class Quiver:
     arrows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        arrows = tuple(tuple(int(a) for a in row) for row in self.arrows)
+        arrows = tuple(tuple(a if type(a) is int else _as_int(a) for a in row)
+                       for row in self.arrows)
         object.__setattr__(self, "arrows", arrows)
         if len(arrows) != self.n or any(len(r) != self.n for r in arrows):
             raise ValueError("arrow matrix must be n x n")
@@ -43,7 +44,7 @@ class Quiver:
         """Build from {(source, target): multiplicity} with 1-based vertices."""
         m = [[0] * n for _ in range(n)]
         for (u, v), k in pairs.items():
-            m[u - 1][v - 1] += int(k)
+            m[u - 1][v - 1] += _as_int(k)
         return cls(n, tuple(tuple(r) for r in m))
 
     def arrow_pairs(self) -> dict[tuple[int, int], int]:
@@ -62,7 +63,8 @@ class EulerForm:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        m = tuple(tuple(int(x) for x in row) for row in matrix)
+        m = tuple(tuple(x if type(x) is int else _as_int(x) for x in row)
+                  for row in matrix)
         n = len(m)
         if any(len(r) != n for r in m):
             raise ValueError("form matrix must be square")
@@ -111,31 +113,24 @@ def euler_form(q: Quiver) -> EulerForm:
 def mutate(q: Quiver, k: int) -> Quiver:
     """Mutation at vertex k (1-based).
 
-    Reverses all arrows incident to k, adds a composite arrow i -> j for
-    every path i -> k -> j, then cancels opposite arrow pairs.
+    With a the arrow counts, for i, j != k there are
+
+        max(a_ij - a_ji + a_ik a_kj - a_jk a_ki, 0)
+
+    arrows i -> j, and row and column k are the transposes of the old ones.
+    This is the exchange-matrix rule b'_ij = b_ij + (|b_ik| b_kj +
+    b_ik |b_kj|) / 2 for b_ij = a_ij - a_ji (Fomin-Zelevinsky), read on
+    arrow counts: reverse the arrows at k, add an arrow i -> j for every
+    path i -> k -> j, cancel opposite pairs.
     """
     if not 1 <= k <= q.n:
         raise ValueError(f"vertex {k} out of range 1..{q.n}")
-    n = q.n
-    k -= 1
-    a = [list(row) for row in q.arrows]
-    b = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == k or j == k:
-                continue
-            b[i][j] = a[i][j] + a[i][k] * a[k][j]
-    for i in range(n):
-        b[i][k] = a[k][i]
-        b[k][i] = a[i][k]
-    # cancel opposite pairs created by the composite arrows
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = min(b[i][j], b[j][i])
-            if c:
-                b[i][j] -= c
-                b[j][i] -= c
-    return Quiver(n, tuple(tuple(r) for r in b))
+    n, a, k = q.n, q.arrows, k - 1
+    return Quiver(n, tuple(
+        tuple(a[j][i] if k == i or k == j else
+              max(a[i][j] - a[j][i] + a[i][k] * a[k][j] - a[j][k] * a[k][i], 0)
+              for j in range(n))
+        for i in range(n)))
 
 
 def apply_word(q: Quiver, word) -> Quiver:

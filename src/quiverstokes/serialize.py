@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Basis, LatticeVector, PolyMatrix, TruncatedPoly
+from .algebra import Basis, LatticeVector, PolyMatrix, TruncatedPoly, _as_int
 from .braid import EquivalenceCertificate
 from .quiver import Quiver
 from .stokes import Chamber, DTModel, StokesData
@@ -31,38 +31,26 @@ def _field(data, name: str):
     return data[name]
 
 
-def _whole(value) -> Optional[int]:
-    """``value`` as an int when it is a whole number (an int, an integral
-    float or an integer string), else None; int() would truncate 1.5.  A
-    JSON boolean is not a number, though Python's bool is an int."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        return int(value) if value.is_integer() else None
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            return None
-    return None
+def _whole(value, what: str) -> int:
+    """``value`` as an int by the one integer rule, ``algebra._as_int``; a
+    ValueError that starts with ``what`` when it is not a whole number."""
+    try:
+        return _as_int(value)
+    except ValueError:
+        raise ValueError(f"{what}, got {value!r}") from None
 
 
 def _int_field(data, name: str) -> int:
-    value = _field(data, name)
-    n = _whole(value)
-    if n is None:
-        raise ValueError(f"field {name!r} must be an integer, got {value!r}")
-    return n
+    return _whole(_field(data, name), f"field {name!r} must be an integer")
 
 
 def _ints(values, name: str) -> tuple:
-    """``values`` as a tuple of ints; a ValueError naming the field when one
-    of them is not a whole number."""
-    out = tuple(map(_whole, values))
-    if None in out:
-        raise ValueError(f"field {name!r} must hold integers, "
-                         f"got {values[out.index(None)]!r}")
-    return out
+    """The list ``values`` as a tuple of ints; a ValueError naming the field
+    when it is not a list or one of its items is not a whole number."""
+    if not isinstance(values, list):
+        raise ValueError(f"field {name!r} must be a list of integers, "
+                         f"got {values!r}")
+    return tuple(_whole(v, f"field {name!r} must hold integers") for v in values)
 
 
 def parse_frac(value, name: str) -> Fraction:
@@ -97,7 +85,7 @@ def poly_to_json(p: TruncatedPoly) -> dict:
 def poly_from_json(data: dict, nvars: int) -> TruncatedPoly:
     terms = {}
     for key, val in data.items():
-        exps = tuple(int(e) for e in key.split(",")) if key else ()
+        exps = tuple(key.split(",")) if key else ()
         terms[exps] = Fraction(val)
     return TruncatedPoly(nvars, terms)
 
@@ -178,22 +166,31 @@ def stokes_data_to_json(sd: StokesData) -> dict:
 
 
 def move_to_json(mv) -> dict:
+    """A braid, permutation or sign move as JSON; a sign move keeps its form,
+    a 1-based index or a vector of signs."""
     if mv[0] == "braid":
         return {"braid": mv[1], "dir": "+" if mv[2] > 0 else "-"}
     if mv[0] == "perm":
         return {"perm": list(mv[1])}
     if mv[0] == "sign":
-        return {"sign": list(mv[1])}
+        return {"sign": mv[1] if isinstance(mv[1], int) else list(mv[1])}
     raise ValueError(f"unknown move {mv!r}")
 
 
 def move_from_json(data: dict):
+    """The move written by ``move_to_json``; a braid move without "dir" is
+    forward."""
     if "braid" in data:
-        return ("braid", int(data["braid"]), 1 if data.get("dir", "+") == "+" else -1)
+        direction = data.get("dir", "+")
+        if direction not in ("+", "-"):
+            raise ValueError(f"field 'dir' must be '+' or '-', got {direction!r}")
+        return ("braid", _int_field(data, "braid"), 1 if direction == "+" else -1)
     if "perm" in data:
-        return ("perm", tuple(int(x) for x in data["perm"]))
+        return ("perm", _ints(data["perm"], "perm"))
     if "sign" in data:
-        return ("sign", tuple(int(x) for x in data["sign"]))
+        sign = data["sign"]
+        return ("sign", _ints(sign, "sign") if isinstance(sign, list)
+                else _int_field(data, "sign"))
     raise ValueError(f"unknown move {data!r}")
 
 

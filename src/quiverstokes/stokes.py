@@ -133,9 +133,9 @@ def _in_upper(x, y) -> bool:
     return y > 0 or (y == 0 and x < 0)
 
 
-def _arg_greater(a: tuple, b: tuple) -> bool:
-    """Exact comparison arg(a) > arg(b) for rays in (0, pi]."""
-    return b[0] * a[1] - b[1] * a[0] > 0
+def _cross(a: tuple, b: tuple) -> int:
+    """a x b for integer rays: negative when arg(a) > arg(b), 0 on one ray."""
+    return a[0] * b[1] - a[1] * b[0]
 
 
 def _scaled_charge(Z) -> tuple:
@@ -156,7 +156,7 @@ def _clockwise(rays: list) -> list:
     product decides a comparison: zero collides, negative puts a first.
     """
     def cmp(a, b):
-        cross = a[1][0] * b[1][1] - a[1][1] * b[1][0]
+        cross = _cross(a[1], b[1])
         if cross == 0:
             raise RayCollision(f"classes {a[0]} and {b[0]} lie on the same ray")
         return -1 if cross < 0 else 1
@@ -460,7 +460,7 @@ def extension_actives(q: Quiver, Z) -> list[LatticeVector]:
         for v in range(1, n + 1):
             if u == v or q.arrows[u - 1][v - 1] == 0:
                 continue
-            if _arg_greater(zint[u - 1], zint[v - 1]):
+            if _cross(zint[u - 1], zint[v - 1]) < 0:
                 vec = [0] * n
                 vec[u - 1] = 1
                 vec[v - 1] = 1

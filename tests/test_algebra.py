@@ -2,6 +2,7 @@ import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +116,9 @@ class TestValidation:
         ({(1, -1): 1}, ValueError, "negative exponent"),
         ({(1, 0): 0.5}, TypeError, "not an exact rational"),
         ({(1, 0): None}, TypeError, "not an exact rational"),
+        ({(1.7, 0): 1}, ValueError, "not an integer: 1.7"),
+        ({(1, "1_0"): 1}, ValueError, "not an integer: '1_0'"),
+        ({(1, 0): True}, TypeError, "not an exact rational"),
     ])
     def test_rejects_invalid_terms(self, terms, error, message):
         with pytest.raises(error, match=message):
@@ -289,6 +293,25 @@ class TestPolyMatrix:
         from quiverstokes.stokes import an_stokes
         m = an_stokes(4)
         assert pm_from_json(pm_to_json(m), 4) == m
+
+
+class TestIntegerCoordinates:
+    @pytest.mark.parametrize("build", [
+        lambda: LatticeVector((1.5, 0)),
+        lambda: LatticeVector((True, 0)),
+        lambda: LatticeVector(("1_0", 0)),
+        lambda: LatticeVector(("\u0663", 0)),
+        lambda: Basis([(1.9, 0), (0, 1)]),
+    ])
+    def test_non_integral_coordinates_are_refused(self, build):
+        with pytest.raises(ValueError, match="not an integer"):
+            build()
+
+    @pytest.mark.parametrize("coord", [3, 3.0, "3", "+3", np.int64(3)])
+    def test_whole_coordinates_are_read_as_ints(self, coord):
+        v = LatticeVector((coord, -1))
+        assert v.coords == (3, -1) and type(v.coords[0]) is int
+        assert Basis([(coord, 0), (0, 1)]).det() == 3
 
 
 class TestBasis:

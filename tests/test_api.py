@@ -1,6 +1,7 @@
 """The documented surface of the package: its exported names and the
 README's library example."""
 
+import ast
 import contextlib
 import dataclasses
 import inspect
@@ -129,3 +130,26 @@ def test_readme_library_example_runs():
         exec(compile(block, "README.md", "exec"), {})
     printed = out.getvalue()
     assert "-s1*s2" in printed and "braid" in printed
+
+
+# verify imports stokes_product without calling it: the benchmark's tracing
+# test asserts that wrapping reaches a module that imported a name by name
+UNUSED_IMPORTS_ALLOWED = {("verify", "stokes_product")}
+
+
+def test_every_imported_name_is_used():
+    # no linter is installed; this is the unused-import rule, on ast alone
+    unused = []
+    for path in sorted(Path(quiverstokes.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += sorted((path.stem, name) for name in imported - used)
+    assert [u for u in unused if u not in UNUSED_IMPORTS_ALLOWED] == []

@@ -14,6 +14,7 @@ from quiverstokes.braid import (_MOVE_ENTRY_LIMIT, BraidWord, apply_move,
                                 beta, beta_inv, orbit_search, perm_conj,
                                 random_unipotent, sign_conj,
                                 verify_braid_group_relations)
+from quiverstokes.serialize import move_from_json, move_to_json
 from quiverstokes.stokes import an_stokes
 
 
@@ -551,3 +552,27 @@ class TestKernels:
                     d[t + 1] = -1
             cand = m * np.outer(d, d)
             assert tuple(canon.ravel()) <= tuple(cand.ravel())
+
+
+class TestMoveJson:
+    @pytest.mark.parametrize("mv", [("sign", 2), ("sign", (1, -1, 1)),
+                                    ("perm", (2, 3, 1)), ("braid", 1, 1),
+                                    ("braid", 2, -1)])
+    def test_every_move_form_survives_json(self, mv):
+        assert move_from_json(move_to_json(mv)) == mv
+        A = F([[1, 2, 3], [0, 1, 5], [0, 0, 1]])
+        assert BraidWord((move_from_json(move_to_json(mv)),)).apply(A) == \
+            apply_move(mv, A)
+
+    @pytest.mark.parametrize("data,message", [
+        ({"braid": 1, "dir": "x"}, "field 'dir' must be '+' or '-', got 'x'"),
+        ({"braid": "1_0"}, "field 'braid' must be an integer, got '1_0'"),
+        ({"braid": 1.5, "dir": "+"}, "field 'braid' must be an integer, got 1.5"),
+        ({"perm": [1, "2.5"]}, "field 'perm' must hold integers, got '2.5'"),
+        ({"perm": "21"}, "field 'perm' must be a list of integers, got '21'"),
+        ({"sign": [1, True]}, "field 'sign' must hold integers, got True"),
+        ({"sign": "x"}, "field 'sign' must be an integer, got 'x'"),
+    ])
+    def test_malformed_move_is_refused(self, data, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            move_from_json(data)

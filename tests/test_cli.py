@@ -247,6 +247,8 @@ class TestErrors:
          "field 'arrows' must hold integers, got 1.5"),
         ({"n": 2, "arrows": [[0, "1.5"], [0, 0]]},
          "field 'arrows' must hold integers, got '1.5'"),
+        ({"n": 2, "arrows": [[0, "1_0"], [0, 0]]},
+         "field 'arrows' must hold integers, got '1_0'"),
     ])
     def test_malformed_quiver_file(self, tmp_path, content, message):
         path = tmp_path / "q.json"
@@ -400,7 +402,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("word,bad", [("1 2", "1 2"), ("1.5", "1.5"),
                                           ("1,,2", ""), ("true", "true"),
-                                          ("[1, 2 3]", "2 3")])
+                                          ("[1, 2 3]", "2 3"),
+                                          ("1_2", "1_2")])
     def test_word_item_that_is_not_one_integer(self, a3_file, word, bad):
         out = run_cli("mutate", a3_file, "--word", word)
         assert (out.returncode, out.stdout, out.stderr) == \

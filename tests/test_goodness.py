@@ -246,7 +246,28 @@ class TestCheckQuadratic:
         assert any(idx == (1, 2, 3) for _, idx, _ in violations)
 
 
+def per_triple_check_vanishing_p3(basis):
+    """check_vanishing_p3 with every difference formed per triple."""
+    n = basis.n
+    violations = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if lv_len(basis.diff(j, i)) == 2 and not any(
+                    lv_len(basis.diff(j, k)) == 1 and lv_len(basis.diff(k, i)) == 1
+                    for k in range(1, n + 1) if k != i and k != j):
+                violations.append(("vanishing", (i, j),
+                                   "length-2 difference with no admissible split"))
+    return violations
+
+
 class TestCheckVanishing:
+    @settings(max_examples=300, deadline=None)
+    @given(bases_and_forms())
+    def test_matches_per_triple_oracle(self, case):
+        # independent bases of rank 2..6, failing ones included
+        basis, _ = case
+        assert check_vanishing_p3(basis) == per_triple_check_vanishing_p3(basis)
+
     def test_triangular_any_rank(self):
         for n in range(2, 7):
             assert check_vanishing_p3(Basis.triangular(n)) == []

@@ -1,10 +1,13 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverstokes.algebra import LatticeVector
-from quiverstokes.quiver import (MutationClassTooLarge, Quiver, apply_word,
-                                 euler_form, linear_quiver, mutate,
+from quiverstokes.quiver import (EulerForm, MutationClassTooLarge, Quiver,
+                                 apply_word, euler_form, linear_quiver, mutate,
                                  mutation_class)
 
 
@@ -105,3 +108,69 @@ class TestMutationClass:
         a4 = linear_quiver(4)
         for q, word in cls.items():
             assert apply_word(a4, word) == q
+
+
+def reverse_compose_cancel(q, k):
+    """Mutation at k step by step: reverse the arrows at k, add an arrow
+    i -> j for every path i -> k -> j, then cancel opposite pairs."""
+    n, a, k = q.n, q.arrows, k - 1
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != k and j != k:
+                b[i][j] = a[i][j] + a[i][k] * a[k][j]
+    for i in range(n):
+        b[i][k], b[k][i] = a[k][i], a[i][k]
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = min(b[i][j], b[j][i])
+            b[i][j] -= c
+            b[j][i] -= c
+    return Quiver(n, tuple(tuple(r) for r in b))
+
+
+@st.composite
+def quivers_and_vertices(draw):
+    """A quiver of rank 1..7 with multiplicities up to 4 and a vertex."""
+    n = draw(st.integers(1, 7))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            mult = draw(st.integers(-4, 4))
+            if mult > 0:
+                m[i][j] = mult
+            else:
+                m[j][i] = -mult
+    return Quiver(n, tuple(tuple(r) for r in m)), draw(st.integers(1, n))
+
+
+class TestMutationFormula:
+    @settings(max_examples=400, deadline=None)
+    @given(quivers_and_vertices())
+    def test_matches_reverse_compose_cancel(self, case):
+        q, k = case
+        assert mutate(q, k) == reverse_compose_cancel(q, k)
+
+    @pytest.mark.parametrize("n,size", [(2, 2), (3, 14), (4, 144), (5, 1980)])
+    def test_linear_class_sizes(self, n, size):
+        assert len(mutation_class(linear_quiver(n), 10_000)) == size
+
+
+class TestIntegerEntries:
+    @pytest.mark.parametrize("build", [
+        lambda: Quiver(2, ((0, 1.5), (0, 0))),
+        lambda: Quiver(2, ((0, True), (0, 0))),
+        lambda: Quiver(2, ((0, "1_0"), (0, 0))),
+        lambda: Quiver.from_arrows(2, {(1, 2): 1.5}),
+        lambda: EulerForm(((0, 0.5), (-0.5, 0))),
+        lambda: EulerForm(((0, " 1"), (-1, 0))),
+    ])
+    def test_non_integral_entries_are_refused(self, build):
+        with pytest.raises(ValueError, match="not an integer"):
+            build()
+
+    @pytest.mark.parametrize("entry", [2, 2.0, "2", "+2", np.int64(2)])
+    def test_whole_entries_are_read_as_ints(self, entry):
+        q = Quiver(2, ((0, entry), (0, 0)))
+        assert q.arrows == ((0, 2), (0, 0)) and type(q.arrows[0][1]) is int
+        assert EulerForm(((0, entry), (-2, 0))).matrix == ((0, 2), (-2, 0))
