@@ -15,6 +15,16 @@ check exponent lengths and signs and turn coefficients into Fractions.
 Arithmetic trusts operands that are already valid: sums, differences,
 negations, products, truncations and scalar coercions wrap the terms they
 compute without checking them again.
+
+Every number that enters the package is read by one of three rules, and
+every other module calls them rather than ``int()`` or ``Fraction()``:
+
+* ``_as_int``: an integer is an int or numpy integer (not a bool), an
+  integral float, or text of plain ASCII digits with an optional sign.
+* ``_as_fraction``: a rational is a Fraction, a whole number under
+  ``_as_int``, or text ``p`` or ``p/q`` whose parts are integer text and
+  q != 0.
+* ``_index``: a 1-based index is an integer under ``_as_int`` in 1..n.
 """
 
 from __future__ import annotations
@@ -42,13 +52,37 @@ def _as_int(x) -> int:
 
 
 def _as_fraction(x) -> Fraction:
+    """``x`` as a Fraction when it is an exact rational: a Fraction, a whole
+    number under ``_as_int``, or text ``p`` or ``p/q`` whose parts are
+    integer text under ``_as_int`` and q != 0.  Other text raises
+    ValueError; any other value, a non-integral float or a bool say, raises
+    TypeError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int) and not isinstance(x, bool):
+    if type(x) is int:
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+    if not isinstance(x, str):
+        try:
+            return Fraction(_as_int(x))
+        except ValueError:
+            raise TypeError(f"not an exact rational: {x!r}") from None
+    p, slash, q = x.partition("/")
+    try:
+        p, q = _as_int(p), (_as_int(q) if slash else 1)
+    except ValueError:
+        raise ValueError(f"not a rational: {x!r}") from None
+    if q == 0:
+        raise ValueError(f"zero denominator: {x!r}")
+    return Fraction(p, q)
+
+
+def _index(k, n: int, what: str) -> int:
+    """``k`` as a 1-based index into 1..n: an integer under ``_as_int``; a
+    ValueError naming ``what`` when it lies outside 1..n."""
+    k = k if type(k) is int else _as_int(k)
+    if not 1 <= k <= n:
+        raise ValueError(f"{what} {k} out of range 1..{n}")
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +159,7 @@ class TruncatedPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict):
-        self.nvars = int(nvars)
+        self.nvars = nvars if type(nvars) is int else _as_int(nvars)
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in terms.items():
             exps = tuple(e if type(e) is int else _as_int(e) for e in exps)
@@ -169,6 +203,7 @@ class TruncatedPoly:
     @classmethod
     def variable(cls, nvars: int, i: int) -> "TruncatedPoly":
         """The variable s_i (1-based)."""
+        i = _index(i, nvars, "variable")
         exps = tuple(1 if j == i - 1 else 0 for j in range(nvars))
         return cls(nvars, {exps: Fraction(1)})
 
@@ -328,9 +363,12 @@ class PolyMatrix:
     __slots__ = ("n", "nvars", "entries")
 
     def __init__(self, n: int, entries):
-        self.n = int(n)
+        n = n if type(n) is int else _as_int(n)
+        if n < 1:
+            raise ValueError(f"matrix size must be at least 1, got {n}")
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError("entries must be an n x n array")
+        self.n = n
         self.nvars = entries[0][0].nvars
         for row in entries:
             for e in row:
@@ -340,7 +378,7 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, n: int, nvars: int) -> "PolyMatrix":
-        nvars = int(nvars)
+        nvars = nvars if type(nvars) is int else _as_int(nvars)
         one = TruncatedPoly._from_valid(nvars, {(0,) * nvars: Fraction(1)})
         zero = TruncatedPoly._from_valid(nvars, {})
         return cls(n, [[one if i == j else zero for j in range(n)]
@@ -349,9 +387,10 @@ class PolyMatrix:
     @classmethod
     def elementary(cls, n: int, i: int, j: int, coeff: TruncatedPoly) -> "PolyMatrix":
         """I + coeff * E_ij with 1-based positions, i != j."""
+        m = cls.identity(n, coeff.nvars)
+        i, j = _index(i, m.n, "row"), _index(j, m.n, "column")
         if i == j:
             raise ValueError("elementary position must be off-diagonal")
-        m = cls.identity(n, coeff.nvars)
         m.entries[i - 1][j - 1] = m.entries[i - 1][j - 1] + coeff
         return m
 
@@ -482,7 +521,7 @@ class Basis:
 
     def __getitem__(self, i: int) -> LatticeVector:
         """1-based access to the i-th basis vector."""
-        return self.rows[i - 1]
+        return self.rows[_index(i, len(self.rows), "basis index") - 1]
 
     def __eq__(self, other):
         return isinstance(other, Basis) and self.rows == other.rows
@@ -492,7 +531,9 @@ class Basis:
 
     def diff(self, i: int, j: int) -> LatticeVector:
         """alpha_i - alpha_j (1-based)."""
-        return self.rows[i - 1] - self.rows[j - 1]
+        n = len(self.rows)
+        return (self.rows[_index(i, n, "basis index") - 1]
+                - self.rows[_index(j, n, "basis index") - 1])
 
     def matrix(self) -> list[list[Fraction]]:
         return [[Fraction(c) for c in r.coords] for r in self.rows]

@@ -36,7 +36,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .algebra import PolyMatrix, _as_fraction, _index_order
+from .algebra import PolyMatrix, _as_fraction, _as_int, _index, _index_order
 
 RationalMatrix = tuple  # tuple of tuples of Fractions
 MatrixLike = Union[PolyMatrix, tuple, list]
@@ -76,16 +76,14 @@ def _move(mv: Move, a: np.ndarray) -> np.ndarray:
     array ``a`` of exact entries; a braid move is forward when mv[2] > 0."""
     kind, n = mv[0], len(a)
     if kind == "braid":
-        i = mv[1]
         if any(a[k, k] != 1 for k in range(n)):
             raise ValueError("matrix must have unit diagonal")
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"braid index {i} out of range 1..{n - 1}")
+        i = _index(mv[1], n - 1, "braid index")
         if a[i - 1, i] != 0 and a[i, i - 1] != 0:
             raise ValueError("matrix is not unipotent for any order at the braid position")
         return _kernels.braid_apply(a[None], i - 1, mv[2] > 0)[0]
     if kind == "perm":
-        sigma = tuple(int(s) for s in mv[1])
+        sigma = tuple(s if type(s) is int else _as_int(s) for s in mv[1])
         if sorted(sigma) != list(range(1, len(sigma) + 1)):
             raise ValueError("not a permutation of 1..n")
         if len(sigma) != n:
@@ -93,12 +91,11 @@ def _move(mv: Move, a: np.ndarray) -> np.ndarray:
                              f"{n} x {n} matrix")
         return _conj_np(sigma, a)
     if kind == "sign":
-        if isinstance(mv[1], int):
-            if not 1 <= mv[1] <= n:
-                raise ValueError(f"sign index {mv[1]} out of range 1..{n}")
-            d = tuple(-1 if t == mv[1] - 1 else 1 for t in range(n))
+        if np.ndim(mv[1]) == 0:
+            k = _index(mv[1], n, "sign index")
+            d = tuple(-1 if t == k - 1 else 1 for t in range(n))
         else:
-            d = tuple(int(x) for x in mv[1])
+            d = tuple(x if type(x) is int else _as_int(x) for x in mv[1])
             if len(d) != n or any(x not in (1, -1) for x in d):
                 raise ValueError("sign vector must consist of +-1 of length n")
         return a * np.outer(d, d)
@@ -272,14 +269,16 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
     conjugations.  Absence of a certificate within the bounds is reported as
     exhausted or inconclusive, never as inequivalence.
 
-    A ValueError is raised before any work when ``depth`` is negative or
-    ``entry_bound`` is below 1 (every unit-diagonal child has an entry 1, so
-    a smaller bound would prune every move), and when the matrices are
-    0 x 0, as no quiver of rank 0 exists.  Moves run in int64, so before
+    A ValueError is raised before any work when ``depth`` or
+    ``entry_bound`` is not an integer under ``algebra._as_int``, when
+    ``depth`` is negative or ``entry_bound`` is below 1 (every
+    unit-diagonal child has an entry 1, so a smaller bound would prune every
+    move), and when the matrices are 0 x 0, as no quiver of rank 0 exists.  Moves run in int64, so before
     the first level a ValueError is raised when ``entry_bound`` or an entry
     of S1 exceeds 3 037 000 499 in absolute value, the largest B with
     B + B^2 < 2^63.
     """
+    depth, entry_bound = _as_int(depth), _as_int(entry_bound)
     if depth < 0:
         raise ValueError(f"orbit search depth must be at least 0, got {depth}")
     if entry_bound < 1:
@@ -317,8 +316,7 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
         canons, signs = _kernels.sign_canonical(cands[upper])
         for sigma, canon, sign in zip(itertools.compress(block, upper),
                                       canons, signs):
-            targets.setdefault(canon.tobytes(),
-                               (sigma, tuple(int(s) for s in sign)))
+            targets.setdefault(canon.tobytes(), (sigma, sign))
 
     (canon0,), _ = _kernels.sign_canonical(up1[None])
     key0 = canon0.tobytes()
@@ -339,7 +337,7 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
 
         def emit_sign(vec):
             if any(s != 1 for s in vec):
-                moves.append(("sign", tuple(int(s) for s in vec)))
+                moves.append(("sign", tuple(vec.tolist())))
 
         def emit_perm(sigma):
             if sigma != ident:

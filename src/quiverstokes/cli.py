@@ -18,7 +18,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import joyce_point
+from .algebra import _as_int, joyce_point
 from .braid import orbit_search
 from .goodness import (check_quadratic, check_vanishing_p3, find_good_quivers,
                        mutation_basis)
@@ -47,6 +47,12 @@ def _parse_word(text: str) -> tuple:
     if not text:
         return ()
     return _ints([t.strip() for t in text.split(",")], "--word")
+
+
+def integer(text: str) -> int:
+    """A flag's value by the one integer rule, ``algebra._as_int``; argparse
+    names the function in its usage error, "invalid integer value"."""
+    return _as_int(text)
 
 
 def _parse_point(text: str, n: int):
@@ -197,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("goodness", help="quadratic and vanishing checks")
     p.add_argument("quiver")
     p.add_argument("basis")
-    p.add_argument("--p", type=int, default=3)
-    p.add_argument("--lambda", dest="lam", type=int, default=1,
+    p.add_argument("--p", type=integer, default=3)
+    p.add_argument("--lambda", dest="lam", type=integer, default=1,
                    help="scale for the good-quiver search")
     p.add_argument("--find-quivers", action="store_true",
                    help="also list the quivers making the basis good")
@@ -209,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("quiver")
     p.add_argument("--basis", default="auto", help="basis JSON file or 'auto'")
     p.add_argument("--chamber", default="auto", help="chamber JSON file or 'auto'")
-    p.add_argument("--p", type=int, default=None,
+    p.add_argument("--p", type=integer, default=None,
                    help="truncation order p >= 1: drop the factors of classes of "
                         "length >= p and reduce the product mod (s)^p once "
                         "(omit for the exact product)")
@@ -221,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="braid-orbit search between two matrices")
     p.add_argument("matrix1", help="rational matrix JSON file")
     p.add_argument("matrix2")
-    p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--entry-bound", type=int, default=64)
+    p.add_argument("--depth", type=integer, default=12)
+    p.add_argument("--entry-bound", type=integer, default=64)
     common(p)
     p.set_defaults(fn=cmd_equiv)
 

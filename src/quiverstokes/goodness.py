@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Basis, LatticeVector, TruncatedPoly
+from .algebra import Basis, LatticeVector, TruncatedPoly, _as_int
 from .quiver import EulerForm, Quiver, euler_form
 
 
@@ -68,6 +68,7 @@ def check_quadratic(basis: Basis, e: EulerForm, p: int) -> list:
     Every pairing comes from one table g[a][b] = <a_a, a_b>: the form is
     skew, so <a_j - a_k, a_k - a_i> = g[j][k] - g[j][i] + g[k][i].
     """
+    p = _as_int(p)
     if p < 3:
         raise ValueError("quadratic conditions are defined for p >= 3")
     if basis.n != e.n:
@@ -135,7 +136,7 @@ class EpsilonTensor:
     @classmethod
     def from_dict(cls, n: int, domain, eps: dict) -> "EpsilonTensor":
         dom = frozenset(tuple(p) for p in domain)
-        signs = tuple(sorted(((i, j), int(eps[(i, j)])) for (i, j) in dom))
+        signs = tuple(sorted(((i, j), _as_int(eps[(i, j)])) for (i, j) in dom))
         t = cls(n, dom, signs)
         bad = t.triple_violations()
         if bad:
@@ -279,6 +280,7 @@ def find_good_quivers(basis: Basis, lam: int = 1,
     and on Python integers otherwise.  Only survivors get quivers, read off
     the entries above the diagonal of their transported forms.
     """
+    lam, p = _as_int(lam), _as_int(p)
     if check_vanishing_p3(basis):
         raise ValueError("basis fails the order-3 vanishing conditions")
     n = basis.n

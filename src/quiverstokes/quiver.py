@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LatticeVector, _as_int
+from .algebra import LatticeVector, _as_int, _index
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class Quiver:
         """Build from {(source, target): multiplicity} with 1-based vertices."""
         m = [[0] * n for _ in range(n)]
         for (u, v), k in pairs.items():
-            m[u - 1][v - 1] += _as_int(k)
+            m[_index(u, n, "vertex") - 1][_index(v, n, "vertex") - 1] += _as_int(k)
         return cls(n, tuple(tuple(r) for r in m))
 
     def arrow_pairs(self) -> dict[tuple[int, int], int]:
@@ -54,7 +54,8 @@ class Quiver:
 
     def arrows_between(self, u: int, v: int) -> int:
         """Total multiplicity between u and v, either direction (1-based)."""
-        return self.arrows[u - 1][v - 1] + self.arrows[v - 1][u - 1]
+        u, v = _index(u, self.n, "vertex") - 1, _index(v, self.n, "vertex") - 1
+        return self.arrows[u][v] + self.arrows[v][u]
 
 
 class EulerForm:
@@ -123,9 +124,7 @@ def mutate(q: Quiver, k: int) -> Quiver:
     arrow counts: reverse the arrows at k, add an arrow i -> j for every
     path i -> k -> j, cancel opposite pairs.
     """
-    if not 1 <= k <= q.n:
-        raise ValueError(f"vertex {k} out of range 1..{q.n}")
-    n, a, k = q.n, q.arrows, k - 1
+    n, a, k = q.n, q.arrows, _index(k, q.n, "vertex") - 1
     return Quiver(n, tuple(
         tuple(a[j][i] if k == i or k == j else
               max(a[i][j] - a[j][i] + a[i][k] * a[k][j] - a[j][k] * a[k][i], 0)

@@ -5,6 +5,11 @@ lexicographic order, rationals as "p/q" strings (plain integers without the
 denominator), matrices row by row.  Identical inputs therefore always give
 byte-identical output.  A reader given a missing or malformed field raises
 a ValueError that names it.
+
+Readers decide nothing about numbers: an integer, a rational and a 1-based
+index are read by the one rule for each in ``algebra`` (``_as_int``,
+``_as_fraction``, ``_index``), and a reader only adds the field name to
+the error.
 """
 
 from __future__ import annotations
@@ -14,14 +19,15 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Basis, LatticeVector, PolyMatrix, TruncatedPoly, _as_int
+from .algebra import (Basis, LatticeVector, PolyMatrix, TruncatedPoly, _as_fraction,
+                      _as_int)
 from .braid import EquivalenceCertificate
 from .quiver import Quiver
 from .stokes import Chamber, DTModel, StokesData
 
 
 def frac_str(x: Fraction) -> str:
-    x = Fraction(x)
+    x = _as_fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -54,14 +60,15 @@ def _ints(values, name: str) -> tuple:
 
 
 def parse_frac(value, name: str) -> Fraction:
-    """``value`` as a Fraction; a ValueError naming the field when it is not
-    a finite rational (a zero denominator, an infinity or a boolean, say)."""
-    if not isinstance(value, bool):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            pass
-    raise ValueError(f"field {name!r} must hold finite rationals, got {value!r}")
+    """``value`` as a Fraction by the one rational rule,
+    ``algebra._as_fraction``; a ValueError naming the field when it is not
+    an exact rational (a zero denominator, an infinity, 0.5 or a boolean,
+    say)."""
+    try:
+        return _as_fraction(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"field {name!r} must hold finite rationals, "
+                         f"got {value!r}") from None
 
 
 def _rows(rows, name: str, width: Optional[int] = None) -> list:
@@ -86,7 +93,7 @@ def poly_from_json(data: dict, nvars: int) -> TruncatedPoly:
     terms = {}
     for key, val in data.items():
         exps = tuple(key.split(",")) if key else ()
-        terms[exps] = Fraction(val)
+        terms[exps] = parse_frac(val, "coefficient")
     return TruncatedPoly(nvars, terms)
 
 
@@ -96,8 +103,9 @@ def pm_to_json(m: PolyMatrix) -> dict:
 
 
 def pm_from_json(data: dict, nvars: int) -> PolyMatrix:
-    return PolyMatrix(int(data["n"]), [[poly_from_json(cell, nvars) for cell in row]
-                                       for row in data["entries"]])
+    return PolyMatrix(_int_field(data, "n"),
+                      [[poly_from_json(cell, nvars) for cell in row]
+                       for row in _field(data, "entries")])
 
 
 def rational_matrix_to_json(m) -> list:
@@ -141,11 +149,11 @@ def dt_model_from_chamber_json(data: dict) -> DTModel:
     """Table model from a chamber file's "dt" map; signed simples default
     to count 1 unless overridden.  Every class must have the rank of the
     chamber, the length of its "Z" list."""
+    rank = len(_rows(_field(data, "Z"), "Z", 2))
     dt = data.get("dt", {})
     if not (isinstance(dt, dict)
             and all(isinstance(v, (int, float, str)) for v in dt.values())):
         raise ValueError("field 'dt' must map classes to counts")
-    rank = len(_field(data, "Z"))
     table = {}
     for key, val in dt.items():
         coords = _ints(key.split(","), "dt")

@@ -153,3 +153,87 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += sorted((path.stem, name) for name in imported - used)
     assert [u for u in unused if u not in UNUSED_IMPORTS_ALLOWED] == []
+
+
+# The three number rules of `algebra`; a conversion inside them is the rule.
+NUMBER_RULES = {("algebra", "_as_int"), ("algebra", "_as_fraction")}
+
+# (module, function): why its bare conversion does not read input
+CONVERSIONS_ALLOWED = {
+    ("braid", "random_unipotent"):
+        "Fraction(rng.randint(...)) wraps an int the generator drew",
+}
+
+
+def _names(target) -> set:
+    """The names bound by an assignment or loop target."""
+    return {node.id for node in ast.walk(target) if isinstance(node, ast.Name)}
+
+
+def _reads(node, names) -> bool:
+    """``node`` is one of ``names``, or an item, attribute or method result
+    of one (``mv[1]``, ``data.items()``)."""
+    while True:
+        if isinstance(node, (ast.Subscript, ast.Attribute)):
+            node = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            node = node.func.value
+        else:
+            return isinstance(node, ast.Name) and node.id in names
+
+
+def _own_nodes(fn):
+    """The nodes of ``fn``'s body, not descending into nested functions,
+    lambdas or classes, which are checked on their own."""
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def bare_conversions(tree) -> list:
+    """(function, line, call) of every int(x) or Fraction(x) where x is a
+    parameter of the function (not self or cls), an item of one, or a loop
+    or comprehension variable iterating over either."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                  + [a.vararg, a.kwarg] if p} - {"self", "cls"}
+        nodes = list(_own_nodes(fn))
+        loops = [(n.target, n.iter) for n in nodes
+                 if isinstance(n, (ast.For, ast.comprehension))]
+        grown = True
+        while grown:
+            before = len(params)
+            for target, it in loops:
+                if _reads(it, params):
+                    params |= _names(target)
+            grown = len(params) > before
+        found += [(getattr(fn, "name", "<lambda>"), n.lineno, ast.unparse(n))
+                  for n in nodes
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id in ("int", "Fraction") and n.args
+                  and _reads(n.args[0], params)]
+    return found
+
+
+def test_numbers_are_read_by_the_rules_of_algebra():
+    # no linter is installed; on ast alone: outside the rules, no function
+    # converts its own input with int() or Fraction(), which would truncate
+    # 1.5, read True as 1 and '1_0' as 10; and no flag is typed int
+    bare, typed = [], []
+    for path in sorted(Path(quiverstokes.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bare += [(path.stem, fn, line, call)
+                 for fn, line, call in bare_conversions(tree)
+                 if (path.stem, fn) not in NUMBER_RULES | set(CONVERSIONS_ALLOWED)]
+        typed += [(path.stem, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.keyword) and node.arg == "type"
+                  and isinstance(node.value, ast.Name) and node.value.id == "int"]
+    assert bare == [] and typed == []

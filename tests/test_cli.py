@@ -217,6 +217,8 @@ class TestErrors:
         ("equiv", [[[True, 2], [False, True]], [["1", "2"], ["0", "1"]]],
          "field 'matrix' must be a list of lists of numbers"),
         ("equiv", [[], []], "orbit search needs matrices of size at least 1"),
+        ("equiv", [[["1", "1_0"], ["0", "1"]], [["1", "1"], ["0", "1"]]],
+         "field 'matrix' must hold finite rationals, got '1_0'"),
     ])
     def test_library_error_is_one_line(self, tmp_path, command, files, message):
         paths = []
@@ -298,6 +300,15 @@ class TestErrors:
          "field 'dt' must hold finite rationals, got True"),
         ("--basis", {"rows": [[1, 0, 0], [0, True, 0], [0, 0, 1]]},
          "field 'rows' must be a list of lists of numbers"),
+        ("--chamber", {"Z": [["-1", "1"], ["0", "1"], ["1_0", "1"]],
+                       "active": []},
+         "field 'Z' must hold finite rationals, got '1_0'"),
+        ("--chamber", {"Z": [["-1", "1"], ["0", "1"], ["1", "1"]],
+                       "active": [[1, 0, 0]], "dt": {"1,0,0": "\u0663"}},
+         "field 'dt' must hold finite rationals, got '\u0663'"),
+        ("--chamber", {"Z": [["-1", "1"], ["0", "1"], ["1", "1"]],
+                       "active": [[1, 0, 0]], "dt": {"1,0,0": 0.1}},
+         "field 'dt' must hold finite rationals, got 0.1"),
     ])
     def test_malformed_basis_or_chamber_file(self, tmp_path, a3_file, flag,
                                              content, message):
@@ -336,7 +347,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("point,bad", [("1/0,1,1", "1/0"),
                                            ("1,-2/0,1", "-2/0"),
-                                           ("nan,1,1", "nan")])
+                                           ("nan,1,1", "nan"),
+                                           ("1_0,1,1", "1_0")])
     def test_evaluation_point_that_is_not_rational(self, a3_file, point, bad):
         out = run_cli("stokes", a3_file, "--eval", point)
         assert (out.returncode, out.stdout, out.stderr) == \
@@ -392,6 +404,23 @@ class TestErrors:
         assert len(out.stderr.splitlines()) == 1
         assert out.stderr.startswith("quiverstokes: error: ")
         assert "int64" in out.stderr
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("equiv", "--depth", "1_0"), ("equiv", "--entry-bound", " 3"),
+        ("stokes", "--p", "\u0663"), ("goodness", "--lambda", "1.5"),
+    ])
+    def test_flag_that_is_not_one_integer(self, tmp_path, a3_file, tau3_file,
+                                          command, flag, value):
+        matrix = tmp_path / "m.json"
+        matrix.write_text(json.dumps([["1", "1"], ["0", "1"]]))
+        files = {"equiv": [str(matrix)] * 2, "stokes": [a3_file],
+                 "goodness": [a3_file, tau3_file]}[command]
+        out = run_cli(command, *files, flag, value)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert "Traceback" not in out.stderr
+        assert out.stderr.splitlines()[-1] == (
+            f"quiverstokes {command}: error: argument {flag}: invalid integer "
+            f"value: {value!r}")
 
     def test_verify_paper_unknown_scope(self):
         out = run_cli("verify-paper", "no_such_scope")

@@ -1,0 +1,206 @@
+"""The three rules of `algebra` that read every incoming number: `_as_int`
+for integers, `_as_fraction` for rationals and `_index` for 1-based
+indices, at every site that reads one, and the JSON readers built on them."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quiverstokes.algebra import (Basis, PolyMatrix, TruncatedPoly, _as_fraction,
+                                  _index)
+from quiverstokes.braid import beta, orbit_search, perm_conj, sign_conj
+from quiverstokes.goodness import (EpsilonTensor, check_quadratic,
+                                   find_good_quivers)
+from quiverstokes.quiver import Quiver, euler_form, linear_quiver, mutate
+from quiverstokes.serialize import (basis_from_json, chamber_from_json,
+                                    dt_model_from_chamber_json, frac_str,
+                                    parse_frac, pm_from_json, poly_from_json,
+                                    quiver_from_json, rational_matrix_from_json)
+from quiverstokes.stokes import factor_coefficient
+
+A = ((1, 2, 3), (0, 1, 4), (0, 0, 1))
+Q = linear_quiver(3)
+ONE = TruncatedPoly.one(2)
+
+numbers = st.one_of(
+    st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans(), st.integers(-10 ** 6, 10 ** 6).map(float), st.floats(),
+    st.fractions(), st.text(alphabet="0123456789+-/._e ٣", max_size=8))
+
+
+class TestRationalRule:
+    @settings(max_examples=500, deadline=None)
+    @given(numbers)
+    def test_parse_frac_is_the_rule_with_a_field_name(self, value):
+        try:
+            expected = _as_fraction(value)
+        except (TypeError, ValueError):
+            with pytest.raises(ValueError) as info:
+                parse_frac(value, "f")
+            assert str(info.value).startswith("field 'f' must hold finite rationals")
+        else:
+            assert parse_frac(value, "f") == expected
+            assert type(expected) is Fraction
+
+    @given(st.fractions())
+    def test_written_rationals_read_back(self, x):
+        assert _as_fraction(frac_str(x)) == x
+
+    @given(st.integers(), st.integers(1, 10 ** 20), st.booleans())
+    def test_text_reads_as_fraction_read_it(self, p, q, whole):
+        text = str(p) if whole else f"{p}/{q}"
+        assert _as_fraction(text) == Fraction(text)
+
+    @pytest.mark.parametrize("value,expected", [
+        (Fraction(3, 4), Fraction(3, 4)), (3, 3), (-2.0, -2), (np.int64(3), 3),
+        ("+7", 7), ("-3/6", Fraction(-1, 2)), ("1/-3", Fraction(-1, 3)),
+    ])
+    def test_exact_forms(self, value, expected):
+        x = _as_fraction(value)
+        assert (x, type(x)) == (expected, Fraction)
+
+    @pytest.mark.parametrize("value", [0.5, float("inf"), float("nan"), True,
+                                       None, [1]])
+    def test_inexact_values_are_not_rationals(self, value):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            _as_fraction(value)
+
+    @pytest.mark.parametrize("text", ["1_0", " 3", "3 ", "٣", "0.5", "1e3",
+                                      "1/0", "", "/", "1/", "/2", "1/2/3",
+                                      "nan", "inf"])
+    def test_text_outside_p_or_p_over_q(self, text):
+        with pytest.raises(ValueError):
+            _as_fraction(text)
+
+
+class TestIntegerSites:
+    @pytest.mark.parametrize("call", [
+        lambda: TruncatedPoly(1.5, {(1,): 1}),
+        lambda: PolyMatrix(0, []),
+        lambda: PolyMatrix.identity(2, 1.5),
+        lambda: pm_from_json({"n": 1.5, "entries": [[{}]]}, 1),
+        lambda: poly_from_json({"1": "1_0"}, 1),
+        lambda: perm_conj((1.5, 2, 3), A),
+        lambda: sign_conj((1.5, -1, 1), A),
+        lambda: sign_conj((True, -1, 1), A),
+        lambda: orbit_search(A, A, depth=2.5),
+        lambda: orbit_search(A, A, entry_bound=2.5),
+        lambda: find_good_quivers(Basis.triangular(3), 1.5, 3),
+        lambda: find_good_quivers(Basis.triangular(3), 1, 2.5),
+        lambda: EpsilonTensor.from_dict(2, [(1, 2)], {(1, 2): 1.7}),
+        lambda: check_quadratic(Basis.triangular(4), euler_form(linear_quiver(4)),
+                                3.5),
+    ], ids=["TruncatedPoly nvars", "PolyMatrix n", "identity nvars",
+            "pm_from_json n", "poly_from_json coefficient", "perm item",
+            "sign item", "sign item bool", "depth", "entry bound", "lambda",
+            "p", "epsilon sign", "quadratic p"])
+    def test_misread_raises(self, call):
+        with pytest.raises((ValueError, TypeError)):
+            call()
+
+    def test_whole_numbers_still_read(self):
+        assert TruncatedPoly(2.0, {(1, 0): 1}).nvars == 2
+        assert PolyMatrix.identity(2, np.int64(3)).nvars == 3
+        assert perm_conj((np.int64(2), 1.0, 3), A) == perm_conj((2, 1, 3), A)
+        assert sign_conj(np.array([1, -1, 1]), A) == sign_conj((1, -1, 1), A)
+        assert len(find_good_quivers(Basis.triangular(3), 1.0, np.int64(3))) == 6
+
+
+INDEX_SITES = [
+    ("vertex", 3, lambda k: mutate(Q, k)),
+    ("braid index", 2, lambda k: beta(k, A)),
+    ("sign index", 3, lambda k: sign_conj(k, A)),
+    ("basis index", 3, lambda k: Basis.triangular(3)[k]),
+    ("basis index", 3, lambda k: Basis.triangular(3).diff(k, 1)),
+    ("basis index", 3, lambda k: Basis.triangular(3).diff(1, k)),
+    ("basis index", 3, lambda k: factor_coefficient(
+        k, 1 if k != 1 else 2, Basis.triangular(3), euler_form(Q), 1)),
+    ("variable", 2, lambda k: TruncatedPoly.variable(2, k)),
+    ("row", 2, lambda k: PolyMatrix.elementary(2, k, 1 if k != 1 else 2, ONE)),
+    ("column", 2, lambda k: PolyMatrix.elementary(2, 1 if k != 1 else 2, k, ONE)),
+    ("vertex", 3, lambda k: Quiver.from_arrows(3, {(k, 1 if k != 1 else 2): 1})),
+    ("vertex", 3, lambda k: Quiver.from_arrows(3, {(1 if k != 1 else 2, k): 1})),
+    ("vertex", 3, lambda k: Q.arrows_between(k, 1)),
+]
+SITE_IDS = ["mutate", "beta", "sign_conj", "Basis[]", "diff i", "diff j",
+            "factor_coefficient", "variable", "elementary i", "elementary j",
+            "from_arrows u", "from_arrows v", "arrows_between"]
+
+
+class TestIndexSites:
+    @pytest.mark.parametrize("what,n,call", INDEX_SITES, ids=SITE_IDS)
+    def test_out_of_range(self, what, n, call):
+        for k in (0, n + 1, -1):
+            with pytest.raises(ValueError, match=rf"^{what} {k} out of range 1\.\.{n}$"):
+                call(k)
+
+    @pytest.mark.parametrize("what,n,call", INDEX_SITES, ids=SITE_IDS)
+    @pytest.mark.parametrize("k", [1.5, True, "x"])
+    def test_not_an_integer(self, what, n, call, k):
+        with pytest.raises(ValueError, match="not an integer"):
+            call(k)
+
+    @pytest.mark.parametrize("what,n,call", INDEX_SITES, ids=SITE_IDS)
+    def test_first_and_last_index(self, what, n, call):
+        for k in (1, n):
+            assert call(np.int64(k)) == call(k) == call(float(k))
+
+    def test_rule(self):
+        assert _index(np.int64(2), 3, "k") == 2
+        assert type(_index(2.0, 3, "k")) is int
+        with pytest.raises(ValueError, match=r"^k 4 out of range 1\.\.3$"):
+            _index(4, 3, "k")
+
+    def test_variable_and_elementary_place_their_entry(self):
+        assert TruncatedPoly.variable(2, 2).terms == {(0, 1): 1}
+        m = PolyMatrix.elementary(2, 2, 1, ONE)
+        assert m.entries[1][0] == 1 and m.entries[0][1] == 0
+
+    def test_numpy_sign_index(self):
+        assert sign_conj(np.int64(2), A) == sign_conj(2, A)
+
+
+json_atoms = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from(["1_0", "٣", "0.5", "1/0", "1,0", "1,0,0", "1", "-1",
+                     "1/2"]))
+json_values = st.recursive(
+    json_atoms,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["n", "arrows", "rows", "Z", "active",
+                                         "dt", "1,0", "1,0,0", "", "1_0"]),
+                        inner, max_size=4)),
+    max_leaves=16)
+reader_inputs = st.one_of(
+    json_values,
+    st.fixed_dictionaries({}, optional={
+        field: json_values for field in ("n", "arrows", "rows", "Z", "active",
+                                         "dt")}))
+
+READERS = [quiver_from_json, basis_from_json, chamber_from_json,
+           dt_model_from_chamber_json, rational_matrix_from_json]
+
+
+class TestReaders:
+    @settings(max_examples=100, deadline=None)
+    @given(reader_inputs)
+    @pytest.mark.parametrize("reader", READERS, ids=lambda r: r.__name__)
+    def test_reader_returns_or_raises_value_error(self, reader, data):
+        try:
+            reader(data)
+        except ValueError:
+            pass
+
+    @pytest.mark.parametrize("data,message", [
+        ([], "missing field 'Z'"), (None, "missing field 'Z'"),
+        (True, "missing field 'Z'"), ({"dt": {}}, "missing field 'Z'"),
+        ({"Z": 1}, "field 'Z' must be a list of pairs of numbers"),
+        ({"Z": [[1, 2, 3]]}, "field 'Z' must be a list of pairs of numbers"),
+    ])
+    def test_dt_model_checks_its_own_input(self, data, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dt_model_from_chamber_json(data)
