@@ -29,6 +29,7 @@ every other module calls them rather than ``int()`` or ``Fraction()``:
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import operator
 import re
@@ -42,6 +43,8 @@ def _as_int(x) -> int:
     (not a bool), an integral float, or a string of plain ASCII digits with
     an optional sign.  Anything else raises ValueError, where int() would
     truncate 1.5 and read True, '1_0', ' 7 ' or a non-ASCII digit."""
+    if type(x) is int:
+        return x
     if isinstance(x, numbers.Integral) and not isinstance(x, bool):
         return int(x)
     if isinstance(x, float) and x.is_integer():
@@ -59,8 +62,6 @@ def _as_fraction(x) -> Fraction:
     TypeError."""
     if isinstance(x, Fraction):
         return x
-    if type(x) is int:
-        return Fraction(x)
     if not isinstance(x, str):
         try:
             return Fraction(_as_int(x))
@@ -79,7 +80,7 @@ def _as_fraction(x) -> Fraction:
 def _index(k, n: int, what: str) -> int:
     """``k`` as a 1-based index into 1..n: an integer under ``_as_int``; a
     ValueError naming ``what`` when it lies outside 1..n."""
-    k = k if type(k) is int else _as_int(k)
+    k = _as_int(k)
     if not 1 <= k <= n:
         raise ValueError(f"{what} {k} out of range 1..{n}")
     return k
@@ -96,8 +97,7 @@ class LatticeVector:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(
-            c if type(c) is int else _as_int(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(_as_int(c) for c in self.coords))
 
     @property
     def rank(self) -> int:
@@ -159,10 +159,10 @@ class TruncatedPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict):
-        self.nvars = nvars if type(nvars) is int else _as_int(nvars)
+        self.nvars = _as_int(nvars)
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in terms.items():
-            exps = tuple(e if type(e) is int else _as_int(e) for e in exps)
+            exps = tuple(_as_int(e) for e in exps)
             if len(exps) != self.nvars:
                 raise ValueError("exponent vector has wrong length")
             if any(e < 0 for e in exps):
@@ -363,7 +363,7 @@ class PolyMatrix:
     __slots__ = ("n", "nvars", "entries")
 
     def __init__(self, n: int, entries):
-        n = n if type(n) is int else _as_int(n)
+        n = _as_int(n)
         if n < 1:
             raise ValueError(f"matrix size must be at least 1, got {n}")
         if len(entries) != n or any(len(row) != n for row in entries):
@@ -378,7 +378,7 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, n: int, nvars: int) -> "PolyMatrix":
-        nvars = nvars if type(nvars) is int else _as_int(nvars)
+        nvars = _as_int(nvars)
         one = TruncatedPoly._from_valid(nvars, {(0,) * nvars: Fraction(1)})
         zero = TruncatedPoly._from_valid(nvars, {})
         return cls(n, [[one if i == j else zero for j in range(n)]
@@ -468,31 +468,31 @@ def joyce_point(nvars: int) -> list[Fraction]:
     return [Fraction(1)] * nvars
 
 
-def _index_order(n: int, positions: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Topological order of 1..n putting i before j for each position (i, j).
+def _linear_extensions(n: int, positions: Iterable[tuple[int, int]]):
+    """Every order of 1..n putting i before j for each position (i, j), in
+    lexicographic order: a depth-first walk placing a ready index (no
+    unplaced predecessor) at each step, smallest first.  With a cycle or a
+    self-loop every walk stops short, and the first one ends the search."""
+    positions = set(positions)
+    pred = {j: {i for (i, k) in positions if k == j} for j in range(1, n + 1)}
 
-    Kahn's algorithm taking the smallest ready index first, so the order is
-    a function of the set of positions alone.
-    """
-    succ = {i: set() for i in range(1, n + 1)}
-    deg = {i: 0 for i in range(1, n + 1)}
-    for (i, j) in positions:
-        if j not in succ[i]:
-            succ[i].add(j)
-            deg[j] += 1
-    order = []
-    ready = sorted(i for i in deg if deg[i] == 0)
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for w in sorted(succ[v]):
-            deg[w] -= 1
-            if deg[w] == 0:
-                ready.append(w)
-        ready.sort()
-    if len(order) != n:
+    def walk(order, left):
+        ready = [v for v in sorted(left) if pred[v].isdisjoint(left)]
+        if not ready:
+            yield order
+        for v in ready:
+            yield from walk(order + (v,), left - {v})
+
+    yield from itertools.takewhile(lambda o: len(o) == n, walk((), set(pred)))
+
+
+def _index_order(n: int, positions: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The lexicographically least order of 1..n putting i before j for each
+    position (i, j), so a function of the set of positions alone."""
+    order = next(_linear_extensions(n, positions), None)
+    if order is None:
         raise ValueError("factor positions contain a cycle; no unipotent order")
-    return tuple(order)
+    return order
 
 
 # ---------------------------------------------------------------------------

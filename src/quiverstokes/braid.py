@@ -28,7 +28,6 @@ object array, and a word crosses it once, not once per move.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -36,7 +35,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .algebra import PolyMatrix, _as_fraction, _as_int, _index, _index_order
+from .algebra import PolyMatrix, _as_fraction, _as_int, _index, _linear_extensions
 
 RationalMatrix = tuple  # tuple of tuples of Fractions
 MatrixLike = Union[PolyMatrix, tuple, list]
@@ -83,7 +82,7 @@ def _move(mv: Move, a: np.ndarray) -> np.ndarray:
             raise ValueError("matrix is not unipotent for any order at the braid position")
         return _kernels.braid_apply(a[None], i - 1, mv[2] > 0)[0]
     if kind == "perm":
-        sigma = tuple(s if type(s) is int else _as_int(s) for s in mv[1])
+        sigma = tuple(_as_int(s) for s in mv[1])
         if sorted(sigma) != list(range(1, len(sigma) + 1)):
             raise ValueError("not a permutation of 1..n")
         if len(sigma) != n:
@@ -95,7 +94,7 @@ def _move(mv: Move, a: np.ndarray) -> np.ndarray:
             k = _index(mv[1], n, "sign index")
             d = tuple(-1 if t == k - 1 else 1 for t in range(n))
         else:
-            d = tuple(x if type(x) is int else _as_int(x) for x in mv[1])
+            d = tuple(_as_int(x) for x in mv[1])
             if len(d) != n or any(x not in (1, -1) for x in d):
                 raise ValueError("sign vector must consist of +-1 of length n")
         return a * np.outer(d, d)
@@ -239,19 +238,30 @@ def _to_int_matrix(m) -> tuple[RationalMatrix, np.ndarray]:
     return rows, out
 
 
+def _support(a: np.ndarray) -> list[tuple[int, int]]:
+    """The 1-based positions (i, j), i != j, of the nonzero entries of a."""
+    return [(int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(a)) if i != j]
+
+
 def _sorting_permutation(a: np.ndarray) -> Optional[tuple]:
     """Permutation sigma with perm_conj(sigma, a) upper triangular, or None."""
-    n = a.shape[0]
-    try:
-        order = _index_order(n, [(int(i) + 1, int(j) + 1)
-                                 for i, j in zip(*np.nonzero(a)) if i != j])
-    except ValueError:
-        return None
-    return _inverse_permutation(order)
+    order = next(_linear_extensions(a.shape[0], _support(a)), None)
+    return None if order is None else _inverse_permutation(order)
 
 
-# Permutations conjugated per numpy call when building the target set (6!).
-_PERM_BLOCK = 720
+def _target_set(up: np.ndarray) -> dict[bytes, tuple]:
+    """Sign class -> (sigma, signs) over the upper-triangular conjugates of
+    ``up``, each class with its least sigma, as sigma runs in order."""
+    targets: dict[bytes, tuple] = {}
+    sigmas = sorted(map(_inverse_permutation,
+                        _linear_extensions(len(up), _support(up))))
+    for lo in range(0, len(sigmas), _kernels.CHUNK):
+        block = sigmas[lo:lo + _kernels.CHUNK]
+        canons, signs = _kernels.sign_canonical(_conj_np(block, up))
+        for sigma, canon, sign in zip(block, canons, signs):
+            targets.setdefault(canon.tobytes(), (sigma, sign))
+    return targets
+
 
 # Largest B with B + B^2 <= 2^63 - 1: one braid move maps entries of
 # absolute value <= B to at most B + B^2, so it cannot wrap in int64.
@@ -264,19 +274,22 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
 
     Both inputs must be unit-diagonal integer matrices that are unipotent
     with respect to some order.  States are explored up to sign conjugation
-    (lexicographically minimal representative); the target set is closed
-    under triangularity-preserving permutation conjugations and all sign
-    conjugations.  Absence of a certificate within the bounds is reported as
-    exhausted or inconclusive, never as inequivalence.
+    (lexicographically minimal representative).  The target set holds the
+    sign classes of S2's upper-triangular permutation conjugates, by the
+    inverses sigma of the linear extensions of its support, each class with
+    its least sigma; it costs one conjugate per extension, n! only for a
+    target with no off-diagonal entries.  Absence of a certificate within
+    the bounds is reported as exhausted or inconclusive, never as
+    inequivalence.
 
     A ValueError is raised before any work when ``depth`` or
     ``entry_bound`` is not an integer under ``algebra._as_int``, when
     ``depth`` is negative or ``entry_bound`` is below 1 (every
     unit-diagonal child has an entry 1, so a smaller bound would prune every
-    move), and when the matrices are 0 x 0, as no quiver of rank 0 exists.  Moves run in int64, so before
-    the first level a ValueError is raised when ``entry_bound`` or an entry
-    of S1 exceeds 3 037 000 499 in absolute value, the largest B with
-    B + B^2 < 2^63.
+    move), and when the matrices are 0 x 0, as no quiver of rank 0 exists.
+    Moves run in int64, so before the first level a ValueError is raised
+    when ``entry_bound`` or an entry of S1 exceeds 3 037 000 499 in
+    absolute value, the largest B with B + B^2 < 2^63.
     """
     depth, entry_bound = _as_int(depth), _as_int(entry_bound)
     if depth < 0:
@@ -284,8 +297,7 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
     if entry_bound < 1:
         raise ValueError(f"orbit search entry bound must be at least 1, "
                          f"got {entry_bound}")
-    src, a1 = _to_int_matrix(S1)
-    tgt, a2 = _to_int_matrix(S2)
+    (src, a1), (tgt, a2) = _to_int_matrix(S1), _to_int_matrix(S2)
     if a1.shape != a2.shape:
         raise ValueError("dimension mismatch")
     n = a1.shape[0]
@@ -298,25 +310,11 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
         cert = EquivalenceCertificate(src, tgt, BraidWord(()), True)
         return OrbitSearchResult("found", cert, 0, 1, 0)
 
-    tau1 = _sorting_permutation(a1)
-    tau2 = _sorting_permutation(a2)
+    tau1, tau2 = _sorting_permutation(a1), _sorting_permutation(a2)
     if tau1 is None or tau2 is None:
         raise ValueError("input is not unipotent with respect to any order")
-    up1 = _conj_np(tau1, a1)
-    up2 = _conj_np(tau2, a2)
-
-    # Target set: sign-canonical forms of the upper-triangular permutation
-    # conjugates of up2, remembering how to get back.  Permutations go
-    # through numpy in blocks, in lexicographic order.
-    targets: dict[bytes, tuple] = {}
-    perms = itertools.permutations(range(1, n + 1))
-    while block := list(itertools.islice(perms, _PERM_BLOCK)):
-        cands = _conj_np(block, up2)
-        upper = ~np.tril(cands, -1).any(axis=(1, 2))
-        canons, signs = _kernels.sign_canonical(cands[upper])
-        for sigma, canon, sign in zip(itertools.compress(block, upper),
-                                      canons, signs):
-            targets.setdefault(canon.tobytes(), (sigma, sign))
+    up1, up2 = _conj_np(tau1, a1), _conj_np(tau2, a2)
+    targets = _target_set(up2)
 
     (canon0,), _ = _kernels.sign_canonical(up1[None])
     key0 = canon0.tobytes()
@@ -324,12 +322,10 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
     pruned = 0
 
     def reconstruct(final_key: bytes) -> EquivalenceCertificate:
-        chain = []
-        key = final_key
+        chain, key = [], final_key
         while parents[key] is not None:
-            pkey, move = parents[key]
+            key, move = parents[key]
             chain.append(move)
-            key = pkey
         chain.reverse()
 
         moves: list[Move] = []

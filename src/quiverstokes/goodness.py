@@ -137,6 +137,9 @@ class EpsilonTensor:
     def from_dict(cls, n: int, domain, eps: dict) -> "EpsilonTensor":
         dom = frozenset(tuple(p) for p in domain)
         signs = tuple(sorted(((i, j), _as_int(eps[(i, j)])) for (i, j) in dom))
+        for pair, s in signs:
+            if s not in (1, -1):
+                raise ValueError(f"sign of pair {pair} must be +1 or -1, got {s}")
         t = cls(n, dom, signs)
         bad = t.triple_violations()
         if bad:

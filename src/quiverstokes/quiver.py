@@ -25,8 +25,7 @@ class Quiver:
     arrows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        arrows = tuple(tuple(a if type(a) is int else _as_int(a) for a in row)
-                       for row in self.arrows)
+        arrows = tuple(tuple(_as_int(a) for a in row) for row in self.arrows)
         object.__setattr__(self, "arrows", arrows)
         if len(arrows) != self.n or any(len(r) != self.n for r in arrows):
             raise ValueError("arrow matrix must be n x n")
@@ -64,8 +63,7 @@ class EulerForm:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        m = tuple(tuple(x if type(x) is int else _as_int(x) for x in row)
-                  for row in matrix)
+        m = tuple(tuple(_as_int(x) for x in row) for row in matrix)
         n = len(m)
         if any(len(r) != n for r in m):
             raise ValueError("form matrix must be square")

@@ -19,6 +19,8 @@ import math
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .algebra import (Basis, LatticeVector, PolyMatrix, TruncatedPoly, _as_fraction,
                       _as_int)
 from .braid import EquivalenceCertificate
@@ -181,7 +183,7 @@ def move_to_json(mv) -> dict:
     if mv[0] == "perm":
         return {"perm": list(mv[1])}
     if mv[0] == "sign":
-        return {"sign": mv[1] if isinstance(mv[1], int) else list(mv[1])}
+        return {"sign": _as_int(mv[1]) if np.ndim(mv[1]) == 0 else list(mv[1])}
     raise ValueError(f"unknown move {mv!r}")
 
 

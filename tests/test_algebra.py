@@ -1,5 +1,7 @@
+import itertools
 import operator
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -341,3 +343,78 @@ class TestBasis:
         b = Basis.alternating(3)
         assert basis_from_json(basis_to_json(b)) == b
         assert [r.coords for r in b.rows] == [(1, 0, 1), (0, -1, 1), (0, 0, 1)]
+
+
+def kahn_index_order(n, positions):
+    """Kahn's loop, smallest ready index first: how ``_index_order`` found
+    its order before it read the first linear extension."""
+    succ = {i: set() for i in range(1, n + 1)}
+    deg = {i: 0 for i in range(1, n + 1)}
+    for (i, j) in positions:
+        if j not in succ[i]:
+            succ[i].add(j)
+            deg[j] += 1
+    order = []
+    ready = sorted(i for i in deg if deg[i] == 0)
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        for w in sorted(succ[v]):
+            deg[w] -= 1
+            if deg[w] == 0:
+                ready.append(w)
+        ready.sort()
+    if len(order) != n:
+        raise ValueError("factor positions contain a cycle; no unipotent order")
+    return tuple(order)
+
+
+def brute_linear_extensions(n, positions):
+    """Every permutation of 1..n, in lexicographic order, that puts i before
+    j for each position (i, j); a self-loop allows none."""
+    positions = set(positions)
+    return [p for p in itertools.permutations(range(1, n + 1))
+            if all(i != j and p.index(i) < p.index(j) for i, j in positions)]
+
+
+@st.composite
+def order_positions(draw):
+    """(n, positions) with n <= 6: random pairs, so duplicates, self-loops
+    and cycles occur, or half the time pairs i < j under a random
+    relabelling, which are acyclic and often allow many orders."""
+    n = draw(st.integers(0, 6))
+    if n == 0:
+        return 0, []
+    index = st.integers(1, n)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=10))
+    if draw(st.booleans()):
+        relabel = draw(st.permutations(range(1, n + 1)))
+        pairs = [(relabel[i - 1], relabel[j - 1]) for i, j in pairs if i < j]
+    return n, pairs
+
+
+class TestLinearExtensions:
+    @settings(max_examples=300, deadline=None)
+    @given(order_positions())
+    def test_matches_the_permutation_filter(self, case):
+        n, pairs = case
+        assert list(algebra_mod._linear_extensions(n, iter(pairs))) == \
+            brute_linear_extensions(n, pairs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(order_positions())
+    def test_index_order_matches_kahn(self, case):
+        n, pairs = case
+        try:
+            expected = kahn_index_order(n, pairs)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                algebra_mod._index_order(n, pairs)
+        else:
+            assert algebra_mod._index_order(n, pairs) == expected
+
+    def test_cycle_and_self_loop_give_nothing(self):
+        # the cycle 1 -> 2 -> 1 leaves 3..8 free, and still ends at once
+        assert list(algebra_mod._linear_extensions(8, [(1, 2), (2, 1)])) == []
+        assert list(algebra_mod._linear_extensions(3, [(2, 2)])) == []
+        assert list(algebra_mod._linear_extensions(0, [])) == [()]

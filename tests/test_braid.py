@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -325,6 +326,22 @@ class TestWord:
         assert out == expected
 
 
+def scan_target_set(up: np.ndarray) -> dict:
+    """The target set as ``orbit_search`` built it from all n! permutations:
+    in lexicographic order, 720 per numpy call, keeping the conjugates with
+    nothing below the diagonal and, per sign class, the first sigma."""
+    n, targets = len(up), {}
+    perms = itertools.permutations(range(1, n + 1))
+    while block := list(itertools.islice(perms, 720)):
+        cands = braid._conj_np(block, up)
+        upper = ~np.tril(cands, -1).any(axis=(1, 2))
+        canons, signs = _kernels.sign_canonical(cands[upper])
+        for sigma, canon, sign in zip(itertools.compress(block, upper),
+                                      canons, signs):
+            targets.setdefault(canon.tobytes(), (sigma, sign))
+    return targets
+
+
 class TestOrbitSearch:
     def test_same_matrix_empty_word(self):
         s3 = an_stokes(3).evaluate(joyce_point(3))
@@ -477,6 +494,21 @@ class TestOrbitSearch:
                                  for c in exact) > 0
         assert res.status == "exhausted"
 
+    def test_a9_query_conjugates_only_the_linear_extensions(self, monkeypatch):
+        # the target's support allows 5 orders of 1..9, so the target set
+        # conjugates 5 rows, and the two sorting permutations one each;
+        # a scan of all permutations would conjugate 9! = 362 880 rows
+        rows = []
+        conj = braid._conj_np
+        monkeypatch.setattr(braid, "_conj_np", lambda sigma, a: (
+            rows.append(1 if np.ndim(sigma) == 1 else len(sigma))
+            or conj(sigma, a)))
+        s9 = an_stokes(9).evaluate(joyce_point(9))
+        res = orbit_search(s9, beta(5, s9), depth=1)
+        assert (res.status, res.depth_reached) == ("found", 1)
+        assert res.certificate.verified
+        assert sum(rows) == 7
+
 
 def brute_sign_canonical(mat: np.ndarray):
     """Reference for ``_kernels.sign_canonical`` on one matrix: try all
@@ -554,6 +586,38 @@ class TestKernels:
             assert tuple(canon.ravel()) <= tuple(cand.ravel())
 
 
+def assert_same_targets(got, want):
+    assert set(got) == set(want)
+    for key, (sigma, signs) in want.items():
+        assert got[key][0] == sigma
+        assert np.array_equal(got[key][1], signs)
+
+
+class TestTargetSet:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 7), st.data())
+    def test_orbit_elements_match_the_permutation_scan(self, n, data):
+        a = an_stokes(n).evaluate(joyce_point(n))
+        # a random element of the A_n orbit, disguised by a permutation
+        # and signs so that its support is not triangular
+        for i, forward in data.draw(st.lists(
+                st.tuples(st.integers(1, n - 1), st.booleans()), max_size=5)):
+            a = (beta if forward else beta_inv)(i, a)
+        a = perm_conj(data.draw(st.permutations(range(1, n + 1))), a)
+        a = np.array(sign_conj(data.draw(st.lists(
+            st.sampled_from((1, -1)), min_size=n, max_size=n)), a), dtype=np.int64)
+        up = braid._conj_np(braid._sorting_permutation(a), a)
+        assert_same_targets(braid._target_set(up), scan_target_set(up))
+
+    @settings(max_examples=150, deadline=None)
+    @given(unit_diagonal_stacks(max_n=6, upper=True))
+    def test_sparse_matrices_match_the_permutation_scan(self, stack):
+        # sparse supports allow many orders, and a sign class often holds
+        # several sigma, of which the least must be kept
+        up = stack[0]
+        assert_same_targets(braid._target_set(up), scan_target_set(up))
+
+
 class TestMoveJson:
     @pytest.mark.parametrize("mv", [("sign", 2), ("sign", (1, -1, 1)),
                                     ("perm", (2, 3, 1)), ("braid", 1, 1),
@@ -576,3 +640,11 @@ class TestMoveJson:
     def test_malformed_move_is_refused(self, data, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             move_from_json(data)
+
+    def test_numpy_sign_index_is_written_as_an_int(self):
+        # sign_conj takes a numpy integer index; its JSON form is a plain int
+        mv = ("sign", np.int64(2))
+        data = move_to_json(mv)
+        assert data == {"sign": 2} and type(data["sign"]) is int
+        A = F([[1, 2, 3], [0, 1, 5], [0, 0, 1]])
+        assert apply_move(move_from_json(data), A) == sign_conj(2, A)

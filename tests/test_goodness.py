@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -344,6 +345,16 @@ class TestEpsilonSolutions:
         with pytest.raises(ValueError):
             EpsilonTensor.from_dict(3, full_domain(3),
                                     {(1, 2): 1, (2, 3): 1, (1, 3): -1})
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("sign", [2, 0, -2])
+    def test_sign_other_than_plus_or_minus_one_rejected(self, n, sign):
+        # at n = 2 there is no triple to refuse it, and at n = 3 the
+        # triple check would name the wrong fault
+        eps = {pair: sign for pair in full_domain(n)}
+        message = f"sign of pair (1, 2) must be +1 or -1, got {sign}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EpsilonTensor.from_dict(n, full_domain(n), eps)
 
 
 class TestFindGoodQuivers:
