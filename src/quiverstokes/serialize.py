@@ -179,11 +179,12 @@ def move_to_json(mv) -> dict:
     """A braid, permutation or sign move as JSON; a sign move keeps its form,
     a 1-based index or a vector of signs."""
     if mv[0] == "braid":
-        return {"braid": mv[1], "dir": "+" if mv[2] > 0 else "-"}
+        return {"braid": _as_int(mv[1]), "dir": "+" if mv[2] > 0 else "-"}
     if mv[0] == "perm":
-        return {"perm": list(mv[1])}
+        return {"perm": [_as_int(s) for s in mv[1]]}
     if mv[0] == "sign":
-        return {"sign": _as_int(mv[1]) if np.ndim(mv[1]) == 0 else list(mv[1])}
+        return {"sign": _as_int(mv[1]) if np.ndim(mv[1]) == 0
+                else [_as_int(s) for s in mv[1]]}
     raise ValueError(f"unknown move {mv!r}")
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
@@ -510,6 +511,171 @@ class TestOrbitSearch:
         assert sum(rows) == 7
 
 
+def answer(res):
+    """Every field of an orbit search result."""
+    cert = res.certificate
+    return (res.status, res.depth_reached, res.states, res.pruned,
+            None if cert is None else (cert.word.moves, cert.verified))
+
+
+def fresh_answer(*query):
+    """The answer of a search from a new ball; the current ball is kept."""
+    kept, braid._LAST = braid._LAST, None
+    try:
+        return answer(orbit_search(*query))
+    finally:
+        braid._LAST = kept
+
+
+def disguise(m, rng):
+    n = len(m)
+    return sign_conj([rng.choice((1, -1)) for _ in range(n)],
+                     perm_conj(rng.sample(range(1, n + 1), n), m))
+
+
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+class TestBallReuse:
+    """Searches from one source class with one entry bound share a ball
+    (``braid._Ball``); every answer must be the fresh search's."""
+
+    A5 = an_stokes(5).evaluate(joyce_point(5))
+    A6 = an_stokes(6).evaluate(joyce_point(6))
+    # found at level 6 from A6 (see TestOrbitSearch.PINNED)
+    A6_LEVEL6 = TestOrbitSearch.PINNED[3][1]
+
+    def scripted(self):
+        rng = random.Random(5)
+        a6_level1 = [move(i, self.A6) for move in (beta, beta_inv)
+                     for i in (1, 5)]
+        queries = [
+            # the identity drains A3-A5, and A5's frontier drains at level 7
+            *[(an_stokes(n).evaluate(joyce_point(n)), identity(n), 100, 64)
+              for n in (3, 4, 5)],
+            (self.A5, identity(5), 7, 64), (self.A5, identity(5), 6, 64),
+            (self.A5, identity(5), 8, 2),
+            (self.A5, identity(5), 7, 2), (self.A5, identity(5), 3, 2),
+            # found at level 0
+            (self.A5, disguise(self.A5, rng), 4, 2),
+            # deeper, then shallower: a level-6 class is inconclusive at 5
+            (self.A6, self.A6_LEVEL6, 12, 64), (self.A6, self.A6_LEVEL6, 5, 64),
+            (disguise(self.A6, rng), disguise(self.A6_LEVEL6, rng), 6, 64),
+            # shallower, then deeper: level 1 is one chunk, the second query
+            # resumes it after the first one's hit
+            *[(self.A6, t, 1, 5) for t in a6_level1],
+            (self.A6, self.A6_LEVEL6, 6, 5), (self.A6, identity(6), 0, 5),
+        ]
+        for n in range(3, 7):  # pruned children
+            big = random_unipotent(n, rng, bound=3)
+            queries += [(big, identity(n), 2, 3), (big, identity(n), 4, 3),
+                        (big, disguise(beta(1, big), rng), 3, 3)]
+        return queries
+
+    def randomized(self, count):
+        rng = random.Random(11)
+        sources = [an_stokes(n).evaluate(joyce_point(n)) for n in (3, 4, 5)]
+        sources += [random_unipotent(n, rng, bound=2)
+                    for n in (3, 4, 4, 5, 6)]
+        for _ in range(count):
+            src = rng.choice(sources)
+            n = len(src)
+            kind = rng.randrange(4)
+            if kind == 0:
+                tgt = identity(n)
+            elif kind == 1:
+                tgt = random_unipotent(n, rng, bound=2)
+            else:
+                moves = [("braid", rng.randint(1, n - 1), rng.choice((1, -1)))
+                         for _ in range(rng.randint(0, 6))]
+                tgt = disguise(BraidWord(tuple(moves)).apply(src), rng)
+            depth = rng.randint(0, 12 if n < 6 else 4)
+            yield src, tgt, depth, rng.choice((2, 3, 5, 64))
+
+    def test_reused_ball_answers_as_a_fresh_search(self, monkeypatch):
+        monkeypatch.setattr(braid, "_LAST", None)
+        seen = set()
+        for query in [*self.scripted(), *self.randomized(120)]:
+            got = answer(orbit_search(*query))
+            assert got == fresh_answer(*query), query
+            status, level, _, pruned, _ = got
+            depth = query[2]
+            seen |= {("found", 0) if (status, level) == ("found", 0) else
+                     "drained at depth" if (status, level) == ("exhausted", depth)
+                     else status, "pruned" if pruned else "none pruned"}
+        assert seen >= {("found", 0), "found", "exhausted", "inconclusive",
+                        "drained at depth", "pruned", "none pruned"}
+
+    def test_drained_ball_answers_by_level(self, monkeypatch):
+        monkeypatch.setattr(braid, "_LAST", None)
+        for depth, expected in [(8, ("exhausted", 7, 216, 0, None)),
+                                (7, ("exhausted", 7, 216, 0, None)),
+                                (6, ("inconclusive", 6, 216, 0, None)),
+                                (2, ("inconclusive", 2, 38, 0, None))]:
+            got = answer(orbit_search(self.A5, identity(5), depth))
+            assert got == expected == fresh_answer(self.A5, identity(5), depth)
+
+    def test_deeper_then_shallower_reports_the_shallower_level(self, monkeypatch):
+        monkeypatch.setattr(braid, "_LAST", None)
+        found = orbit_search(self.A6, self.A6_LEVEL6, 12)
+        assert (found.status, found.depth_reached) == ("found", 6)
+        shallow = orbit_search(self.A6, self.A6_LEVEL6, 5)
+        assert answer(shallow) == fresh_answer(self.A6, self.A6_LEVEL6, 5)
+        assert (shallow.status, shallow.depth_reached) == ("inconclusive", 5)
+        assert shallow.states < found.states
+
+    def test_int64_check_runs_on_every_call(self, monkeypatch):
+        # a source in the target set needs no move and is found whatever its
+        # entries; the ball that answered it does not let a search past the
+        # limit check
+        monkeypatch.setattr(braid, "_LAST", None)
+        big = ((1, 2 ** 40), (0, 1))
+        res = orbit_search(big, sign_conj(2, big))
+        assert (res.status, res.depth_reached) == ("found", 0)
+        assert res.certificate.verified
+        for _ in range(2):
+            with pytest.raises(ValueError, match="int64"):
+                orbit_search(big, identity(2))
+
+    def test_reuse_is_real_and_isolated(self, monkeypatch):
+        monkeypatch.setattr(braid, "_LAST", None)
+        calls = []
+        expand = _kernels.expand_frontier
+        monkeypatch.setattr(_kernels, "expand_frontier",
+                            lambda *a: calls.append(1) or expand(*a))
+
+        def search(*query):
+            calls.clear()
+            res = orbit_search(*query)
+            expanded = len(calls)
+            assert answer(res) == fresh_answer(*query)
+            return res, expanded
+
+        rng = random.Random(3)
+        res, expanded = search(self.A6, self.A6_LEVEL6)
+        ball = braid._LAST
+        assert res.status == "found" and expanded > 0
+        # a class the ball holds, from a disguised form of the same source
+        near = disguise(beta(2, beta(1, self.A6)), rng)
+        res, expanded = search(disguise(self.A6, rng), near)
+        assert (res.status, res.depth_reached, expanded) == ("found", 2, 0)
+        assert braid._LAST is ball
+        # another entry bound, then another source: new balls
+        res, expanded = search(self.A6, near, 12, 5)
+        assert braid._LAST is not ball and expanded > 0
+        ball = braid._LAST
+        res, expanded = search(self.A5, identity(5))
+        assert braid._LAST is not ball and expanded > 0
+        # level 1 of A6 is one chunk of 10 children: a hit early in it
+        # stops the ball there, and a later child is found by resuming it
+        first, expanded = search(self.A6, beta(1, self.A6), 1)
+        assert (first.status, first.states, expanded) == ("found", 2, 1)
+        later, expanded = search(self.A6, beta_inv(5, self.A6), 1)
+        assert (later.status, expanded) == ("found", 0)
+        assert later.states > first.states
+
+
 def brute_sign_canonical(mat: np.ndarray):
     """Reference for ``_kernels.sign_canonical`` on one matrix: try all
     2^(n-1) sign vectors with d[0] = +1 in increasing bitmask order and keep
@@ -648,3 +814,15 @@ class TestMoveJson:
         assert data == {"sign": 2} and type(data["sign"]) is int
         A = F([[1, 2, 3], [0, 1, 5], [0, 0, 1]])
         assert apply_move(move_from_json(data), A) == sign_conj(2, A)
+
+    @pytest.mark.parametrize("mv,expected", [
+        (("perm", np.array([2, 1, 3])), ("perm", (2, 1, 3))),
+        (("sign", np.array([1, -1, 1])), ("sign", (1, -1, 1))),
+        (("braid", np.int64(1), 1), ("braid", 1, 1)),
+    ])
+    def test_numpy_integer_items_are_written_as_ints(self, mv, expected):
+        # braid._move takes these moves; their JSON holds plain ints
+        text = json.dumps(move_to_json(mv))
+        assert move_from_json(json.loads(text)) == expected
+        A = F([[1, 2, 3], [0, 1, 5], [0, 0, 1]])
+        assert apply_move(expected, A) == apply_move(mv, A)
