@@ -300,50 +300,57 @@ class _Ball:
     ``_kernels.CHUNK``.  It yields each new class's key and None at each
     level's end but the last, and a query stops it where its answer is
     known, in the middle of a chunk if need be; the next query resumes it
-    there.  It ends when the ball drains, which frees its chunk buffers.
+    there.  A level's frontier is read back from ``keys``, so a stopped
+    exploration holds no states but those of one chunk's children.
     """
 
     def __init__(self, canon0: np.ndarray, entry_bound: int):
         self.key0, self.entry_bound = canon0.tobytes(), entry_bound
-        self.index = {self.key0: 0}
+        self.keys, self.index = [self.key0], {self.key0: 0}
         self.parent, self.move = array("q", [-1]), array("q", [-1])
         self.level, self.pruned_at = array("q", [0]), array("q", [0])
         self.signs = [0]  # the source's signs depend on the query's form
         self.ends, self.drained = [(1, 0)], False
-        self._walk = self._explore(canon0[None])
+        self._walk = self._explore(canon0.shape[0])
 
-    def _explore(self, frontier: np.ndarray):
-        moves_per = 2 * (frontier.shape[1] - 1)
-        size, first, pruned = frontier[0].nbytes, 0, 0
+    def _children(self, lo: int, hi: int, n: int) -> tuple:
+        """The children of classes lo .. hi - 1, in the order of
+        ``expand_frontier``: their canonical forms as one bytes string,
+        whether each is within the entry bound, and their packed signs."""
+        frontier = np.frombuffer(b"".join(self.keys[lo:hi]),
+                                 dtype=np.int64).reshape(-1, n, n)
+        children, ok = _kernels.expand_frontier(frontier, self.entry_bound)
+        canons, signs = _kernels.sign_canonical(children)
+        return canons.tobytes(), ok.tolist(), _sign_bits(signs)
+
+    def _explore(self, n: int):
+        moves_per, size = 2 * (n - 1), 8 * n * n  # int64 entries
+        first, pruned = 0, 0
         while True:
-            level, fresh = len(self.ends), []
-            for lo in range(0, len(frontier), _kernels.CHUNK):
-                children, ok = _kernels.expand_frontier(
-                    frontier[lo:lo + _kernels.CHUNK], self.entry_bound)
-                canons, signs = _kernels.sign_canonical(children)
-                bits, keys, new = _sign_bits(signs), canons.tobytes(), []
-                for j, good in enumerate(ok.tolist()):
+            level, stop = len(self.ends), len(self.keys)
+            for lo in range(first, stop, _kernels.CHUNK):
+                keys, ok, bits = self._children(
+                    lo, min(lo + _kernels.CHUNK, stop), n)
+                for j, good in enumerate(ok):
                     if not good:
                         pruned += 1
                         continue
                     key = keys[j * size:(j + 1) * size]
                     if key in self.index:
                         continue
-                    self.index[key] = len(self.parent)
-                    self.parent.append(first + lo + j // moves_per)
+                    self.index[key] = len(self.keys)
+                    self.keys.append(key)
+                    self.parent.append(lo + j // moves_per)
                     self.move.append(j % moves_per)
                     self.signs.append(int.from_bytes(bits[j], "little"))
                     self.level.append(level)
                     self.pruned_at.append(pruned)
-                    new.append(j)
                     yield key
-                fresh.append(canons[new])
-            first += len(frontier)
-            frontier = np.concatenate(fresh)
-            self.ends.append((len(self.parent), pruned))
-            if not len(frontier):
+            self.ends.append((len(self.keys), pruned))
+            if len(self.keys) == stop:
                 self.drained = True
                 return
+            first = stop
             yield None
 
     def search(self, targets: dict, depth: int) -> tuple:
@@ -382,8 +389,9 @@ _LAST_LOCK = threading.Lock()
 def _ball_search(canon0: np.ndarray, entry_bound: int, targets: dict,
                  depth: int) -> tuple:
     """The ball of ``canon0`` and ``entry_bound``, and its answer to the
-    query (``_Ball.search``).  A ball an exception interrupted may be
-    half-written, so it is dropped."""
+    query (``_Ball.search``).  One lock covers the lookup and the
+    exploration, so one ball is never explored by two threads.  A ball an
+    exception interrupted may be half-written, so it is dropped."""
     global _LAST
     with _LAST_LOCK:
         ball = _LAST
@@ -416,8 +424,11 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
     query the exploration has already passed, and a query beyond it resumes
     the exploration where the last one stopped.  Every field of the result
     is what a fresh search returns.  The last exploration stays in memory
-    until a search with another source or bound replaces it; after the
-    full A7 orbit (32 768 classes) that is about 17 MB.
+    until a search with another source or bound replaces it.  It keeps the
+    canonical form and a few integers of each class found, and of its work
+    in progress only one chunk's children: about 18 MB after the full A7
+    orbit (32 768 classes), and as much after an A7 search stopped at depth
+    10.  Calls from several threads run one at a time.
 
     A ValueError is raised before any work when ``depth`` or
     ``entry_bound`` is not an integer under ``algebra._as_int``, when

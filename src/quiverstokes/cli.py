@@ -4,7 +4,7 @@ Commands:
   mutate        apply a mutation word to a quiver
   goodness      run the quadratic and vanishing checks for a basis
   stokes        ordered factor product for (quiver, basis, chamber)
-  equiv         bounded braid-orbit search between two matrices
+  equiv         bounded braid-orbit search from one matrix to others
   verify-paper  replay the bundled reference dataset
 
 All configuration is by flags; identical inputs give byte-identical output.
@@ -137,24 +137,29 @@ def cmd_stokes(args) -> int:
 
 def cmd_equiv(args) -> int:
     s1 = rational_matrix_from_json(_read_json(args.matrix1))
-    s2 = rational_matrix_from_json(_read_json(args.matrix2))
-    res = orbit_search(s1, s2, depth=args.depth, entry_bound=args.entry_bound)
-    if res.certificate is not None:
-        out = certificate_to_json(res.certificate)
-        out["status"] = res.status
+    targets = [rational_matrix_from_json(_read_json(path)) for path in args.matrix2]
+    outs, texts = [], []
+    for s2 in targets:
+        res = orbit_search(s1, s2, depth=args.depth, entry_bound=args.entry_bound)
+        if res.certificate is not None:
+            out = certificate_to_json(res.certificate)
+            out["status"] = res.status
+            moves = " ".join(json.dumps(m) for m in out["word"])
+            texts.append(f"found ({len(out['word'])} moves): {moves}\n"
+                         f"verified: {out['verified']}\n")
+        else:
+            out = {"status": res.status, "depth_reached": res.depth_reached,
+                   "states": res.states, "pruned": res.pruned}
+            texts.append(f"{res.status}: no certificate within depth "
+                         f"{args.depth} and entry bound {args.entry_bound} "
+                         f"({res.states} states seen)\n")
+        outs.append(out)
+
+    if len(targets) == 1:
+        _emit(args, outs[0], lambda: texts[0])
     else:
-        out = {"status": res.status, "depth_reached": res.depth_reached,
-               "states": res.states, "pruned": res.pruned}
-
-    def text():
-        if res.certificate is None:
-            return (f"{res.status}: no certificate within depth "
-                    f"{args.depth} and entry bound {args.entry_bound} "
-                    f"({res.states} states seen)\n")
-        moves = " ".join(json.dumps(m) for m in out["word"])
-        return f"found ({len(out['word'])} moves): {moves}\nverified: {out['verified']}\n"
-
-    _emit(args, out, text)
+        _emit(args, outs, lambda: "".join(
+            f"{path}: {text}" for path, text in zip(args.matrix2, texts)))
     return 0
 
 
@@ -179,7 +184,7 @@ def cmd_verify_paper(args) -> int:
     return 0 if ok else 1
 
 
-def _emit(args, payload: dict, text_fn) -> None:
+def _emit(args, payload, text_fn) -> None:
     if args.format == "json":
         sys.stdout.write(dumps(payload))
     else:
@@ -224,9 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_stokes)
 
-    p = sub.add_parser("equiv", help="braid-orbit search between two matrices")
-    p.add_argument("matrix1", help="rational matrix JSON file")
-    p.add_argument("matrix2")
+    p = sub.add_parser("equiv", help="braid-orbit search from one matrix to others")
+    p.add_argument("matrix1", help="rational matrix JSON file: the source")
+    p.add_argument("matrix2", nargs="+",
+                   help="one or more target matrix JSON files, searched in order")
     p.add_argument("--depth", type=integer, default=12)
     p.add_argument("--entry-bound", type=integer, default=64)
     common(p)

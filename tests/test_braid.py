@@ -2,6 +2,8 @@ import itertools
 import json
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -624,6 +626,49 @@ class TestBallReuse:
         assert answer(shallow) == fresh_answer(self.A6, self.A6_LEVEL6, 5)
         assert (shallow.status, shallow.depth_reached) == ("inconclusive", 5)
         assert shallow.states < found.states
+
+    def test_a_stopped_ball_holds_one_chunk_of_children(self, monkeypatch):
+        # a search stopped by its depth keeps the classes it found and, of
+        # its work in progress, one chunk's children, but no frontier
+        monkeypatch.setattr(braid, "_LAST", None)
+        res = orbit_search(self.A6, identity(6), 4)
+        assert res.status == "inconclusive" and res.states > _kernels.CHUNK
+        held = braid._LAST._walk.gi_frame.f_locals.values()
+        size = sum(v.nbytes if isinstance(v, np.ndarray) else sys.getsizeof(v)
+                   for v in held)
+        children = _kernels.CHUNK * 2 * (6 - 1)
+        assert size < children * (6 * 6 * 8 + 8 + 1) + 4096
+
+    def test_threads_get_fresh_answers(self, monkeypatch):
+        # more threads than cores, switching often, each replacing or
+        # resuming the ball the others use
+        queries = [(self.A5, identity(5), 8, 64), (self.A6, self.A6_LEVEL6, 12, 64),
+                   (self.A5, identity(5), 3, 2), (self.A6, identity(6), 4, 5)]
+        expected = [fresh_answer(*q) for q in queries]
+        monkeypatch.setattr(braid, "_LAST", None)
+        results, errors = [], []
+
+        def work(k):
+            try:
+                for r in range(6):
+                    i = (k + r) % len(queries)
+                    results.append((i, answer(orbit_search(*queries[i]))))
+            except Exception as err:
+                errors.append(err)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and len(results) == 24
+        assert all(got == expected[i] for i, got in results)
 
     def test_int64_check_runs_on_every_call(self, monkeypatch):
         # a source in the target set needs no move and is found whatever its

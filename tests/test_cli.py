@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import quiverstokes
+from quiverstokes import _kernels, braid
 from quiverstokes.algebra import Basis, joyce_point
 from quiverstokes.braid import perm_conj, sign_conj
 from quiverstokes.cli import main
@@ -162,6 +163,56 @@ class TestEquiv:
                                   "--depth", "0").stdout)
         assert data["status"] in ("inconclusive", "exhausted")
         assert "word" not in data
+
+    def test_several_targets_answer_as_single_runs(self, tmp_path, monkeypatch,
+                                                   capsys):
+        # from A4 at the unit point to depth 1: a found target, the source
+        # itself, and an inconclusive one
+        source = an_stokes(4).evaluate(joyce_point(4))
+        values = fixture_matrices_sj(_pipeline_fixtures())
+        paths = []
+        for name, m in (("s", source), ("t1", values["a4/mu2"]),
+                        ("t2", source), ("t3", values["a4/mu1mu3"])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(rational_matrix_to_json(m)))
+            paths.append(str(path))
+        for fmt in ("json", "text"):
+            singles = [run_cli("equiv", paths[0], t, "--depth", "1",
+                               "--format", fmt).stdout for t in paths[1:]]
+            batch = run_cli("equiv", *paths, "--depth", "1", "--format", fmt)
+            assert batch.returncode == 0
+            if fmt == "json":
+                results = json.loads(batch.stdout)
+                assert results == [json.loads(s) for s in singles]
+                assert [r["status"] for r in results] == \
+                    ["found", "found", "inconclusive"]
+            else:
+                assert batch.stdout == "".join(
+                    f"{t}: {s}" for t, s in zip(paths[1:], singles))
+
+        # in one process the second target is answered from the exploration
+        # the first one made
+        calls = []
+        expand = _kernels.expand_frontier
+        monkeypatch.setattr(_kernels, "expand_frontier",
+                            lambda *a: calls.append(1) or expand(*a))
+        for targets in ([paths[1]], [paths[1], paths[1]]):
+            calls.clear()
+            monkeypatch.setattr(braid, "_LAST", None)
+            assert main(["equiv", paths[0], *targets, "--depth", "1"]) == 0
+            capsys.readouterr()
+            if len(targets) == 1:
+                first = len(calls)
+        assert first > 0 and len(calls) == first
+
+    def test_a_bad_later_target_prints_nothing(self, tmp_path):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps([["1", "-1"], ["0", "1"]]))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([["1", "2"], ["3", "1"]]))
+        out = run_cli("equiv", str(good), str(good), str(bad))
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.startswith("quiverstokes: error: ")
 
 
 class TestVerifyPaper:
