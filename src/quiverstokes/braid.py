@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import threading
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Union
 
 import numpy as np
@@ -74,15 +76,18 @@ def _like(A: MatrixLike, arr: np.ndarray):
 
 def _move(mv: Move, a: np.ndarray) -> np.ndarray:
     """The move ``mv`` checked against and applied to the (n, n) object
-    array ``a`` of exact entries; a braid move is forward when mv[2] > 0."""
+    array ``a`` of exact entries; a braid move is forward when mv[2] is +1
+    and backward when it is -1."""
     kind, n = mv[0], len(a)
     if kind == "braid":
         if any(a[k, k] != 1 for k in range(n)):
             raise ValueError("matrix must have unit diagonal")
-        i = _index(mv[1], n - 1, "braid index")
+        i, direction = _index(mv[1], n - 1, "braid index"), _as_int(mv[2])
+        if direction not in (1, -1):
+            raise ValueError(f"braid direction must be +1 or -1, got {direction}")
         if a[i - 1, i] != 0 and a[i, i - 1] != 0:
             raise ValueError("matrix is not unipotent for any order at the braid position")
-        return _kernels.braid_apply(a[None], i - 1, mv[2] > 0)[0]
+        return _kernels.braid_apply(a[None], i - 1, direction > 0)[0]
     if kind == "perm":
         sigma = tuple(_as_int(s) for s in mv[1])
         if sorted(sigma) != list(range(1, len(sigma) + 1)):
@@ -288,95 +293,84 @@ class _Ball:
     whose entries stay within one bound, in the order a breadth-first search
     discovers them, explored only as far as some query has needed.
 
-    Class k was discovered from class ``parent[k]`` (class 0, the source,
-    has none) by the braid move numbered ``move[k]`` as ``expand_frontier``
-    numbers children, on level ``level[k]``, with ``pruned_at[k]`` children
-    pruned before it.  ``signs[k]`` is the bitmask of the signs
-    ``sign_canonical`` returned for that child, so a certificate needs no
-    canonicalization.  ``ends[L]`` is (states, pruned) at the end of level
-    L, and ``drained`` is set when a level discovers no class.
+    Class k >= 1 is child ``child[k]`` = parent * 2(n-1) + move of class
+    ``parent``, moves numbered as in ``expand_frontier``, found with
+    ``pruned_at[k]`` children pruned before it; ``signs[k]`` is the bitmask
+    of the signs ``sign_canonical`` returned for it, so a certificate needs
+    no canonicalization.  ``ends[L]`` is (states, pruned) at the end of
+    level L, which gives a class's level by bisection; ``drained`` is set
+    when a level discovers no class.
 
-    ``_walk`` is the one exploration, chunk by chunk as in
-    ``_kernels.CHUNK``.  It yields each new class's key and None at each
-    level's end but the last, and a query stops it where its answer is
-    known, in the middle of a chunk if need be; the next query resumes it
-    there.  A level's frontier is read back from ``keys``, so a stopped
-    exploration holds no states but those of one chunk's children.
+    ``_step`` is the one exploration: it expands the next ``_kernels.CHUNK``
+    frontier classes, read back from ``keys``, records the chunk's new
+    classes whole and closes the level after its last chunk.  A query stops
+    between two steps, so a stopped exploration holds its records, the
+    frontier cursor and the pruned count, and no children.
     """
 
     def __init__(self, canon0: np.ndarray, entry_bound: int):
+        self.n = canon0.shape[0]
         self.key0, self.entry_bound = canon0.tobytes(), entry_bound
         self.keys, self.index = [self.key0], {self.key0: 0}
-        self.parent, self.move = array("q", [-1]), array("q", [-1])
-        self.level, self.pruned_at = array("q", [0]), array("q", [0])
+        self.child, self.pruned_at = array("q", [-1]), array("q", [0])
         self.signs = [0]  # the source's signs depend on the query's form
         self.ends, self.drained = [(1, 0)], False
-        self._walk = self._explore(canon0.shape[0])
+        self.cursor, self.pruned = 0, 0
 
-    def _children(self, lo: int, hi: int, n: int) -> tuple:
-        """The children of classes lo .. hi - 1, in the order of
-        ``expand_frontier``: their canonical forms as one bytes string,
-        whether each is within the entry bound, and their packed signs."""
+    def _step(self) -> None:
+        """Expand one chunk of the frontier, the classes ``cursor`` up to
+        the current level's start, and record its new classes."""
+        n, lo, stop = self.n, self.cursor, self.ends[-1][0]
+        hi, size = min(lo + _kernels.CHUNK, stop), 8 * n * n  # int64 entries
         frontier = np.frombuffer(b"".join(self.keys[lo:hi]),
                                  dtype=np.int64).reshape(-1, n, n)
         children, ok = _kernels.expand_frontier(frontier, self.entry_bound)
         canons, signs = _kernels.sign_canonical(children)
-        return canons.tobytes(), ok.tolist(), _sign_bits(signs)
-
-    def _explore(self, n: int):
-        moves_per, size = 2 * (n - 1), 8 * n * n  # int64 entries
-        first, pruned = 0, 0
-        while True:
-            level, stop = len(self.ends), len(self.keys)
-            for lo in range(first, stop, _kernels.CHUNK):
-                keys, ok, bits = self._children(
-                    lo, min(lo + _kernels.CHUNK, stop), n)
-                for j, good in enumerate(ok):
-                    if not good:
-                        pruned += 1
-                        continue
-                    key = keys[j * size:(j + 1) * size]
-                    if key in self.index:
-                        continue
-                    self.index[key] = len(self.keys)
-                    self.keys.append(key)
-                    self.parent.append(lo + j // moves_per)
-                    self.move.append(j % moves_per)
-                    self.signs.append(int.from_bytes(bits[j], "little"))
-                    self.level.append(level)
-                    self.pruned_at.append(pruned)
-                    yield key
-            self.ends.append((len(self.keys), pruned))
-            if len(self.keys) == stop:
-                self.drained = True
-                return
-            first = stop
-            yield None
+        keys, bits, first = canons.tobytes(), _sign_bits(signs), lo * 2 * (n - 1)
+        for j, good in enumerate(ok.tolist()):
+            if not good:
+                self.pruned += 1
+                continue
+            key = keys[j * size:(j + 1) * size]
+            if key not in self.index:
+                self.index[key] = len(self.keys)
+                self.keys.append(key)
+                self.child.append(first + j)
+                self.pruned_at.append(self.pruned)
+                self.signs.append(int.from_bytes(bits[j], "little"))
+        self.cursor = hi
+        if hi == stop:
+            self.ends.append((len(self.keys), self.pruned))
+            self.drained = len(self.keys) == stop
 
     def search(self, targets: dict, depth: int) -> tuple:
         """(status, depth_reached, states, pruned, key of the hit or None)
         as a fresh search to ``depth`` for the first class in ``targets``
         would report them."""
-        hit = min((key for key in targets if key in self.index),
-                  key=self.index.__getitem__, default=None)
-        while hit is None and len(self.ends) <= depth and not self.drained:
-            key = next(self._walk, None)
-            if key in targets:
-                hit = key
-        k = None if hit is None else self.index[hit]
-        if k is not None and self.level[k] <= depth:
-            return "found", self.level[k], k + 1, self.pruned_at[k], hit
+        while True:
+            k = min((self.index[key] for key in targets if key in self.index),
+                    default=None)
+            if k is not None or len(self.ends) > depth or self.drained:
+                break
+            self._step()
+        if k is not None:
+            level = bisect_right(self.ends, k, key=itemgetter(0))
+            if level <= depth:
+                return "found", level, k + 1, self.pruned_at[k], self.keys[k]
         last = len(self.ends) - 1
         if self.drained and last <= depth:
             return ("exhausted", last, *self.ends[last], None)
         return ("inconclusive", depth, *self.ends[depth], None)
 
     def path(self, k: int) -> list:
-        """The classes from the source, excluded, to class k."""
+        """(class, move) from the source, excluded, to class k, each class
+        with the move that found it, numbered as ``expand_frontier``
+        numbers them."""
         out = []
         while k:
-            out.append(k)
-            k = self.parent[k]
+            parent, move = divmod(self.child[k], 2 * (self.n - 1))
+            out.append((k, move))
+            k = parent
         return out[::-1]
 
 
@@ -425,10 +419,10 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
     the exploration where the last one stopped.  Every field of the result
     is what a fresh search returns.  The last exploration stays in memory
     until a search with another source or bound replaces it.  It keeps the
-    canonical form and a few integers of each class found, and of its work
-    in progress only one chunk's children: about 18 MB after the full A7
-    orbit (32 768 classes), and as much after an A7 search stopped at depth
-    10.  Calls from several threads run one at a time.
+    canonical form and three integers of each class found, and no children,
+    as a search stops only between two chunks of a level: 17.5 MB after the
+    full A7 orbit (32 768 classes), 16.4 MB after an A7 search stopped at
+    depth 10.  Calls from several threads run one at a time.
 
     A ValueError is raised before any work when ``depth`` or
     ``entry_bound`` is not an integer under ``algebra._as_int``, when
@@ -490,8 +484,7 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
 
     emit_perm(tau1)
     emit_sign(int.from_bytes(_sign_bits(signs0), "little"))
-    for k in ball.path(ball.index[hit]):
-        code = ball.move[k]
+    for k, code in ball.path(ball.index[hit]):
         moves.append(("braid", code % (n - 1) + 1, 1 if code < n - 1 else -1))
         emit_sign(ball.signs[k])
     sigma, tsigns = targets[hit]

@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Basis, LatticeVector, TruncatedPoly, _as_int
+from .algebra import Basis, LatticeVector, TruncatedPoly, _as_int, _index
 from .quiver import EulerForm, Quiver, euler_form
 
 
@@ -117,6 +117,18 @@ def full_domain(n: int) -> frozenset:
     return frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
+def _read_domain(n: int, domain) -> frozenset:
+    """The pairs (i, j) of ``domain`` as indices into 1..n; a ValueError
+    names a pair with i >= j."""
+    dom = set()
+    for pair in domain:
+        i, j = (_index(k, n, "pair index") for k in pair)
+        if i >= j:
+            raise ValueError(f"pair ({i}, {j}) must have i < j")
+        dom.add((i, j))
+    return frozenset(dom)
+
+
 def basis_domain(basis: Basis, p: int) -> frozenset:
     """Pairs (i, j), i < j, with len(alpha_j - alpha_i) < p."""
     length = _lengths(basis)
@@ -135,7 +147,7 @@ class EpsilonTensor:
 
     @classmethod
     def from_dict(cls, n: int, domain, eps: dict) -> "EpsilonTensor":
-        dom = frozenset(tuple(p) for p in domain)
+        dom = _read_domain(n, domain)
         signs = tuple(sorted(((i, j), _as_int(eps[(i, j)])) for (i, j) in dom))
         for pair, s in signs:
             if s not in (1, -1):
@@ -195,7 +207,7 @@ def epsilon_solutions(n: int, domain=None) -> list[EpsilonTensor]:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    dom = full_domain(n) if domain is None else frozenset(tuple(p) for p in domain)
+    dom = full_domain(n) if domain is None else _read_domain(n, domain)
     pairs = sorted(dom)
     pos = {pair: t for t, pair in enumerate(pairs)}
     # per pair (j, k): the positions of (i, j) and (i, k) of each triple it closes

@@ -30,7 +30,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .algebra import (Basis, LatticeVector, PolyMatrix, TruncatedPoly,
-                      _as_fraction, _index_order, lv_len, lv_monomial)
+                      _as_fraction, _as_int, _index, _index_order, lv_len,
+                      lv_monomial)
 from .quiver import EulerForm, Quiver, euler_form, linear_quiver
 
 
@@ -283,6 +284,7 @@ class _Factors:
 
     def __init__(self, basis: Basis, e: EulerForm, model: DTModel,
                  p: Optional[int]):
+        p = None if p is None else _as_int(p)
         if p is not None and p < 1:
             raise ValueError(f"truncation order must be at least 1, got {p}")
         self.basis, self.e, self.model, self.p = basis, e, model, p
@@ -360,10 +362,11 @@ def stokes_product(basis: Basis, e: EulerForm, model: DTModel, chamber: Chamber,
     With p given, factors of classes of length >= p are dropped and the
     exact product is reduced once mod (s)^p; with p absent it is exact.
     """
-    factors = _Factors(basis, e, model, p).ordered(chamber)
+    table = _Factors(basis, e, model, p)
+    factors = table.ordered(chamber)
     product = _elementary_product(basis.n, basis.n, factors)
-    if p is not None:
-        product = product.truncate(p)
+    if table.p is not None:
+        product = product.truncate(table.p)
     order = _index_order(basis.n, [(i, j) for (i, j, _) in factors])
     if not product.is_unipotent_wrt(order):
         raise ChamberError("product is not unipotent for the induced order")
@@ -380,8 +383,9 @@ def natural_lifts(basis: Basis, e: EulerForm, model: DTModel,
     All returned matrices agree mod (s)^p (checked, LiftDisagreement
     otherwise).
     """
-    values = {prod for prod, _ in _Factors(basis, e, model, p).products(chambers)}
-    if len({m.truncate(p) for m in values}) > 1:
+    table = _Factors(basis, e, model, p)
+    values = {prod for prod, _ in table.products(chambers)}
+    if len({m.truncate(table.p) for m in values}) > 1:
         raise LiftDisagreement("chamber products disagree below the stated order")
     return sorted(values, key=PolyMatrix.key)
 
@@ -405,6 +409,11 @@ def factor_product(T: PolyMatrix, positions: list[tuple[int, int]]) -> list[Trun
     a jet T is factored as the polynomial matrix it prints as, not mod (s)^p.
     """
     n = T.n
+    positions = [(_index(i, n, "row"), _index(j, n, "column"))
+                 for i, j in positions]
+    for i, j in positions:
+        if i == j:
+            raise ValueError(f"factor position ({i}, {j}) is on the diagonal")
     if len(set(positions)) != len(positions):
         raise ValueError("positions must be distinct")
     order = _index_order(n, positions)

@@ -237,3 +237,33 @@ def test_numbers_are_read_by_the_rules_of_algebra():
                   if isinstance(node, ast.keyword) and node.arg == "type"
                   and isinstance(node.value, ast.Name) and node.value.id == "int"]
     assert bare == [] and typed == []
+
+
+# (module, function): the one function that rebinds a module global, the
+# last orbit-search ball that searches from one source share
+GLOBALS_ALLOWED = [("braid", "_ball_search")]
+CACHES = {"cache", "lru_cache"}
+
+
+def _decorator_name(node) -> str:
+    """The name a decorator applies: ``cache`` for ``functools.cache``,
+    ``lru_cache`` for ``lru_cache(maxsize=8)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def test_no_hidden_state_across_calls():
+    # no linter is installed; on ast alone: no function rebinds a module
+    # global but the one allowed, and no module-level function memoizes its
+    # calls, so no other state outlives a call unseen
+    rebinds, cached = [], []
+    for path in sorted(Path(quiverstokes.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        rebinds += [(path.stem, fn.name) for fn in ast.walk(tree)
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and any(isinstance(node, ast.Global) for node in _own_nodes(fn))]
+        cached += [(path.stem, fn.name) for fn in tree.body
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and CACHES & {_decorator_name(d) for d in fn.decorator_list}]
+    assert rebinds == GLOBALS_ALLOWED and cached == []

@@ -11,15 +11,19 @@ from hypothesis import strategies as st
 
 from quiverstokes.algebra import (Basis, PolyMatrix, TruncatedPoly, _as_fraction,
                                   _index)
-from quiverstokes.braid import beta, orbit_search, perm_conj, sign_conj
-from quiverstokes.goodness import (EpsilonTensor, check_quadratic,
+from quiverstokes.braid import (BraidWord, apply_move, beta, beta_inv,
+                                orbit_search, perm_conj, sign_conj)
+from quiverstokes.goodness import (EpsilonTensor, check_quadratic, epsilon_solutions,
                                    find_good_quivers)
 from quiverstokes.quiver import Quiver, euler_form, linear_quiver, mutate
 from quiverstokes.serialize import (basis_from_json, chamber_from_json,
                                     dt_model_from_chamber_json, frac_str,
                                     parse_frac, pm_from_json, poly_from_json,
                                     quiver_from_json, rational_matrix_from_json)
-from quiverstokes.stokes import factor_coefficient
+from quiverstokes.stokes import (DTModel, an_chamber, an_stokes, convex_charge,
+                                 enumerate_an_chambers, factor_coefficient,
+                                 factor_product, level2_stokes, natural_lifts,
+                                 quiver_stokes_jet, stokes_product)
 
 A = ((1, 2, 3), (0, 1, 4), (0, 0, 1))
 Q = linear_quiver(3)
@@ -161,6 +165,97 @@ class TestIndexSites:
 
     def test_numpy_sign_index(self):
         assert sign_conj(np.int64(2), A) == sign_conj(2, A)
+
+
+A3 = (Basis.triangular(3), euler_form(Q), DTModel.an_intervals())
+ORDER_SITES = {
+    "stokes_product": lambda p: stokes_product(
+        *A3, an_chamber(3, convex_charge(3)), p).product,
+    "natural_lifts": lambda p: natural_lifts(*A3, enumerate_an_chambers(3, 20), p),
+    "level2_stokes": lambda p: level2_stokes(
+        Q, Basis.triangular(3), convex_charge(3), p).product,
+    "quiver_stokes_jet": lambda p: quiver_stokes_jet(Q, Basis.triangular(3), p),
+}
+
+
+class TestTruncationOrder:
+    """The order p of the Stokes products is read once, by ``_as_int``, and
+    the product is truncated with the value read."""
+
+    @pytest.mark.parametrize("site", ORDER_SITES.values(), ids=ORDER_SITES.keys())
+    @pytest.mark.parametrize("p", [True, 2.5, "x"])
+    def test_misread_order_raises(self, site, p):
+        with pytest.raises(ValueError, match="not an integer"):
+            site(p)
+
+    @pytest.mark.parametrize("site", ORDER_SITES.values(), ids=ORDER_SITES.keys())
+    def test_whole_orders_read_as_integers(self, site):
+        for p in (1, 2, 3, 4):
+            assert site(np.int64(p)) == site(float(p)) == site(p)
+
+    def test_integer_order_keeps_the_product(self):
+        # the A3 chamber product is an_stokes(3), and its jets below order p
+        for p in (1, 2, 3, 4):
+            assert ORDER_SITES["stokes_product"](p) == an_stokes(3).truncate(p)
+
+
+class TestPairSites:
+    """Sign-tensor domains and factor positions read each index with
+    ``_index``; a sign tensor's pairs have i < j, a factor's i != j."""
+
+    @pytest.mark.parametrize("build", [
+        lambda dom: epsilon_solutions(3, dom),
+        lambda dom: EpsilonTensor.from_dict(3, dom, dict.fromkeys(dom, 1)),
+    ], ids=["epsilon_solutions", "from_dict"])
+    def test_domain_pairs(self, build):
+        with pytest.raises(ValueError, match=r"^pair \(2, 1\) must have i < j$"):
+            build([(2, 1)])
+        with pytest.raises(ValueError, match=r"^pair \(2, 1\) must have i < j$"):
+            build([(1, 2), (2, 1)])
+        with pytest.raises(ValueError, match=r"^pair \(1, 1\) must have i < j$"):
+            build([(1, 1)])
+        with pytest.raises(ValueError, match=r"^pair index 7 out of range 1\.\.3$"):
+            build([(1, 7)])
+        with pytest.raises(ValueError, match="not an integer"):
+            build([(1, 2.5)])
+        dom = [(1, 2), (2, 3), (1, 3)]
+        assert build([(np.int64(i), float(j)) for i, j in dom]) == build(dom)
+
+    def test_factor_positions(self):
+        t = an_stokes(3)
+        with pytest.raises(ValueError, match=r"^column 5 out of range 1\.\.3$"):
+            factor_product(t, [(1, 5)])
+        with pytest.raises(ValueError, match=r"^row 0 out of range 1\.\.3$"):
+            factor_product(t, [(0, 5)])
+        with pytest.raises(ValueError, match=r"^factor position \(1, 1\) is on the diagonal$"):
+            factor_product(t, [(1, 2), (1, 1)])
+        with pytest.raises(ValueError, match="not an integer"):
+            factor_product(t, [(True, 2)])
+        pos = [(1, 2), (1, 3), (2, 3)]
+        cs = factor_product(t, pos)
+        assert factor_product(t, [(np.int64(i), float(j)) for i, j in pos]) == cs
+        s1, s2 = TruncatedPoly.variable(3, 1), TruncatedPoly.variable(3, 2)
+        assert cs == [-s1, -s1 * s2, -s2]
+
+
+class TestBraidDirection:
+    """A braid move's direction is an integer, +1 or -1, so that
+    ``BraidWord.inverse`` inverts every word that applies."""
+
+    A = an_stokes(3).evaluate((1, 1, 1))
+
+    @pytest.mark.parametrize("direction", [0, 2, -2, True, 0.5])
+    def test_other_directions_are_refused(self, direction):
+        with pytest.raises(ValueError, match="braid direction|not an integer"):
+            apply_move(("braid", 1, direction), self.A)
+        with pytest.raises(ValueError, match="braid direction|not an integer"):
+            BraidWord((("braid", 1, direction),)).apply(self.A)
+
+    def test_unit_directions_are_unchanged(self):
+        w = BraidWord((("braid", 1, 1), ("braid", 2, -1), ("braid", 1, np.int64(-1)),
+                       ("braid", 2, 1.0)))
+        assert w.apply(self.A) == beta(2, beta_inv(1, beta_inv(2, beta(1, self.A))))
+        assert w.inverse().apply(w.apply(self.A)) == self.A
 
 
 json_atoms = st.one_of(
