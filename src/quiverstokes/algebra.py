@@ -16,8 +16,9 @@ Arithmetic trusts operands that are already valid: sums, differences,
 negations, products, truncations and scalar coercions wrap the terms they
 compute without checking them again.
 
-Every number that enters the package is read by one of three rules, and
-every other module calls them rather than ``int()`` or ``Fraction()``:
+Every number that enters the package is read by one of four rules, and
+every other module calls them rather than ``int()``, ``Fraction()`` or a
+comparison of its own:
 
 * ``_as_int``: an integer is an int or numpy integer (not a bool), an
   integral float, or text of plain ASCII digits with an optional sign.
@@ -25,6 +26,8 @@ every other module calls them rather than ``int()`` or ``Fraction()``:
   ``_as_int``, or text ``p`` or ``p/q`` whose parts are integer text and
   q != 0.
 * ``_index``: a 1-based index is an integer under ``_as_int`` in 1..n.
+* ``_size``: a size, count or bound is an integer under ``_as_int`` of at
+  least a given value.
 """
 
 from __future__ import annotations
@@ -83,6 +86,18 @@ def _index(k, n: int, what: str) -> int:
     k = _as_int(k)
     if not 1 <= k <= n:
         raise ValueError(f"{what} {k} out of range 1..{n}")
+    return k
+
+
+def _size(k, least: int, what: str) -> int:
+    """``k`` as an integer under ``_as_int`` that is at least ``least``; a
+    one-line ValueError naming ``what`` otherwise."""
+    try:
+        k = _as_int(k)
+    except ValueError:
+        raise ValueError(f"{what} is not an integer: {k!r}") from None
+    if k < least:
+        raise ValueError(f"{what} must be at least {least}, got {k}")
     return k
 
 
@@ -363,9 +378,7 @@ class PolyMatrix:
     __slots__ = ("n", "nvars", "entries")
 
     def __init__(self, n: int, entries):
-        n = _as_int(n)
-        if n < 1:
-            raise ValueError(f"matrix size must be at least 1, got {n}")
+        n = _size(n, 1, "matrix size")
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError("entries must be an n x n array")
         self.n = n
@@ -465,7 +478,7 @@ class PolyMatrix:
 
 def joyce_point(nvars: int) -> list[Fraction]:
     """The distinguished evaluation point s1 = ... = sn = 1."""
-    return [Fraction(1)] * nvars
+    return [Fraction(1)] * _size(nvars, 1, "variable count")
 
 
 def _linear_extensions(n: int, positions: Iterable[tuple[int, int]]):
@@ -549,11 +562,13 @@ class Basis:
     @classmethod
     def triangular(cls, n: int) -> "Basis":
         """alpha_i = sum of the simple classes with index >= i."""
+        n = _size(n, 1, "rank n")
         return cls([tuple(1 if j >= i else 0 for j in range(n)) for i in range(n)])
 
     @classmethod
     def alternating(cls, n: int) -> "Basis":
         """alpha_i = (-1)^(i-1) [S_i] + [S_n] for i < n, alpha_n = [S_n]."""
+        n = _size(n, 1, "rank n")
         rows = []
         for i in range(1, n):
             row = [0] * n

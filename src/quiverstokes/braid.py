@@ -39,7 +39,8 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .algebra import PolyMatrix, _as_fraction, _as_int, _index, _linear_extensions
+from .algebra import (PolyMatrix, _as_fraction, _as_int, _index, _linear_extensions,
+                      _size)
 
 RationalMatrix = tuple  # tuple of tuples of Fractions
 MatrixLike = Union[PolyMatrix, tuple, list]
@@ -74,6 +75,15 @@ def _like(A: MatrixLike, arr: np.ndarray):
     return tuple(map(tuple, arr.tolist()))
 
 
+def _direction(d) -> int:
+    """A braid move's direction: an integer under ``_as_int``, +1 for the
+    forward move or -1 for the backward one."""
+    d = _as_int(d)
+    if d not in (1, -1):
+        raise ValueError(f"braid direction must be +1 or -1, got {d}")
+    return d
+
+
 def _move(mv: Move, a: np.ndarray) -> np.ndarray:
     """The move ``mv`` checked against and applied to the (n, n) object
     array ``a`` of exact entries; a braid move is forward when mv[2] is +1
@@ -82,9 +92,7 @@ def _move(mv: Move, a: np.ndarray) -> np.ndarray:
     if kind == "braid":
         if any(a[k, k] != 1 for k in range(n)):
             raise ValueError("matrix must have unit diagonal")
-        i, direction = _index(mv[1], n - 1, "braid index"), _as_int(mv[2])
-        if direction not in (1, -1):
-            raise ValueError(f"braid direction must be +1 or -1, got {direction}")
+        i, direction = _index(mv[1], n - 1, "braid index"), _direction(mv[2])
         if a[i - 1, i] != 0 and a[i, i - 1] != 0:
             raise ValueError("matrix is not unipotent for any order at the braid position")
         return _kernels.braid_apply(a[None], i - 1, direction > 0)[0]
@@ -232,25 +240,6 @@ class OrbitSearchResult:
 _INT64 = np.iinfo(np.int64)
 
 
-def _to_int_matrix(m) -> tuple[RationalMatrix, np.ndarray]:
-    """The exact rows of ``m`` and the same entries as an int64 array."""
-    if isinstance(m, PolyMatrix):
-        raise ValueError("orbit search works on evaluated matrices; "
-                         "evaluate at a rational point first")
-    rows = as_rational_matrix(m)
-    n = len(rows)
-    out = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            x = rows[i][j]
-            if x.denominator != 1:
-                raise ValueError("orbit search expects integer matrices")
-            if not _INT64.min <= x <= _INT64.max:
-                raise ValueError("orbit search entries must fit in int64")
-            out[i, j] = int(x)
-    return rows, out
-
-
 def _support(a: np.ndarray) -> list[tuple[int, int]]:
     """The 1-based positions (i, j), i != j, of the nonzero entries of a."""
     return [(int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(a)) if i != j]
@@ -260,6 +249,29 @@ def _sorting_permutation(a: np.ndarray) -> Optional[tuple]:
     """Permutation sigma with perm_conj(sigma, a) upper triangular, or None."""
     order = next(_linear_extensions(a.shape[0], _support(a)), None)
     return None if order is None else _inverse_permutation(order)
+
+
+def _search_input(m) -> tuple[RationalMatrix, np.ndarray, tuple]:
+    """``m`` checked in full as an orbit-search input: its exact rows, the
+    same entries in int64, and tau with perm_conj(tau, m) upper triangular."""
+    if isinstance(m, PolyMatrix):
+        raise ValueError("orbit search works on evaluated matrices; "
+                         "evaluate at a rational point first")
+    rows = as_rational_matrix(m)
+    if not rows:
+        raise ValueError("orbit search needs matrices of size at least 1")
+    for x in (x for row in rows for x in row):
+        if x.denominator != 1:
+            raise ValueError("orbit search expects integer matrices")
+        if not _INT64.min <= x <= _INT64.max:
+            raise ValueError("orbit search entries must fit in int64")
+    a = np.array([[x.numerator for x in row] for row in rows], dtype=np.int64)
+    if (np.diagonal(a) != 1).any():
+        raise ValueError("matrices must have unit diagonal")
+    tau = _sorting_permutation(a)
+    if tau is None:
+        raise ValueError("input is not unipotent with respect to any order")
+    return rows, a, tau
 
 
 def _target_set(up: np.ndarray) -> dict[bytes, tuple]:
@@ -403,15 +415,13 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
                  entry_bound: int = 64) -> OrbitSearchResult:
     """Bounded BFS over braid moves certifying S1 ~ S2.
 
-    Both inputs must be unit-diagonal integer matrices that are unipotent
-    with respect to some order.  States are explored up to sign conjugation
-    (lexicographically minimal representative).  The target set holds the
-    sign classes of S2's upper-triangular permutation conjugates, by the
-    inverses sigma of the linear extensions of its support, each class with
-    its least sigma; it costs one conjugate per extension, n! only for a
-    target with no off-diagonal entries.  Absence of a certificate within
-    the bounds is reported as exhausted or inconclusive, never as
-    inequivalence.
+    States are explored up to sign conjugation (lexicographically minimal
+    representative).  The target set holds the sign classes of S2's
+    upper-triangular permutation conjugates, by the inverses sigma of the
+    linear extensions of its support, each class with its least sigma; it
+    costs one conjugate per extension, n! only for a target with no
+    off-diagonal entries.  Absence of a certificate within the bounds is
+    reported as exhausted or inconclusive, never as inequivalence.
 
     Searches from the same source sign class with the same entry bound share
     one exploration: the classes found so far, kept in ``_LAST``, answer a
@@ -425,37 +435,25 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
     depth 10.  Calls from several threads run one at a time.
 
     A ValueError is raised before any work when ``depth`` or
-    ``entry_bound`` is not an integer under ``algebra._as_int``, when
-    ``depth`` is negative or ``entry_bound`` is below 1 (every
-    unit-diagonal child has an entry 1, so a smaller bound would prune every
-    move), and when the matrices are 0 x 0, as no quiver of rank 0 exists.
-    Moves run in int64, so before the first level a ValueError is raised
-    when ``entry_bound`` or an entry of S1 exceeds 3 037 000 499 in
-    absolute value, the largest B with B + B^2 < 2^63.
+    ``entry_bound`` is not an integer of at least 0 or 1, by
+    ``algebra._size`` (every unit-diagonal child has an entry 1, so a
+    smaller bound would prune every move).  Then each input is checked in
+    full, S1 first: a nonempty integer matrix (no quiver of rank 0 exists)
+    with unit diagonal, unipotent with respect to some order; then the
+    dimension check.  Moves run in int64, so before the first level a
+    ValueError is raised when ``entry_bound`` or an entry of S1 exceeds
+    3 037 000 499 in absolute value, the largest B with B + B^2 < 2^63.
     """
-    depth, entry_bound = _as_int(depth), _as_int(entry_bound)
-    if depth < 0:
-        raise ValueError(f"orbit search depth must be at least 0, got {depth}")
-    if entry_bound < 1:
-        raise ValueError(f"orbit search entry bound must be at least 1, "
-                         f"got {entry_bound}")
-    (src, a1), (tgt, a2) = _to_int_matrix(S1), _to_int_matrix(S2)
+    depth = _size(depth, 0, "orbit search depth")
+    entry_bound = _size(entry_bound, 1, "orbit search entry bound")
+    (src, a1, tau1), (tgt, a2, tau2) = _search_input(S1), _search_input(S2)
     if a1.shape != a2.shape:
         raise ValueError("dimension mismatch")
-    n = a1.shape[0]
-    if n == 0:
-        raise ValueError("orbit search needs matrices of size at least 1")
-    if any(a1[i, i] != 1 for i in range(n)) or any(a2[i, i] != 1 for i in range(n)):
-        raise ValueError("matrices must have unit diagonal")
-
     if np.array_equal(a1, a2):
         cert = EquivalenceCertificate(src, tgt, BraidWord(()), True)
         return OrbitSearchResult("found", cert, 0, 1, 0)
 
-    tau1, tau2 = _sorting_permutation(a1), _sorting_permutation(a2)
-    if tau1 is None or tau2 is None:
-        raise ValueError("input is not unipotent with respect to any order")
-    up1, up2 = _conj_np(tau1, a1), _conj_np(tau2, a2)
+    n, up1, up2 = len(a1), _conj_np(tau1, a1), _conj_np(tau2, a2)
     targets = _target_set(up2)
 
     (canon0,), (signs0,) = _kernels.sign_canonical(up1[None])
@@ -513,8 +511,7 @@ def verify_braid_group_relations(n: int, samples: int = 100,
     """Check the braid and commutation relations as actions on random
     unipotent upper-triangular integer matrices."""
     import random as _random
-    if n < 3:
-        raise ValueError("need n >= 3 for a braid relation")
+    n, samples = _size(n, 3, "rank n"), _size(samples, 0, "sample count")
     rng = _random.Random(seed)
     failures = []
     for t in range(samples):

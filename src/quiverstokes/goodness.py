@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Basis, LatticeVector, TruncatedPoly, _as_int, _index
+from .algebra import Basis, LatticeVector, TruncatedPoly, _as_int, _index, _size
 from .quiver import EulerForm, Quiver, euler_form
 
 
@@ -68,9 +68,7 @@ def check_quadratic(basis: Basis, e: EulerForm, p: int) -> list:
     Every pairing comes from one table g[a][b] = <a_a, a_b>: the form is
     skew, so <a_j - a_k, a_k - a_i> = g[j][k] - g[j][i] + g[k][i].
     """
-    p = _as_int(p)
-    if p < 3:
-        raise ValueError("quadratic conditions are defined for p >= 3")
+    p = _size(p, 3, "order p")
     if basis.n != e.n:
         raise ValueError("rank mismatch")
     rows = basis.rows
@@ -147,6 +145,7 @@ class EpsilonTensor:
 
     @classmethod
     def from_dict(cls, n: int, domain, eps: dict) -> "EpsilonTensor":
+        n = _size(n, 1, "rank n")
         dom = _read_domain(n, domain)
         signs = tuple(sorted(((i, j), _as_int(eps[(i, j)])) for (i, j) in dom))
         for pair, s in signs:
@@ -205,8 +204,7 @@ def epsilon_solutions(n: int, domain=None) -> list[EpsilonTensor]:
     triple.  The order is lexicographic over the sorted pair list, +1
     before -1, as for a filter over all 2^|domain| assignments.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n = _size(n, 2, "rank n")
     dom = full_domain(n) if domain is None else _read_domain(n, domain)
     pairs = sorted(dom)
     pos = {pair: t for t, pair in enumerate(pairs)}
@@ -395,6 +393,7 @@ def mutation_basis(n: int, target: Quiver) -> Basis:
     overlapping, with linear tails; and the two rank-3 cycle quivers coming
     from the annulus.  Raises UnrecognizedPattern otherwise.
     """
+    n = _as_int(n)
     if target.n != n:
         raise ValueError("rank mismatch")
 

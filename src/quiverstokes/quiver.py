@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LatticeVector, _as_int, _index
+from .algebra import LatticeVector, _as_int, _index, _size
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,7 @@ class Quiver:
     arrows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _size(self.n, 1, "rank n"))
         arrows = tuple(tuple(_as_int(a) for a in row) for row in self.arrows)
         object.__setattr__(self, "arrows", arrows)
         if len(arrows) != self.n or any(len(r) != self.n for r in arrows):
@@ -148,8 +149,7 @@ def mutation_class(q: Quiver, max_size: int) -> dict[Quiver, tuple[int, ...]]:
     left to right).  Quivers are compared by their labelled arrow matrices.
     Raises MutationClassTooLarge if more than max_size quivers appear.
     """
-    if max_size <= 0:
-        raise ValueError("max_size must be positive")
+    max_size = _size(max_size, 1, "max_size")
     seen: dict[Quiver, tuple[int, ...]] = {q: ()}
     frontier = [q]
     while frontier:
@@ -169,6 +169,7 @@ def mutation_class(q: Quiver, max_size: int) -> dict[Quiver, tuple[int, ...]]:
 
 def linear_quiver(n: int) -> Quiver:
     """The linear orientation 1 -> 2 -> ... -> n."""
+    n = _size(n, 1, "rank n")
     m = [[0] * n for _ in range(n)]
     for i in range(n - 1):
         m[i][i + 1] = 1

@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import (Basis, LatticeVector, PolyMatrix, TruncatedPoly, _as_fraction,
                       _as_int)
-from .braid import EquivalenceCertificate
+from .braid import EquivalenceCertificate, _direction
 from .quiver import Quiver
 from .stokes import Chamber, DTModel, StokesData
 
@@ -176,10 +176,12 @@ def stokes_data_to_json(sd: StokesData) -> dict:
 
 
 def move_to_json(mv) -> dict:
-    """A braid, permutation or sign move as JSON; a sign move keeps its form,
-    a 1-based index or a vector of signs."""
+    """A braid, permutation or sign move as JSON; a braid direction is +1
+    or -1 by ``braid._direction``, and a sign move keeps its form, a 1-based
+    index or a vector of signs."""
     if mv[0] == "braid":
-        return {"braid": _as_int(mv[1]), "dir": "+" if mv[2] > 0 else "-"}
+        direction = "+" if _direction(mv[2]) > 0 else "-"
+        return {"braid": _as_int(mv[1]), "dir": direction}
     if mv[0] == "perm":
         return {"perm": [_as_int(s) for s in mv[1]]}
     if mv[0] == "sign":

@@ -30,8 +30,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .algebra import (Basis, LatticeVector, PolyMatrix, TruncatedPoly,
-                      _as_fraction, _as_int, _index, _index_order, lv_len,
-                      lv_monomial)
+                      _as_fraction, _as_int, _index, _index_order, _size,
+                      lv_len, lv_monomial)
 from .quiver import EulerForm, Quiver, euler_form, linear_quiver
 
 
@@ -284,9 +284,7 @@ class _Factors:
 
     def __init__(self, basis: Basis, e: EulerForm, model: DTModel,
                  p: Optional[int]):
-        p = None if p is None else _as_int(p)
-        if p is not None and p < 1:
-            raise ValueError(f"truncation order must be at least 1, got {p}")
+        p = None if p is None else _size(p, 1, "truncation order")
         self.basis, self.e, self.model, self.p = basis, e, model, p
         self.diffs = {}
         for i, j in itertools.permutations(range(1, basis.n + 1), 2):
@@ -392,8 +390,7 @@ def natural_lifts(basis: Basis, e: EulerForm, model: DTModel,
 
 def an_stokes(n: int) -> PolyMatrix:
     """I - sum_i s_i E_{i,i+1}, the bidiagonal unipotent matrix."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n = _size(n, 2, "rank n")
     m = PolyMatrix.identity(n, n)
     for i in range(1, n):
         m.entries[i - 1][i] = -TruncatedPoly.variable(n, i)
@@ -450,6 +447,7 @@ def convex_charge(n: int) -> tuple:
     puts Z(e1 + e7) on the ray of Z(e5), so the level-2 chamber of the
     linear quiver plus an arrow 1 -> 7 raises RayCollision.
     """
+    n = _size(n, 1, "rank n")
     return tuple((Fraction((k + 1) ** 2 - (n + 2)), Fraction(1))
                  for k in range(n))
 
@@ -548,6 +546,7 @@ def an_stable_intervals(n: int, Z) -> list[LatticeVector]:
 
 
 def an_chamber(n: int, Z) -> Chamber:
+    n = _size(n, 1, "rank n")
     return Chamber(tuple(Z), tuple(an_stable_intervals(n, Z)))
 
 
@@ -612,6 +611,7 @@ def verify_an_jet(n: int, samples: int = 400) -> dict:
     distinct products mod (s)^(n+1), so chambers that disagree give a
     failing report rather than an error.
     """
+    n, samples = _as_int(n), _size(samples, 0, "sample count")
     if not 2 <= n <= 5:
         raise ValueError("desk-scale check supports 2 <= n <= 5")
     chambers = enumerate_an_chambers(n, samples)

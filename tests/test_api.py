@@ -155,7 +155,8 @@ def test_every_imported_name_is_used():
     assert [u for u in unused if u not in UNUSED_IMPORTS_ALLOWED] == []
 
 
-# The three number rules of `algebra`; a conversion inside them is the rule.
+# The number rules of `algebra` that convert; a conversion inside them is the
+# rule.
 NUMBER_RULES = {("algebra", "_as_int"), ("algebra", "_as_fraction")}
 
 # (module, function): why its bare conversion does not read input
@@ -194,18 +195,23 @@ def _own_nodes(fn):
             todo.extend(ast.iter_child_nodes(node))
 
 
+def _functions(tree):
+    """Every function and lambda of ``tree``, with its parameters (not self
+    or cls) and its own nodes."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = fn.args
+            params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if p} - {"self", "cls"}
+            yield fn, params, list(_own_nodes(fn))
+
+
 def bare_conversions(tree) -> list:
     """(function, line, call) of every int(x) or Fraction(x) where x is a
     parameter of the function (not self or cls), an item of one, or a loop
     or comprehension variable iterating over either."""
     found = []
-    for fn in ast.walk(tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        a = fn.args
-        params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
-                  + [a.vararg, a.kwarg] if p} - {"self", "cls"}
-        nodes = list(_own_nodes(fn))
+    for fn, params, nodes in _functions(tree):
         loops = [(n.target, n.iter) for n in nodes
                  if isinstance(n, (ast.For, ast.comprehension))]
         grown = True
@@ -237,6 +243,56 @@ def test_numbers_are_read_by_the_rules_of_algebra():
                   if isinstance(node, ast.keyword) and node.arg == "type"
                   and isinstance(node.value, ast.Name) and node.value.id == "int"]
     assert bare == [] and typed == []
+
+
+# (module, function): why it compares a parameter with an integer literal
+# though the comparison is not a size bound
+BOUNDS_ALLOWED = {
+    ("algebra", "_index"): "the index rule itself, 1 <= k <= n",
+    ("stokes", "_in_upper"): "a sign test of a ray's coordinates",
+    ("braid", "_sign_bits"): "a sign test of sign vectors",
+    ("cli", "_parse_point"): "n > 1 picks which malformed --eval message applies",
+    ("goodness", "arrow"): "the sign of an entry, in find_good_quivers",
+}
+
+
+def _int_literal(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def literal_bounds(tree) -> list:
+    """(function, line, comparison) of every <, <=, > or >= comparison, a
+    chain included, of an integer literal and a parameter of the function
+    that the function does not rebind."""
+    found = []
+    for fn, params, nodes in _functions(tree):
+        params -= {n.id for n in nodes
+                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        for n in nodes:
+            if not (isinstance(n, ast.Compare) and any(
+                    isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                    for op in n.ops)):
+                continue
+            operands = [n.left, *n.comparators]
+            if any(map(_int_literal, operands)) and any(
+                    isinstance(x, ast.Name) and x.id in params for x in operands):
+                found.append((getattr(fn, "name", "<lambda>"), n.lineno,
+                              ast.unparse(n)))
+    return found
+
+
+def test_sizes_are_read_by_the_size_rule():
+    # no linter is installed; on ast alone: a function that bounds one of
+    # its parameters by a literal reads it first, by `algebra._size` (or
+    # `_as_int` where a range test follows), so that True, 2.5 or a too
+    # small value ends in a ValueError naming it, not a TypeError or a misread
+    hits = set()
+    for path in sorted(Path(quiverstokes.__file__).parent.glob("*.py")):
+        hits |= {(path.stem, fn) for fn, _, _ in
+                 literal_bounds(ast.parse(path.read_text()))}
+    assert sorted(hits) == sorted(BOUNDS_ALLOWED)
 
 
 # (module, function): the one function that rebinds a module global, the

@@ -469,6 +469,25 @@ class TestOrbitSearch:
         with pytest.raises(ValueError, match="matrices of size at least 1"):
             orbit_search((), ())
 
+    @pytest.mark.parametrize("S1,S2,message", [
+        # equal inputs take the identity shortcut only after both are read
+        (((1, 1), (1, 1)), ((1, 1), (1, 1)),
+         "input is not unipotent with respect to any order"),
+        # S1 is checked in full, then S2, then the pair
+        (((2, 0), (0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+         "matrices must have unit diagonal"),
+        (((1, 1), (1, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+         "input is not unipotent with respect to any order"),
+        ((), ((1, 0), (0, 1)), "orbit search needs matrices of size at least 1"),
+        (((1, 0), (0, 1)), ((1, 1), (1, 1)),
+         "input is not unipotent with respect to any order"),
+        (((1, 2), (0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+         "dimension mismatch"),
+    ])
+    def test_each_input_is_checked_in_full_before_the_pair(self, S1, S2, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            orbit_search(S1, S2)
+
     def test_rejects_entries_beyond_int64(self):
         with pytest.raises(ValueError, match="int64"):
             orbit_search(((1, 2 ** 70), (0, 1)), ((1, 1), (0, 1)))
@@ -565,8 +584,8 @@ class TestBallReuse:
             # deeper, then shallower: a level-6 class is inconclusive at 5
             (self.A6, self.A6_LEVEL6, 12, 64), (self.A6, self.A6_LEVEL6, 5, 64),
             (disguise(self.A6, rng), disguise(self.A6_LEVEL6, rng), 6, 64),
-            # shallower, then deeper: level 1 is one chunk, the second query
-            # resumes it after the first one's hit
+            # shallower, then deeper: level 1 is one chunk, recorded whole
+            # by the first query, so the next ones find their class in it
             *[(self.A6, t, 1, 5) for t in a6_level1],
             (self.A6, self.A6_LEVEL6, 6, 5), (self.A6, identity(6), 0, 5),
         ]
@@ -854,6 +873,20 @@ class TestMoveJson:
     def test_malformed_move_is_refused(self, data, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             move_from_json(data)
+
+    @pytest.mark.parametrize("direction", [0, 2, True])
+    def test_other_braid_directions_are_refused(self, direction):
+        # written as "-" or "+" they would read back as a different move
+        with pytest.raises(ValueError, match="braid direction|not an integer"):
+            move_to_json(("braid", 1, direction))
+
+    @pytest.mark.parametrize("direction", [1, -1, np.int64(-1), 1.0])
+    def test_unit_braid_moves_round_trip(self, direction):
+        for i in (1, 2, 3):
+            data = move_to_json(("braid", i, direction))
+            assert data == {"braid": i, "dir": "+" if direction > 0 else "-"}
+            assert move_from_json(json.loads(json.dumps(data))) == \
+                ("braid", i, direction)
 
     def test_numpy_sign_index_is_written_as_an_int(self):
         # sign_conj takes a numpy integer index; its JSON form is a plain int

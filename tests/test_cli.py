@@ -282,6 +282,16 @@ class TestErrors:
         assert out.stdout == ""
         assert out.stderr == f"quiverstokes: error: {message}\n"
 
+    def test_equal_pair_unipotent_for_no_order(self, tmp_path):
+        # equal inputs are checked like any others, not reported as found
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([["1", "1"], ["1", "1"]]))
+        out = run_cli("equiv", str(path), str(path))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == ("quiverstokes: error: input is not unipotent "
+                              "with respect to any order\n")
+
     @pytest.mark.parametrize("content,message", [
         ({"n": 3}, "missing field 'arrows'"),
         ({"arrows": [[0, 1], [0, 0]]}, "missing field 'n'"),

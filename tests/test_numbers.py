@@ -1,6 +1,7 @@
-"""The three rules of `algebra` that read every incoming number: `_as_int`
-for integers, `_as_fraction` for rationals and `_index` for 1-based
-indices, at every site that reads one, and the JSON readers built on them."""
+"""The four rules of `algebra` that read every incoming number: `_as_int`
+for integers, `_as_fraction` for rationals, `_index` for 1-based indices
+and `_size` for sizes and bounds, at every site that reads one, and the
+JSON readers built on them."""
 
 from fractions import Fraction
 
@@ -10,20 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverstokes.algebra import (Basis, PolyMatrix, TruncatedPoly, _as_fraction,
-                                  _index)
+                                  _index, _size, joyce_point)
 from quiverstokes.braid import (BraidWord, apply_move, beta, beta_inv,
-                                orbit_search, perm_conj, sign_conj)
+                                orbit_search, perm_conj, sign_conj,
+                                verify_braid_group_relations)
 from quiverstokes.goodness import (EpsilonTensor, check_quadratic, epsilon_solutions,
-                                   find_good_quivers)
-from quiverstokes.quiver import Quiver, euler_form, linear_quiver, mutate
+                                   find_good_quivers, mutation_basis)
+from quiverstokes.quiver import (Quiver, euler_form, linear_quiver, mutate,
+                                 mutation_class)
 from quiverstokes.serialize import (basis_from_json, chamber_from_json,
                                     dt_model_from_chamber_json, frac_str,
                                     parse_frac, pm_from_json, poly_from_json,
-                                    quiver_from_json, rational_matrix_from_json)
+                                    quiver_from_json, quiver_to_json,
+                                    rational_matrix_from_json)
 from quiverstokes.stokes import (DTModel, an_chamber, an_stokes, convex_charge,
                                  enumerate_an_chambers, factor_coefficient,
                                  factor_product, level2_stokes, natural_lifts,
-                                 quiver_stokes_jet, stokes_product)
+                                 quiver_stokes_jet, stokes_product, verify_an_jet)
 
 A = ((1, 2, 3), (0, 1, 4), (0, 0, 1))
 Q = linear_quiver(3)
@@ -168,6 +172,80 @@ class TestIndexSites:
 
 
 A3 = (Basis.triangular(3), euler_form(Q), DTModel.an_intervals())
+
+# (what, least, call): every size, count and bound read by `_size`
+SIZE_SITES = {
+    "PolyMatrix": ("matrix size", 1, lambda k: PolyMatrix(k, [[ONE]])),
+    "orbit_search depth": ("orbit search depth", 0,
+                           lambda k: orbit_search(A, A, depth=k)),
+    "orbit_search entry_bound": ("orbit search entry bound", 1,
+                                 lambda k: orbit_search(A, A, entry_bound=k)),
+    "_Factors": ("truncation order", 1, lambda k: stokes_product(
+        *A3, an_chamber(3, convex_charge(3)), k)),
+    "an_stokes": ("rank n", 2, an_stokes),
+    "epsilon_solutions": ("rank n", 2, epsilon_solutions),
+    "check_quadratic": ("order p", 3, lambda k: check_quadratic(
+        Basis.triangular(3), euler_form(Q), k)),
+    "verify_braid_group_relations n": ("rank n", 3, verify_braid_group_relations),
+    "mutation_class": ("max_size", 1, lambda k: mutation_class(Q, k)),
+    "Quiver": ("rank n", 1, lambda k: Quiver(k, ((0,),))),
+    "linear_quiver": ("rank n", 1, linear_quiver),
+    "convex_charge": ("rank n", 1, convex_charge),
+    "an_chamber": ("rank n", 1, lambda k: an_chamber(k, convex_charge(2))),
+    "Basis.triangular": ("rank n", 1, Basis.triangular),
+    "Basis.alternating": ("rank n", 1, Basis.alternating),
+    "joyce_point": ("variable count", 1, joyce_point),
+    "EpsilonTensor.from_dict": ("rank n", 1,
+                                lambda k: EpsilonTensor.from_dict(k, [], {})),
+    "verify_braid_group_relations samples": (
+        "sample count", 0, lambda k: verify_braid_group_relations(3, k)),
+    "verify_an_jet samples": ("sample count", 0, lambda k: verify_an_jet(3, k)),
+}
+
+
+class TestSizeSites:
+    """Every size, count and bound is read by ``_size``: a bool, a fraction
+    or a value below the least one raises a one-line ValueError that names
+    it, never a TypeError and never a misread."""
+
+    @pytest.mark.parametrize("what,least,call", SIZE_SITES.values(),
+                             ids=SIZE_SITES.keys())
+    def test_misread_or_too_small(self, what, least, call):
+        for k, message in [(True, f"{what} is not an integer: True"),
+                           (2.5, f"{what} is not an integer: 2.5"),
+                           (least - 1, f"{what} must be at least {least}, "
+                                       f"got {least - 1}")]:
+            with pytest.raises(ValueError) as info:
+                call(k)
+            assert str(info.value) == message
+
+    def test_rule(self):
+        assert _size(np.int64(3), 3, "k") == 3 and type(_size(3.0, 0, "k")) is int
+        with pytest.raises(ValueError, match=r"^k must be at least 1, got 0$"):
+            _size("0", 1, "k")
+
+    def test_sizes_read_as_integers(self):
+        assert type(quiver_to_json(Quiver(1.0, ((0,),)))["n"]) is int
+        assert linear_quiver(np.int64(3)) == linear_quiver(3.0) == Q
+        assert Basis.alternating(3.0) == Basis.alternating(3)
+        assert an_chamber(2.0, convex_charge(2)) == an_chamber(2, convex_charge(2))
+        assert joyce_point(np.int64(2)) == [1, 1]
+        assert EpsilonTensor.from_dict(2.0, [(1, 2)], {(1, 2): 1}).n == 2
+        report = verify_braid_group_relations(3, 2.0)
+        assert report["samples"] == 2 and type(report["samples"]) is int
+        assert verify_an_jet(3, np.int64(0))["ok"]
+
+    @pytest.mark.parametrize("call", [lambda k: verify_an_jet(k, 0),
+                                      lambda k: mutation_basis(k, Q)],
+                             ids=["verify_an_jet n", "mutation_basis n"])
+    def test_range_checked_sizes(self, call):
+        # a range test follows, so the integer is read by `_as_int`
+        for k in (True, 2.5):
+            with pytest.raises(ValueError, match=rf"^not an integer: {k}$"):
+                call(k)
+        assert call(3.0) == call(np.int64(3)) == call(3)
+
+
 ORDER_SITES = {
     "stokes_product": lambda p: stokes_product(
         *A3, an_chamber(3, convex_charge(3)), p).product,
