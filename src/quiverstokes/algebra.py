@@ -16,9 +16,9 @@ Arithmetic trusts operands that are already valid: sums, differences,
 negations, products, truncations and scalar coercions wrap the terms they
 compute without checking them again.
 
-Every number that enters the package is read by one of four rules, and
-every other module calls them rather than ``int()``, ``Fraction()`` or a
-comparison of its own:
+Every number that enters the package is read by one of five rules, and
+every other module calls them rather than ``int()``, ``Fraction()``, a type
+test or a comparison of its own:
 
 * ``_as_int``: an integer is an int or numpy integer (not a bool), an
   integral float, or text of plain ASCII digits with an optional sign.
@@ -27,7 +27,8 @@ comparison of its own:
   q != 0.
 * ``_index``: a 1-based index is an integer under ``_as_int`` in 1..n.
 * ``_size``: a size, count or bound is an integer under ``_as_int`` of at
-  least a given value.
+  least a given value, and a count is a size of at least 0.
+* ``_unit``: a sign or direction is an integer under ``_as_int``, +1 or -1.
 """
 
 from __future__ import annotations
@@ -99,6 +100,18 @@ def _size(k, least: int, what: str) -> int:
     if k < least:
         raise ValueError(f"{what} must be at least {least}, got {k}")
     return k
+
+
+def _unit(x, what: str) -> int:
+    """``x`` as +1 or -1: an integer under ``_as_int``; a one-line
+    ValueError naming ``what`` otherwise."""
+    try:
+        x = _as_int(x)
+    except ValueError:
+        raise ValueError(f"{what} must be +1 or -1, got {x!r}") from None
+    if x not in (1, -1):
+        raise ValueError(f"{what} must be +1 or -1, got {x}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +187,12 @@ class TruncatedPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict):
-        self.nvars = _as_int(nvars)
+        self.nvars = _size(nvars, 0, "variable count")
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in terms.items():
-            exps = tuple(_as_int(e) for e in exps)
+            exps = tuple(_size(e, 0, "exponent") for e in exps)
             if len(exps) != self.nvars:
                 raise ValueError("exponent vector has wrong length")
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent")
             coeff = _as_fraction(coeff)
             if coeff == 0:
                 continue
@@ -391,7 +402,7 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, n: int, nvars: int) -> "PolyMatrix":
-        nvars = _as_int(nvars)
+        nvars = _size(nvars, 0, "variable count")
         one = TruncatedPoly._from_valid(nvars, {(0,) * nvars: Fraction(1)})
         zero = TruncatedPoly._from_valid(nvars, {})
         return cls(n, [[one if i == j else zero for j in range(n)]
@@ -520,7 +531,7 @@ class Basis:
     def __init__(self, rows):
         rows = tuple(r if isinstance(r, LatticeVector) else LatticeVector(tuple(r))
                      for r in rows)
-        n = len(rows)
+        n = _size(len(rows), 1, "rank n")
         if any(r.rank != n for r in rows):
             raise ValueError("basis rows must be square")
         self.rows = rows

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _kernels
 from .algebra import (PolyMatrix, _as_fraction, _as_int, _index, _linear_extensions,
-                      _size)
+                      _size, _unit)
 
 RationalMatrix = tuple  # tuple of tuples of Fractions
 MatrixLike = Union[PolyMatrix, tuple, list]
@@ -75,15 +75,6 @@ def _like(A: MatrixLike, arr: np.ndarray):
     return tuple(map(tuple, arr.tolist()))
 
 
-def _direction(d) -> int:
-    """A braid move's direction: an integer under ``_as_int``, +1 for the
-    forward move or -1 for the backward one."""
-    d = _as_int(d)
-    if d not in (1, -1):
-        raise ValueError(f"braid direction must be +1 or -1, got {d}")
-    return d
-
-
 def _move(mv: Move, a: np.ndarray) -> np.ndarray:
     """The move ``mv`` checked against and applied to the (n, n) object
     array ``a`` of exact entries; a braid move is forward when mv[2] is +1
@@ -92,7 +83,7 @@ def _move(mv: Move, a: np.ndarray) -> np.ndarray:
     if kind == "braid":
         if any(a[k, k] != 1 for k in range(n)):
             raise ValueError("matrix must have unit diagonal")
-        i, direction = _index(mv[1], n - 1, "braid index"), _direction(mv[2])
+        i, direction = _index(mv[1], n - 1, "braid index"), _unit(mv[2], "braid direction")
         if a[i - 1, i] != 0 and a[i, i - 1] != 0:
             raise ValueError("matrix is not unipotent for any order at the braid position")
         return _kernels.braid_apply(a[None], i - 1, direction > 0)[0]
@@ -109,8 +100,8 @@ def _move(mv: Move, a: np.ndarray) -> np.ndarray:
             k = _index(mv[1], n, "sign index")
             d = tuple(-1 if t == k - 1 else 1 for t in range(n))
         else:
-            d = tuple(_as_int(x) for x in mv[1])
-            if len(d) != n or any(x not in (1, -1) for x in d):
+            d = tuple(_unit(x, "sign") for x in mv[1])
+            if len(d) != n:
                 raise ValueError("sign vector must consist of +-1 of length n")
         return a * np.outer(d, d)
     raise ValueError(f"unknown move {mv!r}")

@@ -23,11 +23,10 @@ from .braid import orbit_search
 from .goodness import (check_quadratic, check_vanishing_p3, find_good_quivers,
                        mutation_basis)
 from .quiver import apply_word, euler_form
-from .serialize import (_ints, basis_from_json, certificate_to_json,
-                        chamber_from_json, dt_model_from_chamber_json, dumps, frac_str,
-                        parse_frac, poly_to_json, quiver_from_json, quiver_to_json,
-                        rational_matrix_from_json, rational_matrix_to_json,
-                        stokes_data_to_json)
+from .serialize import (_ints, basis_from_json, certificate_to_json, chamber_from_json,
+                        dumps, frac_str, parse_frac, poly_to_json, quiver_from_json,
+                        quiver_to_json, rational_matrix_from_json,
+                        rational_matrix_to_json, stokes_data_to_json)
 from .stokes import convex_charge, level2_stokes, stokes_product
 from . import verify as verify_mod
 
@@ -109,10 +108,8 @@ def cmd_stokes(args) -> int:
     if args.chamber == "auto":
         data = level2_stokes(q, basis, convex_charge(q.n), args.p)
     else:
-        raw = _read_json(args.chamber)
-        chamber = chamber_from_json(raw)
-        data = stokes_product(basis, euler_form(q), dt_model_from_chamber_json(raw),
-                              chamber, args.p)
+        chamber, dt = chamber_from_json(_read_json(args.chamber))
+        data = stokes_product(basis, euler_form(q), dt, chamber, args.p)
     out = stokes_data_to_json(data)
     if args.eval is not None:
         point = _parse_point(args.eval, q.n)

@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Basis, LatticeVector, TruncatedPoly, _as_int, _index, _size
+from .algebra import Basis, LatticeVector, TruncatedPoly, _as_int, _index, _size, _unit
 from .quiver import EulerForm, Quiver, euler_form
 
 
@@ -63,7 +63,7 @@ def check_quadratic(basis: Basis, e: EulerForm, p: int) -> list:
     """Violations of the quadratic conditions at order p (p >= 3), as
     ("quadratic", (min(i, j), max(i, j), k), detail) in first-found order;
     an empty list means the conditions hold.  A basis whose rank differs
-    from the form's, the empty basis included, raises ValueError.
+    from the form's raises ValueError.
 
     Every pairing comes from one table g[a][b] = <a_a, a_b>: the form is
     skew, so <a_j - a_k, a_k - a_i> = g[j][k] - g[j][i] + g[k][i].
@@ -147,10 +147,8 @@ class EpsilonTensor:
     def from_dict(cls, n: int, domain, eps: dict) -> "EpsilonTensor":
         n = _size(n, 1, "rank n")
         dom = _read_domain(n, domain)
-        signs = tuple(sorted(((i, j), _as_int(eps[(i, j)])) for (i, j) in dom))
-        for pair, s in signs:
-            if s not in (1, -1):
-                raise ValueError(f"sign of pair {pair} must be +1 or -1, got {s}")
+        signs = tuple((pair, _unit(eps[pair], f"sign of pair {pair}"))
+                      for pair in sorted(dom))
         t = cls(n, dom, signs)
         bad = t.triple_violations()
         if bad:
@@ -293,7 +291,7 @@ def find_good_quivers(basis: Basis, lam: int = 1,
     and on Python integers otherwise.  Only survivors get quivers, read off
     the entries above the diagonal of their transported forms.
     """
-    lam, p = _as_int(lam), _as_int(p)
+    lam, p = _as_int(lam), _size(p, 3, "order p")
     if check_vanishing_p3(basis):
         raise ValueError("basis fails the order-3 vanishing conditions")
     n = basis.n

@@ -26,12 +26,11 @@ class Quiver:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _size(self.n, 1, "rank n"))
-        arrows = tuple(tuple(_as_int(a) for a in row) for row in self.arrows)
+        arrows = tuple(tuple(_size(a, 0, "arrow multiplicity") for a in row)
+                       for row in self.arrows)
         object.__setattr__(self, "arrows", arrows)
         if len(arrows) != self.n or any(len(r) != self.n for r in arrows):
             raise ValueError("arrow matrix must be n x n")
-        if any(a < 0 for row in arrows for a in row):
-            raise ValueError("arrow multiplicities must be nonnegative")
         for i in range(self.n):
             if arrows[i][i]:
                 raise ValueError(f"loop at vertex {i + 1}")
@@ -65,7 +64,7 @@ class EulerForm:
 
     def __init__(self, matrix):
         m = tuple(tuple(_as_int(x) for x in row) for row in matrix)
-        n = len(m)
+        n = _size(len(m), 1, "rank n")
         if any(len(r) != n for r in m):
             raise ValueError("form matrix must be square")
         for i in range(n):

@@ -6,24 +6,23 @@ denominator), matrices row by row.  Identical inputs therefore always give
 byte-identical output.  A reader given a missing or malformed field raises
 a ValueError that names it.
 
-Readers decide nothing about numbers: an integer, a rational and a 1-based
-index are read by the one rule for each in ``algebra`` (``_as_int``,
-``_as_fraction``, ``_index``), and a reader only adds the field name to
-the error.
+Readers decide nothing about numbers: an integer, a rational, a 1-based
+index, a size (a count is a size of at least 0) and a sign are each read by
+the one rule in ``algebra`` (``_as_int``, ``_as_fraction``, ``_index``,
+``_size``, ``_unit``); a reader checks shapes and names the field.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .algebra import (Basis, LatticeVector, PolyMatrix, TruncatedPoly, _as_fraction,
-                      _as_int)
-from .braid import EquivalenceCertificate, _direction
+                      _as_int, _unit)
+from .braid import EquivalenceCertificate
 from .quiver import Quiver
 from .stokes import Chamber, DTModel, StokesData
 
@@ -74,12 +73,10 @@ def parse_frac(value, name: str) -> Fraction:
 
 
 def _rows(rows, name: str, width: Optional[int] = None) -> list:
-    """``rows`` checked to be a list of lists of finite numbers or number
-    strings, each of length ``width`` when given; booleans are not numbers."""
+    """``rows`` checked to be a list of lists, each of length ``width`` when
+    given; the caller reads the items, by ``parse_frac`` or ``_ints``."""
     if not (isinstance(rows, list) and all(
             isinstance(r, list) and (width is None or len(r) == width)
-            and all(isinstance(x, (int, str)) and not isinstance(x, bool)
-                    or isinstance(x, float) and math.isfinite(x) for x in r)
             for r in rows)):
         kind = "lists" if width is None else "pairs"
         raise ValueError(f"field {name!r} must be a list of {kind} of numbers")
@@ -139,31 +136,25 @@ def basis_from_json(data: dict) -> Basis:
     return Basis([_ints(r, "rows") for r in _rows(_field(data, "rows"), "rows")])
 
 
-def chamber_from_json(data: dict) -> Chamber:
+def chamber_from_json(data: dict) -> tuple[Chamber, DTModel]:
+    """A chamber file's chamber, then the table model of its "dt" map, whose
+    classes have the chamber's rank; signed simples default to count 1."""
     Z = tuple((parse_frac(x, "Z"), parse_frac(y, "Z"))
               for x, y in _rows(_field(data, "Z"), "Z", 2))
     active = tuple(LatticeVector(_ints(v, "active"))
                    for v in _rows(_field(data, "active"), "active"))
-    return Chamber(Z, active)
-
-
-def dt_model_from_chamber_json(data: dict) -> DTModel:
-    """Table model from a chamber file's "dt" map; signed simples default
-    to count 1 unless overridden.  Every class must have the rank of the
-    chamber, the length of its "Z" list."""
-    rank = len(_rows(_field(data, "Z"), "Z", 2))
+    chamber = Chamber(Z, active)
     dt = data.get("dt", {})
-    if not (isinstance(dt, dict)
-            and all(isinstance(v, (int, float, str)) for v in dt.values())):
+    if not isinstance(dt, dict):
         raise ValueError("field 'dt' must map classes to counts")
     table = {}
     for key, val in dt.items():
         coords = _ints(key.split(","), "dt")
-        if len(coords) != rank:
+        if len(coords) != len(Z):
             raise ValueError(f"field 'dt' class {key!r} has rank {len(coords)}, "
-                             f"the chamber has rank {rank}")
+                             f"the chamber has rank {len(Z)}")
         table[coords] = parse_frac(val, "dt")
-    return DTModel.table(table)
+    return chamber, DTModel.table(table)
 
 
 def stokes_data_to_json(sd: StokesData) -> dict:
@@ -177,10 +168,10 @@ def stokes_data_to_json(sd: StokesData) -> dict:
 
 def move_to_json(mv) -> dict:
     """A braid, permutation or sign move as JSON; a braid direction is +1
-    or -1 by ``braid._direction``, and a sign move keeps its form, a 1-based
+    or -1 by ``algebra._unit``, and a sign move keeps its form, a 1-based
     index or a vector of signs."""
     if mv[0] == "braid":
-        direction = "+" if _direction(mv[2]) > 0 else "-"
+        direction = "+" if _unit(mv[2], "braid direction") > 0 else "-"
         return {"braid": _as_int(mv[1]), "dir": direction}
     if mv[0] == "perm":
         return {"perm": [_as_int(s) for s in mv[1]]}

@@ -185,6 +185,7 @@ class Chamber:
 
     def __post_init__(self):
         Z = tuple((_as_fraction(x), _as_fraction(y)) for x, y in self.Z)
+        _size(len(Z), 1, "rank n")
         zint = _scaled_charge(Z)
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "_zint", zint)

@@ -115,7 +115,7 @@ class TestValidation:
     @pytest.mark.parametrize("terms,error,message", [
         ({(1,): 1}, ValueError, "exponent vector has wrong length"),
         ({(1, 0, 2): 1}, ValueError, "exponent vector has wrong length"),
-        ({(1, -1): 1}, ValueError, "negative exponent"),
+        ({(1, -1): 1}, ValueError, "exponent must be at least 0, got -1"),
         ({(1, 0): 0.5}, TypeError, "not an exact rational"),
         ({(1, 0): None}, TypeError, "not an exact rational"),
         ({(1.7, 0): 1}, ValueError, "not an integer: 1.7"),

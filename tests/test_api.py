@@ -245,6 +245,59 @@ def test_numbers_are_read_by_the_rules_of_algebra():
     assert bare == [] and typed == []
 
 
+# The number rules of `algebra` that test a value's type or sign; such a
+# test inside them is the rule.
+TYPE_RULES = NUMBER_RULES | {("algebra", "_unit")}
+
+# (module, function): why it tests a number's type or sign though it reads
+# no input
+NUMBER_TESTS_ALLOWED = {
+    ("algebra", "__eq__"): "TruncatedPoly.__eq__ compares with a scalar",
+    ("goodness", "_validate_mutation_basis"):
+        "a unimodular test of the determinant the code computed",
+}
+
+
+def _number_type(node) -> bool:
+    """``node`` names int, float or bool, or a type of the numbers module."""
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "numbers"
+    return isinstance(node, ast.Name) and node.id in ("int", "float", "bool")
+
+
+def number_tests(tree) -> list:
+    """(function, line, test) of every isinstance call against a number type
+    and every membership test in the literal (1, -1)."""
+    found = []
+    for fn, _, nodes in _functions(tree):
+        for n in nodes:
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id == "isinstance" and len(n.args) == 2):
+                types = n.args[1]
+                hit = any(map(_number_type, types.elts if isinstance(types, ast.Tuple)
+                              else [types]))
+            else:
+                hit = isinstance(n, ast.Compare) and any(
+                    isinstance(op, (ast.In, ast.NotIn))
+                    and ast.unparse(c) == "(1, -1)"
+                    for op, c in zip(n.ops, n.comparators))
+            if hit:
+                found.append((getattr(fn, "name", "<lambda>"), n.lineno,
+                              ast.unparse(n)))
+    return found
+
+
+def test_numbers_are_typed_by_the_rules_of_algebra():
+    # no linter is installed; on ast alone: outside the rules, no function
+    # decides by itself whether a value is a number, an integer or +-1
+    hits = set()
+    for path in sorted(Path(quiverstokes.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        hits |= {(path.stem, fn) for fn, _, _ in number_tests(tree)
+                 if (path.stem, fn) not in TYPE_RULES}
+    assert sorted(hits) == sorted(NUMBER_TESTS_ALLOWED)
+
+
 # (module, function): why it compares a parameter with an integer literal
 # though the comparison is not a size bound
 BOUNDS_ALLOWED = {

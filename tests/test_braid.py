@@ -293,7 +293,7 @@ class TestWord:
         (("braid", 1, 1),
          "matrix is not unipotent for any order at the braid position"),
         (("perm", (1, 1, 2, 3)), "not a permutation of 1..n"),
-        (("sign", (1, 0, 1, 1)), "sign vector must consist of +-1 of length n"),
+        (("sign", (1, 0, 1, 1)), "sign must be +1 or -1, got 0"),
     ])
     def test_invalid_move_in_a_word(self, bad, message):
         # rows and columns 1, 2 are left alone by the prefix, so the braid

@@ -251,22 +251,22 @@ class TestErrors:
         ("equiv", [[["1", "1/0"], ["0", "1"]], [["1", "1"], ["0", "1"]]],
          "field 'matrix' must hold finite rationals, got '1/0'"),
         ("equiv", [[["1", float("inf")], ["0", "1"]], [["1", "1"], ["0", "1"]]],
-         "field 'matrix' must be a list of lists of numbers"),
+         "field 'matrix' must hold finite rationals, got inf"),
         ("mutate", [{"n": 0, "arrows": []}],
          "field 'n' must be a positive integer, got 0"),
         ("stokes", [{"n": 0, "arrows": []}],
          "field 'n' must be a positive integer, got 0"),
         ("goodness", [{"n": 2, "arrows": [[0, 1], [0, 0]]}, {"rows": []}],
-         "rank mismatch"),
+         "rank n must be at least 1, got 0"),
         ("goodness", [{"n": 3, "arrows": [[0, 1, 0], [0, 0, 1], [0, 0, 0]]},
                       {"rows": [[1]]}],
          "rank mismatch"),
         ("mutate", [{"n": True, "arrows": [[False]]}],
          "field 'n' must be an integer, got True"),
         ("mutate", [{"n": 1, "arrows": [[False]]}],
-         "field 'arrows' must be a list of lists of numbers"),
+         "field 'arrows' must hold integers, got False"),
         ("equiv", [[[True, 2], [False, True]], [["1", "2"], ["0", "1"]]],
-         "field 'matrix' must be a list of lists of numbers"),
+         "field 'matrix' must hold finite rationals, got True"),
         ("equiv", [[], []], "orbit search needs matrices of size at least 1"),
         ("equiv", [[["1", "1_0"], ["0", "1"]], [["1", "1"], ["0", "1"]]],
          "field 'matrix' must hold finite rationals, got '1_0'"),
@@ -297,13 +297,13 @@ class TestErrors:
         ({"arrows": [[0, 1], [0, 0]]}, "missing field 'n'"),
         ({"n": 3, "arrows": 5}, "field 'arrows' must be a list of lists of numbers"),
         ({"n": 2, "arrows": [[0, None], [0, 0]]},
-         "field 'arrows' must be a list of lists of numbers"),
+         "field 'arrows' must hold integers, got None"),
         ({"n": [3], "arrows": [[0]]}, "field 'n' must be an integer, got [3]"),
         ([1, 2], "missing field 'n'"),
         ({"n": float("inf"), "arrows": [[0]]},
          "field 'n' must be an integer, got inf"),
         ({"n": 2, "arrows": [[0, float("inf")], [0, 0]]},
-         "field 'arrows' must be a list of lists of numbers"),
+         "field 'arrows' must hold integers, got inf"),
         ({"n": 2.7, "arrows": [[0, 1], [0, 0]]},
          "field 'n' must be an integer, got 2.7"),
         ({"n": 2, "arrows": [[0, 1.5], [0, 0]]},
@@ -341,7 +341,7 @@ class TestErrors:
                        "active": [[1, 0, 0]], "dt": {"1,0,0": float("inf")}},
          "field 'dt' must hold finite rationals, got inf"),
         ("--basis", {"rows": [[1, 0, 0], [0, float("inf"), 0], [0, 0, 1]]},
-         "field 'rows' must be a list of lists of numbers"),
+         "field 'rows' must hold integers, got inf"),
         ("--basis", {"rows": [[1, 0, 0], [0, 1, 0.5], [0, 0, 1]]},
          "field 'rows' must hold integers, got 0.5"),
         ("--chamber", {"Z": [["-1", "1"], ["0", "1"], ["1", "1"]],
@@ -355,12 +355,12 @@ class TestErrors:
          "field 'dt' class '1,0' has rank 2, the chamber has rank 3"),
         ("--chamber", {"Z": [["-1", "1"], ["0", "1"], ["1", True]],
                        "active": [[1, 0, 0]]},
-         "field 'Z' must be a list of pairs of numbers"),
+         "field 'Z' must hold finite rationals, got True"),
         ("--chamber", {"Z": [["-1", "1"], ["0", "1"], ["1", "1"]],
                        "active": [[1, 0, 0]], "dt": {"1,0,0": True}},
          "field 'dt' must hold finite rationals, got True"),
         ("--basis", {"rows": [[1, 0, 0], [0, True, 0], [0, 0, 1]]},
-         "field 'rows' must be a list of lists of numbers"),
+         "field 'rows' must hold integers, got True"),
         ("--chamber", {"Z": [["-1", "1"], ["0", "1"], ["1_0", "1"]],
                        "active": []},
          "field 'Z' must hold finite rationals, got '1_0'"),

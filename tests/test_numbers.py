@@ -1,7 +1,7 @@
-"""The four rules of `algebra` that read every incoming number: `_as_int`
-for integers, `_as_fraction` for rationals, `_index` for 1-based indices
-and `_size` for sizes and bounds, at every site that reads one, and the
-JSON readers built on them."""
+"""The five rules of `algebra` that read every incoming number: `_as_int`
+for integers, `_as_fraction` for rationals, `_index` for 1-based indices,
+`_size` for sizes, bounds and counts and `_unit` for signs and directions,
+at every site that reads one, and the JSON readers built on them."""
 
 from fractions import Fraction
 
@@ -11,20 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverstokes.algebra import (Basis, PolyMatrix, TruncatedPoly, _as_fraction,
-                                  _index, _size, joyce_point)
+                                  _index, _size, _unit, joyce_point)
 from quiverstokes.braid import (BraidWord, apply_move, beta, beta_inv,
                                 orbit_search, perm_conj, sign_conj,
                                 verify_braid_group_relations)
 from quiverstokes.goodness import (EpsilonTensor, check_quadratic, epsilon_solutions,
                                    find_good_quivers, mutation_basis)
-from quiverstokes.quiver import (Quiver, euler_form, linear_quiver, mutate,
+from quiverstokes.quiver import (EulerForm, Quiver, euler_form, linear_quiver, mutate,
                                  mutation_class)
-from quiverstokes.serialize import (basis_from_json, chamber_from_json,
-                                    dt_model_from_chamber_json, frac_str,
-                                    parse_frac, pm_from_json, poly_from_json,
-                                    quiver_from_json, quiver_to_json,
+from quiverstokes.serialize import (basis_from_json, chamber_from_json, frac_str,
+                                    move_to_json, parse_frac, pm_from_json,
+                                    poly_from_json, quiver_from_json, quiver_to_json,
                                     rational_matrix_from_json)
-from quiverstokes.stokes import (DTModel, an_chamber, an_stokes, convex_charge,
+from quiverstokes.stokes import (Chamber, DTModel, an_chamber, an_stokes, convex_charge,
                                  enumerate_an_chambers, factor_coefficient,
                                  factor_product, level2_stokes, natural_lifts,
                                  quiver_stokes_jet, stokes_product, verify_an_jet)
@@ -200,6 +199,14 @@ SIZE_SITES = {
     "verify_braid_group_relations samples": (
         "sample count", 0, lambda k: verify_braid_group_relations(3, k)),
     "verify_an_jet samples": ("sample count", 0, lambda k: verify_an_jet(3, k)),
+    "TruncatedPoly nvars": ("variable count", 0, lambda k: TruncatedPoly(k, {})),
+    "PolyMatrix.identity nvars": ("variable count", 0,
+                                  lambda k: PolyMatrix.identity(2, k)),
+    "exponent": ("exponent", 0, lambda k: TruncatedPoly(1, {(k,): 1})),
+    "arrow multiplicity": ("arrow multiplicity", 0,
+                           lambda k: Quiver(2, ((0, k), (0, 0)))),
+    "find_good_quivers p": ("order p", 3,
+                            lambda k: find_good_quivers(Basis.triangular(3), 1, k)),
 }
 
 
@@ -223,6 +230,13 @@ class TestSizeSites:
         assert _size(np.int64(3), 3, "k") == 3 and type(_size(3.0, 0, "k")) is int
         with pytest.raises(ValueError, match=r"^k must be at least 1, got 0$"):
             _size("0", 1, "k")
+
+    @pytest.mark.parametrize("empty", [lambda: Chamber((), ()), lambda: EulerForm(()),
+                                       lambda: Basis([])],
+                             ids=["Chamber", "EulerForm", "Basis"])
+    def test_rank_zero_is_refused(self, empty):
+        with pytest.raises(ValueError, match=r"^rank n must be at least 1, got 0$"):
+            empty()
 
     def test_sizes_read_as_integers(self):
         assert type(quiver_to_json(Quiver(1.0, ((0,),)))["n"]) is int
@@ -324,9 +338,9 @@ class TestBraidDirection:
 
     @pytest.mark.parametrize("direction", [0, 2, -2, True, 0.5])
     def test_other_directions_are_refused(self, direction):
-        with pytest.raises(ValueError, match="braid direction|not an integer"):
+        with pytest.raises(ValueError, match="^braid direction must be"):
             apply_move(("braid", 1, direction), self.A)
-        with pytest.raises(ValueError, match="braid direction|not an integer"):
+        with pytest.raises(ValueError, match="^braid direction must be"):
             BraidWord((("braid", 1, direction),)).apply(self.A)
 
     def test_unit_directions_are_unchanged(self):
@@ -334,6 +348,40 @@ class TestBraidDirection:
                        ("braid", 2, 1.0)))
         assert w.apply(self.A) == beta(2, beta_inv(1, beta_inv(2, beta(1, self.A))))
         assert w.inverse().apply(w.apply(self.A)) == self.A
+
+
+# (what, call): every sign and braid direction read by `_unit`
+UNIT_SITES = {
+    "braid direction": ("braid direction",
+                        lambda d: apply_move(("braid", 1, d), A)),
+    "sign vector entry": ("sign", lambda d: sign_conj((1, d, 1), A)),
+    "epsilon sign": ("sign of pair (1, 2)",
+                     lambda d: EpsilonTensor.from_dict(2, [(1, 2)], {(1, 2): d})),
+    "move_to_json": ("braid direction", lambda d: move_to_json(("braid", 1, d))),
+}
+
+
+class TestUnitSites:
+    """Every sign and braid direction is read by ``_unit``: a value other
+    than the integer +1 or -1 raises a one-line ValueError that names it."""
+
+    @pytest.mark.parametrize("what,call", UNIT_SITES.values(), ids=UNIT_SITES.keys())
+    @pytest.mark.parametrize("value", [0, 2, True, 0.5])
+    def test_other_values_are_refused(self, what, call, value):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == f"{what} must be +1 or -1, got {value}"
+
+    @pytest.mark.parametrize("what,call", UNIT_SITES.values(), ids=UNIT_SITES.keys())
+    def test_units_read_as_integers(self, what, call):
+        for d in (1, -1):
+            assert call(np.int64(d)) == call(float(d)) == call(str(d)) == call(d)
+
+    def test_rule(self):
+        assert _unit("-1", "k") == -1 and type(_unit(np.int64(1), "k")) is int
+        with pytest.raises(ValueError, match=r"^sign vector must consist of \+-1 "
+                                             r"of length n$"):
+            sign_conj((1, -1), A)
 
 
 json_atoms = st.one_of(
@@ -355,7 +403,7 @@ reader_inputs = st.one_of(
                                          "dt")}))
 
 READERS = [quiver_from_json, basis_from_json, chamber_from_json,
-           dt_model_from_chamber_json, rational_matrix_from_json]
+           rational_matrix_from_json]
 
 
 class TestReaders:
@@ -367,13 +415,3 @@ class TestReaders:
             reader(data)
         except ValueError:
             pass
-
-    @pytest.mark.parametrize("data,message", [
-        ([], "missing field 'Z'"), (None, "missing field 'Z'"),
-        (True, "missing field 'Z'"), ({"dt": {}}, "missing field 'Z'"),
-        ({"Z": 1}, "field 'Z' must be a list of pairs of numbers"),
-        ({"Z": [[1, 2, 3]]}, "field 'Z' must be a list of pairs of numbers"),
-    ])
-    def test_dt_model_checks_its_own_input(self, data, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            dt_model_from_chamber_json(data)
