@@ -379,6 +379,8 @@ class TestUnitSites:
 
     def test_rule(self):
         assert _unit("-1", "k") == -1 and type(_unit(np.int64(1), "k")) is int
+
+    def test_sign_vector_of_wrong_length(self):
         with pytest.raises(ValueError, match=r"^sign vector must consist of \+-1 "
                                              r"of length n$"):
             sign_conj((1, -1), A)
