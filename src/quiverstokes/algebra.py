@@ -478,13 +478,17 @@ class PolyMatrix:
         return True
 
     def text(self) -> str:
-        cells = [[e.text() for e in row] for row in self.entries]
-        width = max(len(c) for row in cells for c in row)
-        return "\n".join("[ " + "  ".join(c.rjust(width) for c in row) + " ]"
-                         for row in cells)
+        return _grid_text([[e.text() for e in row] for row in self.entries])
 
     def __repr__(self):
         return f"PolyMatrix(n={self.n})\n{self.text()}"
+
+
+def _grid_text(cells) -> str:
+    """Rows of text cells as a bracketed grid, right-aligned to the widest."""
+    width = max(len(c) for row in cells for c in row)
+    return "\n".join("[ " + "  ".join(c.rjust(width) for c in row) + " ]"
+                     for row in cells)
 
 
 def joyce_point(nvars: int) -> list[Fraction]:

@@ -39,8 +39,8 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .algebra import (PolyMatrix, _as_fraction, _as_int, _index, _linear_extensions,
-                      _size, _unit)
+from .algebra import (PolyMatrix, _as_fraction, _as_int, _index, _index_order,
+                      _linear_extensions, _size, _unit)
 
 RationalMatrix = tuple  # tuple of tuples of Fractions
 MatrixLike = Union[PolyMatrix, tuple, list]
@@ -236,12 +236,6 @@ def _support(a: np.ndarray) -> list[tuple[int, int]]:
     return [(int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(a)) if i != j]
 
 
-def _sorting_permutation(a: np.ndarray) -> Optional[tuple]:
-    """Permutation sigma with perm_conj(sigma, a) upper triangular, or None."""
-    order = next(_linear_extensions(a.shape[0], _support(a)), None)
-    return None if order is None else _inverse_permutation(order)
-
-
 def _search_input(m) -> tuple[RationalMatrix, np.ndarray, tuple]:
     """``m`` checked in full as an orbit-search input: its exact rows, the
     same entries in int64, and tau with perm_conj(tau, m) upper triangular."""
@@ -259,10 +253,11 @@ def _search_input(m) -> tuple[RationalMatrix, np.ndarray, tuple]:
     a = np.array([[x.numerator for x in row] for row in rows], dtype=np.int64)
     if (np.diagonal(a) != 1).any():
         raise ValueError("matrices must have unit diagonal")
-    tau = _sorting_permutation(a)
-    if tau is None:
-        raise ValueError("input is not unipotent with respect to any order")
-    return rows, a, tau
+    try:
+        order = _index_order(len(rows), _support(a))
+    except ValueError:
+        raise ValueError("input is not unipotent with respect to any order") from None
+    return rows, a, _inverse_permutation(order)
 
 
 def _target_set(up: np.ndarray) -> dict[bytes, tuple]:

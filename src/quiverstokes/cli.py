@@ -18,16 +18,16 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import _as_int, joyce_point
+from .algebra import _as_int, _grid_text, joyce_point
 from .braid import orbit_search
 from .goodness import (check_quadratic, check_vanishing_p3, find_good_quivers,
                        mutation_basis)
 from .quiver import apply_word, euler_form
 from .serialize import (_ints, basis_from_json, certificate_to_json, chamber_from_json,
-                        dumps, frac_str, parse_frac, poly_to_json, quiver_from_json,
-                        quiver_to_json, rational_matrix_from_json,
-                        rational_matrix_to_json, stokes_data_to_json)
-from .stokes import convex_charge, level2_stokes, stokes_product
+                        dumps, frac_str, parse_frac, quiver_from_json, quiver_to_json,
+                        rational_matrix_from_json, rational_matrix_to_json,
+                        solution_to_json, stokes_data_to_json)
+from .stokes import auto_stokes, stokes_product
 from . import verify as verify_mod
 
 
@@ -88,13 +88,8 @@ def cmd_goodness(args) -> int:
                        for (kind, idx, detail) in vanishing + quadratic],
     }
     if args.find_quivers:
-        sols = find_good_quivers(basis, args.lam, args.p)
-        out["good_quivers"] = [{
-            "params": list(sol.params),
-            "arrows": {f"{u}->{v}": poly_to_json(p)
-                       for (u, v), p in sol.quiver.arrows},
-            "eps": {f"{i},{j}": s for (i, j), s in sol.eps.signs},
-        } for sol in sols]
+        out["good_quivers"] = [solution_to_json(sol) for sol in
+                               find_good_quivers(basis, args.lam, args.p)]
     _emit(args, out, lambda: dumps(out))
     return 0
 
@@ -106,7 +101,7 @@ def cmd_stokes(args) -> int:
     else:
         basis = basis_from_json(_read_json(args.basis))
     if args.chamber == "auto":
-        data = level2_stokes(q, basis, convex_charge(q.n), args.p)
+        data = auto_stokes(q, basis, args.p)
     else:
         chamber, dt = chamber_from_json(_read_json(args.chamber))
         data = stokes_product(basis, euler_form(q), dt, chamber, args.p)
@@ -121,11 +116,8 @@ def cmd_stokes(args) -> int:
         bits = ["order: " + " ".join(str(i) for i in data.order),
                 data.product.text()]
         if args.eval is not None:
-            width = max(len(frac_str(x)) for row in ev for x in row)
             bits.append(f"at ({', '.join(out['evaluated_at'])}):")
-            bits.append("\n".join(
-                "[ " + "  ".join(frac_str(x).rjust(width) for x in row) + " ]"
-                for row in ev))
+            bits.append(_grid_text(out["evaluation"]))
         return "\n".join(bits) + "\n"
 
     _emit(args, out, text)

@@ -147,6 +147,9 @@ class EpsilonTensor:
     def from_dict(cls, n: int, domain, eps: dict) -> "EpsilonTensor":
         n = _size(n, 1, "rank n")
         dom = _read_domain(n, domain)
+        missing = sorted(dom - set(eps))
+        if missing:
+            raise ValueError(f"sign of pair {missing[0]} is missing")
         signs = tuple((pair, _unit(eps[pair], f"sign of pair {pair}"))
                       for pair in sorted(dom))
         t = cls(n, dom, signs)
@@ -244,17 +247,14 @@ class SymbolicQuiver:
     def substitute(self, values) -> Quiver:
         """Concrete quiver at given parameter values; a negative evaluated
         multiplicity flips the arrow direction."""
-        m = [[0] * self.n for _ in range(self.n)]
+        pairs = {}
         for (u, v), poly in self.arrows:
             c = poly.evaluate(values)
             if c.denominator != 1:
                 raise ValueError("non-integer multiplicity after substitution")
-            c = int(c)
-            if c >= 0:
-                m[u - 1][v - 1] += c
-            else:
-                m[v - 1][u - 1] += -c
-        return Quiver(self.n, tuple(tuple(r) for r in m))
+            uv = (u, v) if c >= 0 else (v, u)
+            pairs[uv] = pairs.get(uv, 0) + abs(c.numerator)
+        return Quiver.from_arrows(self.n, pairs)
 
 
 @dataclass(frozen=True)

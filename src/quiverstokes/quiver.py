@@ -41,6 +41,7 @@ class Quiver:
     @classmethod
     def from_arrows(cls, n: int, pairs) -> "Quiver":
         """Build from {(source, target): multiplicity} with 1-based vertices."""
+        n = _size(n, 1, "rank n")
         m = [[0] * n for _ in range(n)]
         for (u, v), k in pairs.items():
             m[_index(u, n, "vertex") - 1][_index(v, n, "vertex") - 1] += _as_int(k)
@@ -169,7 +170,4 @@ def mutation_class(q: Quiver, max_size: int) -> dict[Quiver, tuple[int, ...]]:
 def linear_quiver(n: int) -> Quiver:
     """The linear orientation 1 -> 2 -> ... -> n."""
     n = _size(n, 1, "rank n")
-    m = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        m[i][i + 1] = 1
-    return Quiver(n, tuple(tuple(r) for r in m))
+    return Quiver.from_arrows(n, {(i, i + 1): 1 for i in range(1, n)})

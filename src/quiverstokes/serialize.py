@@ -23,6 +23,7 @@ import numpy as np
 from .algebra import (Basis, LatticeVector, PolyMatrix, TruncatedPoly, _as_fraction,
                       _as_int, _unit)
 from .braid import EquivalenceCertificate
+from .goodness import GoodQuiverSolution
 from .quiver import Quiver
 from .stokes import Chamber, DTModel, StokesData
 
@@ -89,6 +90,9 @@ def poly_to_json(p: TruncatedPoly) -> dict:
 
 
 def poly_from_json(data: dict, nvars: int) -> TruncatedPoly:
+    if not (isinstance(data, dict) and all(isinstance(k, str) for k in data)):
+        raise ValueError(f"a polynomial must map exponent text to coefficients, "
+                         f"got {data!r}")
     terms = {}
     for key, val in data.items():
         exps = tuple(key.split(",")) if key else ()
@@ -102,9 +106,10 @@ def pm_to_json(m: PolyMatrix) -> dict:
 
 
 def pm_from_json(data: dict, nvars: int) -> PolyMatrix:
-    return PolyMatrix(_int_field(data, "n"),
-                      [[poly_from_json(cell, nvars) for cell in row]
-                       for row in _field(data, "entries")])
+    n, rows = _int_field(data, "n"), _field(data, "entries")
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+        raise ValueError("field 'entries' must be a list of lists of polynomials")
+    return PolyMatrix(n, [[poly_from_json(c, nvars) for c in row] for row in rows])
 
 
 def rational_matrix_to_json(m) -> list:
@@ -145,7 +150,7 @@ def chamber_from_json(data: dict) -> tuple[Chamber, DTModel]:
                    for v in _rows(_field(data, "active"), "active"))
     chamber = Chamber(Z, active)
     dt = data.get("dt", {})
-    if not isinstance(dt, dict):
+    if not (isinstance(dt, dict) and all(isinstance(k, str) for k in dt)):
         raise ValueError("field 'dt' must map classes to counts")
     table = {}
     for key, val in dt.items():
@@ -166,6 +171,14 @@ def stokes_data_to_json(sd: StokesData) -> dict:
     }
 
 
+def solution_to_json(sol: GoodQuiverSolution) -> dict:
+    """A good quiver with its parameters and signs, as ``goodness --find-quivers``."""
+    return {"params": list(sol.params),
+            "arrows": {f"{u}->{v}": poly_to_json(p)
+                       for (u, v), p in sol.quiver.arrows},
+            "eps": {f"{i},{j}": s for (i, j), s in sol.eps.signs}}
+
+
 def move_to_json(mv) -> dict:
     """A braid, permutation or sign move as JSON; a braid direction is +1
     or -1 by ``algebra._unit``, and a sign move keeps its form, a 1-based
@@ -184,6 +197,9 @@ def move_to_json(mv) -> dict:
 def move_from_json(data: dict):
     """The move written by ``move_to_json``; a braid move without "dir" is
     forward."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a move must be an object with a 'braid', 'perm' or "
+                         f"'sign' field, got {data!r}")
     if "braid" in data:
         direction = data.get("dir", "+")
         if direction not in ("+", "-"):

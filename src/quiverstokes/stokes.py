@@ -165,6 +165,15 @@ def _clockwise(rays: list) -> list:
     return [v for v, _ in sorted(rays, key=functools.cmp_to_key(cmp))]
 
 
+def _rank_charge(n: int, Z) -> tuple:
+    """The rank-n charge Z read as exact rationals and scaled to integers by
+    ``_scaled_charge``; ChamberError when it has not n entries."""
+    Z = tuple((_as_fraction(x), _as_fraction(y)) for x, y in Z)
+    if len(Z) != n:
+        raise ChamberError(f"a rank-{n} charge needs {n} entries, got {len(Z)}")
+    return _scaled_charge(Z)
+
+
 @dataclass(frozen=True)
 class Chamber:
     """A central charge plus the list of active classes for it.
@@ -461,7 +470,7 @@ def extension_actives(q: Quiver, Z) -> list[LatticeVector]:
     arg Z_u > arg Z_v.
     """
     n = q.n
-    zint = _scaled_charge(tuple((_as_fraction(x), _as_fraction(y)) for x, y in Z))
+    zint = _rank_charge(n, Z)
     act = [LatticeVector(tuple(1 if t == k else 0 for t in range(n)))
            for k in range(n)]
     for u in range(1, n + 1):
@@ -489,18 +498,17 @@ def level2_stokes(q: Quiver, basis: Basis, Z,
                           level2_chamber(q, Z), p)
 
 
-def quiver_stokes_jet(q: Quiver, basis: Basis, p: int = 3) -> PolyMatrix:
-    """Order-p jet of the Stokes matrix of (quiver, basis) on the level-2
-    chamber of ``convex_charge(q.n)``; RayCollision when two of its actives
-    share a ray.
+def auto_stokes(q: Quiver, basis: Basis, p: Optional[int]) -> StokesData:
+    """The product of (quiver, basis) on the level-2 chamber of ``convex_charge(q.n)``,
+    mod (s)^p or exact when p is None; RayCollision when two actives share a ray.
 
     Chamber independent below order p, so any valid chamber gives the same
-    answer.  No other charge is tried: every Z(v) is linear in Z, and a
+    jet.  No other charge is tried: every Z(v) is linear in Z, and a
     shear x -> x + s * y has determinant 1, so it keeps every cross product,
     hence every collision and every clockwise order; it keeps y, hence
     upper-half-plane membership.
     """
-    return level2_stokes(q, basis, convex_charge(q.n), p).product
+    return level2_stokes(q, basis, convex_charge(q.n), p)
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +521,7 @@ def _interval_class(n: int, i: int, j: int) -> LatticeVector:
 
 def _an_stable_rays(n: int, zint) -> list:
     """((i, j), integer ray of Z([i, j])) for the stable intervals of the
-    linear quiver, by (i, j), from the charge scaled to integers."""
-    if len(zint) != n:
-        raise ChamberError(f"a rank-{n} charge needs {n} entries, got {len(zint)}")
+    linear quiver, by (i, j), from the rank-n charge scaled to integers."""
     px, py = [0], [0]
     for x, y in zint:
         px.append(px[-1] + x)
@@ -541,9 +547,8 @@ def an_stable_intervals(n: int, Z) -> list[LatticeVector]:
     i < k <= j.  Z([i, j]) is a difference of prefix sums of the charge
     scaled to integers.
     """
-    Z = tuple((_as_fraction(x), _as_fraction(y)) for x, y in Z)
     return [_interval_class(n, i, j)
-            for (i, j), _ in _an_stable_rays(n, _scaled_charge(Z))]
+            for (i, j), _ in _an_stable_rays(n, _rank_charge(n, Z))]
 
 
 def an_chamber(n: int, Z) -> Chamber:

@@ -21,16 +21,15 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Basis, PolyMatrix, joyce_point
+from .algebra import Basis, joyce_point
 from .braid import BraidWord
 from .goodness import find_good_quivers, mutation_basis
 from .quiver import Quiver, apply_word, euler_form, linear_quiver
-from .serialize import move_from_json, pm_from_json, poly_to_json
+from .serialize import move_from_json, pm_from_json, solution_to_json
 # stokes_product is not called here; perfbench's tracer test checks that
 # wrapping reaches it through this module's namespace
-from .stokes import (DTModel, LiftDisagreement, an_chamber, an_stokes,
-                     level2_stokes, natural_lifts, quiver_stokes_jet,
-                     stokes_product, verify_an_jet)
+from .stokes import (DTModel, LiftDisagreement, an_chamber, an_stokes, auto_stokes,
+                     level2_stokes, natural_lifts, stokes_product, verify_an_jet)
 
 
 def _load(name: str) -> dict:
@@ -63,30 +62,23 @@ def check_tables() -> list[CheckLine]:
         basis = Basis([tuple(r) for r in table["basis"]])
         sols = find_good_quivers(basis, table["lambda"], table["p"])
         notes = table.get("notes", {})
-        nparams = len(table.get("params", []))
         lines.append(CheckLine(
             f"{table['id']}: solution count",
             len(sols) == table["total_solutions"],
             f"found {len(sols)}, expected {table['total_solutions']}"))
-        by_arrows = {}
-        for sol in sols:
-            key = tuple(sorted((f"{u}->{v}", tuple(sorted(poly_to_json(p).items())))
-                               for (u, v), p in sol.quiver.arrows))
-            by_arrows[key] = sol
+        by_arrows = {json.dumps(solution_to_json(sol)["arrows"], sort_keys=True): sol
+                     for sol in sols}
         listed_eps = set()
         for fixture in table["entries"]:
-            key = tuple(sorted(
-                (uv, tuple(sorted(pj.items())))
-                for uv, pj in fixture["arrows"].items()))
-            sol = by_arrows.get(key)
+            sol = by_arrows.get(json.dumps(fixture["arrows"], sort_keys=True))
             if sol is None:
                 lines.append(CheckLine(f"{fixture['id']}: quiver",
                                        False, "no matching solution"))
                 continue
             listed_eps.add(sol.eps.signs)
             expected = pm_from_json(fixture["matrix"], nvars=basis.n)
-            q0 = sol.quiver.substitute([Fraction(0)] * nparams)
-            jet = quiver_stokes_jet(q0, basis, table["p"])
+            q0 = sol.quiver.substitute([Fraction(0)] * len(sol.params))
+            jet = auto_stokes(q0, basis, table["p"]).product
             lines.append(CheckLine(f"{fixture['id']}: quiver+matrix",
                                    jet == expected,
                                    "jet differs from fixture",
@@ -119,16 +111,13 @@ def _family_entries():
             yield fam["n"], e
 
 
-def pipeline_product(n: int, word, Zrows) -> PolyMatrix:
-    q = apply_word(linear_quiver(n), word)
-    return level2_stokes(q, mutation_basis(n, q), Zrows).product
-
-
 def _family_fixtures():
     """(id, pipeline product, fixture matrix, note) for every mutation-family
-    entry."""
+    entry: the linear quiver mutated by the entry's word, with its mutation
+    basis, over the level-2 chamber of the entry's charge."""
     for n, e in _family_entries():
-        yield (e["id"], pipeline_product(n, e["word"], e["Z"]),
+        q = apply_word(linear_quiver(n), e["word"])
+        yield (e["id"], level2_stokes(q, mutation_basis(n, q), e["Z"]).product,
                pm_from_json(e["matrix"], nvars=n), e.get("note", ""))
 
 

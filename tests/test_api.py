@@ -348,6 +348,43 @@ def test_sizes_are_read_by_the_size_rule():
     assert sorted(hits) == sorted(BOUNDS_ALLOWED)
 
 
+# callee: its owners, as modules or (module, function); no other code in
+# the package calls it, so each of these decisions lives in one place
+OWNERS = {
+    "convex_charge": {"stokes"},
+    "poly_to_json": {"serialize"},
+    "rjust": {("algebra", "_grid_text")},
+    "_linear_extensions": {"algebra", ("braid", "_target_set")},
+}
+
+
+def calls_outside_owners(tree, module) -> list:
+    """(module, function, line, callee) of every call in ``tree`` to a name of
+    ``OWNERS``, as a function or a method, from outside its owners; a call
+    outside every function belongs to "<module>"."""
+    scopes = [("<module>", list(_own_nodes(tree)))] + [
+        (getattr(fn, "name", "<lambda>"), nodes) for fn, _, nodes in _functions(tree)]
+    found = []
+    for name, nodes in scopes:
+        for n in nodes:
+            owners = isinstance(n, ast.Call) and OWNERS.get(
+                getattr(n.func, "id", getattr(n.func, "attr", None)))
+            if owners and not owners & {module, (module, name)}:
+                found.append((module, name, n.lineno, ast.unparse(n.func)))
+    return found
+
+
+def test_decisions_have_one_owner():
+    # no linter is installed; on ast alone: the auto chamber, the good-quiver
+    # and polynomial layouts, the matrix grid and the least linear extension
+    # are each decided by one function or module, which every other caller
+    # reaches through it
+    hits = []
+    for path in sorted(Path(quiverstokes.__file__).parent.glob("*.py")):
+        hits += calls_outside_owners(ast.parse(path.read_text()), path.stem)
+    assert hits == []
+
+
 # (module, function): the one function that rebinds a module global, the
 # last orbit-search ball that searches from one source share
 GLOBALS_ALLOWED = [("braid", "_ball_search")]

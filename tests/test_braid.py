@@ -839,7 +839,7 @@ class TestTargetSet:
         a = perm_conj(data.draw(st.permutations(range(1, n + 1))), a)
         a = np.array(sign_conj(data.draw(st.lists(
             st.sampled_from((1, -1)), min_size=n, max_size=n)), a), dtype=np.int64)
-        up = braid._conj_np(braid._sorting_permutation(a), a)
+        up = braid._conj_np(braid._search_input(a)[2], a)
         assert_same_targets(braid._target_set(up), scan_target_set(up))
 
     @settings(max_examples=150, deadline=None)
@@ -869,6 +869,10 @@ class TestMoveJson:
         ({"perm": "21"}, "field 'perm' must be a list of integers, got '21'"),
         ({"sign": [1, True]}, "field 'sign' must hold integers, got True"),
         ({"sign": "x"}, "field 'sign' must be an integer, got 'x'"),
+        (5, "a move must be an object with a 'braid', 'perm' or 'sign' field, "
+            "got 5"),
+        ("braid", "a move must be an object with a 'braid', 'perm' or 'sign' "
+                  "field, got 'braid'"),
     ])
     def test_malformed_move_is_refused(self, data, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

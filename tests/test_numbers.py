@@ -3,6 +3,7 @@ for integers, `_as_fraction` for rationals, `_index` for 1-based indices,
 `_size` for sizes, bounds and counts and `_unit` for signs and directions,
 at every site that reads one, and the JSON readers built on them."""
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -20,13 +21,13 @@ from quiverstokes.goodness import (EpsilonTensor, check_quadratic, epsilon_solut
 from quiverstokes.quiver import (EulerForm, Quiver, euler_form, linear_quiver, mutate,
                                  mutation_class)
 from quiverstokes.serialize import (basis_from_json, chamber_from_json, frac_str,
-                                    move_to_json, parse_frac, pm_from_json,
-                                    poly_from_json, quiver_from_json, quiver_to_json,
-                                    rational_matrix_from_json)
-from quiverstokes.stokes import (Chamber, DTModel, an_chamber, an_stokes, convex_charge,
-                                 enumerate_an_chambers, factor_coefficient,
-                                 factor_product, level2_stokes, natural_lifts,
-                                 quiver_stokes_jet, stokes_product, verify_an_jet)
+                                    move_from_json, move_to_json, parse_frac,
+                                    pm_from_json, poly_from_json, quiver_from_json,
+                                    quiver_to_json, rational_matrix_from_json)
+from quiverstokes.stokes import (Chamber, DTModel, an_chamber, an_stokes, auto_stokes,
+                                 convex_charge, enumerate_an_chambers,
+                                 factor_coefficient, factor_product, level2_stokes,
+                                 natural_lifts, stokes_product, verify_an_jet)
 
 A = ((1, 2, 3), (0, 1, 4), (0, 0, 1))
 Q = linear_quiver(3)
@@ -188,6 +189,7 @@ SIZE_SITES = {
     "verify_braid_group_relations n": ("rank n", 3, verify_braid_group_relations),
     "mutation_class": ("max_size", 1, lambda k: mutation_class(Q, k)),
     "Quiver": ("rank n", 1, lambda k: Quiver(k, ((0,),))),
+    "Quiver.from_arrows": ("rank n", 1, lambda k: Quiver.from_arrows(k, {})),
     "linear_quiver": ("rank n", 1, linear_quiver),
     "convex_charge": ("rank n", 1, convex_charge),
     "an_chamber": ("rank n", 1, lambda k: an_chamber(k, convex_charge(2))),
@@ -266,7 +268,7 @@ ORDER_SITES = {
     "natural_lifts": lambda p: natural_lifts(*A3, enumerate_an_chambers(3, 20), p),
     "level2_stokes": lambda p: level2_stokes(
         Q, Basis.triangular(3), convex_charge(3), p).product,
-    "quiver_stokes_jet": lambda p: quiver_stokes_jet(Q, Basis.triangular(3), p),
+    "auto_stokes": lambda p: auto_stokes(Q, Basis.triangular(3), p).product,
 }
 
 
@@ -395,25 +397,51 @@ json_values = st.recursive(
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.dictionaries(st.sampled_from(["n", "arrows", "rows", "Z", "active",
-                                         "dt", "1,0", "1,0,0", "", "1_0"]),
+                                         "dt", "entries", "braid", "dir", "perm",
+                                         "sign", "1,0", "1,0,0", "", "1_0"]),
                         inner, max_size=4)),
     max_leaves=16)
 reader_inputs = st.one_of(
     json_values,
     st.fixed_dictionaries({}, optional={
         field: json_values for field in ("n", "arrows", "rows", "Z", "active",
-                                         "dt")}))
+                                         "dt", "entries", "braid", "dir", "perm",
+                                         "sign")}))
 
 READERS = [quiver_from_json, basis_from_json, chamber_from_json,
-           rational_matrix_from_json]
+           rational_matrix_from_json, functools.partial(poly_from_json, nvars=2),
+           functools.partial(pm_from_json, nvars=2), move_from_json]
 
 
 class TestReaders:
     @settings(max_examples=100, deadline=None)
     @given(reader_inputs)
-    @pytest.mark.parametrize("reader", READERS, ids=lambda r: r.__name__)
+    @pytest.mark.parametrize("reader", READERS,
+                             ids=lambda r: getattr(r, "func", r).__name__)
     def test_reader_returns_or_raises_value_error(self, reader, data):
         try:
             reader(data)
         except ValueError:
             pass
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: poly_from_json([], 1),
+         "a polynomial must map exponent text to coefficients, got []"),
+        (lambda: poly_from_json({1: "1"}, 1),
+         "a polynomial must map exponent text to coefficients, got {1: '1'}"),
+        (lambda: pm_from_json({"n": 2, "entries": 5}, 2),
+         "field 'entries' must be a list of lists of polynomials"),
+        (lambda: pm_from_json({"n": 1, "entries": [[5]]}, 1),
+         "a polynomial must map exponent text to coefficients, got 5"),
+        (lambda: chamber_from_json({"Z": [["-1", "1"], ["0", "1"], ["1", "1"]],
+                                    "active": [], "dt": {(1, 0, 0): 1}}),
+         "field 'dt' must map classes to counts"),
+        (lambda: EpsilonTensor.from_dict(3, [(2, 3), (1, 3), (1, 2)], {(1, 2): 1}),
+         "sign of pair (1, 3) is missing"),
+    ], ids=["poly list", "poly int key", "pm entries", "pm cell", "dt tuple key",
+            "epsilon pair"])
+    def test_library_input_gives_one_line(self, call, message):
+        # readers and inputs the CLI never reaches; verify reads bundled data
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message

@@ -314,9 +314,9 @@ class TestChamberIndependence:
 
 class TestPipelineEvaluations:
     def test_mu1mu3_a4_at_unit_point(self):
-        from quiverstokes.verify import pipeline_product
-        prod = pipeline_product(4, [3, 1],
-                                [(-9, 2), (0, 2), (15, 2), (36, 2)])
+        q = apply_word(linear_quiver(4), [3, 1])
+        prod = stokes_mod.level2_stokes(q, mutation_basis(4, q),
+                                        [(-9, 2), (0, 2), (15, 2), (36, 2)]).product
         assert prod.evaluate(joyce_point(4)) == (
             (1, 1, -1, -1), (0, 1, -1, -1), (0, 0, 1, 0), (0, 0, 1, 1))
 
@@ -431,6 +431,13 @@ class TestRankMismatch:
     def test_an_chamber_with_too_few_charges(self):
         with pytest.raises(ChamberError, match="needs 3 entries, got 2"):
             an_chamber(3, [(-1, 1), (1, 1)])
+
+    @pytest.mark.parametrize("Z", [convex_charge(2), convex_charge(4)],
+                             ids=["short", "long"])
+    def test_level2_chamber_with_a_charge_of_another_rank(self, Z):
+        with pytest.raises(ChamberError, match=rf"^a rank-3 charge needs 3 "
+                                               rf"entries, got {len(Z)}$"):
+            level2_chamber(linear_quiver(3), Z)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +640,7 @@ class TestShearKeepsTheChamber:
                                    (1, 7): 1})
         with pytest.raises(RayCollision, match=r"classes \(1, 0, 0, 0, 0, 0, 1\) "
                            r"and \(0, 0, 0, 0, 1, 0, 0\) lie on the same ray"):
-            stokes_mod.quiver_stokes_jet(q, Basis.triangular(7), 3)
+            stokes_mod.auto_stokes(q, Basis.triangular(7), 3)
 
 
 class TestEnumerateAnChambers:
