@@ -388,9 +388,9 @@ class PolyMatrix:
 
     __slots__ = ("n", "nvars", "entries")
 
-    def __init__(self, n: int, entries):
-        n = _size(n, 1, "matrix size")
-        if len(entries) != n or any(len(row) != n for row in entries):
+    def __init__(self, entries):
+        n = _size(len(entries), 1, "matrix size")
+        if any(len(row) != n for row in entries):
             raise ValueError("entries must be an n x n array")
         self.n = n
         self.nvars = entries[0][0].nvars
@@ -402,11 +402,10 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, n: int, nvars: int) -> "PolyMatrix":
-        nvars = _size(nvars, 0, "variable count")
+        nvars, n = _size(nvars, 0, "variable count"), _size(n, 1, "matrix size")
         one = TruncatedPoly._from_valid(nvars, {(0,) * nvars: Fraction(1)})
         zero = TruncatedPoly._from_valid(nvars, {})
-        return cls(n, [[one if i == j else zero for j in range(n)]
-                       for i in range(n)])
+        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
     def elementary(cls, n: int, i: int, j: int, coeff: TruncatedPoly) -> "PolyMatrix":
@@ -452,11 +451,11 @@ class PolyMatrix:
                     acc = TruncatedPoly._from_valid(self.nvars, {})
                 row.append(acc)
             rows.append(row)
-        return PolyMatrix(n, rows)
+        return PolyMatrix(rows)
 
     def truncate(self, p: int) -> "PolyMatrix":
         """Every entry reduced mod (s1, ..., sn)^p."""
-        return PolyMatrix(self.n, [[e.truncate(p) for e in row] for row in self.entries])
+        return PolyMatrix([[e.truncate(p) for e in row] for row in self.entries])
 
     def evaluate(self, point) -> tuple:
         """Evaluate every entry; returns a tuple-of-tuples of Fractions."""

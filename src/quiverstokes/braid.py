@@ -71,7 +71,7 @@ def _entries(A: MatrixLike) -> np.ndarray:
 def _like(A: MatrixLike, arr: np.ndarray):
     """``arr`` in the form of ``A``: a PolyMatrix, or a tuple of tuples."""
     if isinstance(A, PolyMatrix):
-        return PolyMatrix(A.n, arr.tolist())
+        return PolyMatrix(arr.tolist())
     return tuple(map(tuple, arr.tolist()))
 
 

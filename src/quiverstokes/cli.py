@@ -97,7 +97,7 @@ def cmd_goodness(args) -> int:
 def cmd_stokes(args) -> int:
     q = quiver_from_json(_read_json(args.quiver))
     if args.basis == "auto":
-        basis = mutation_basis(q.n, q)
+        basis = mutation_basis(q)
     else:
         basis = basis_from_json(_read_json(args.basis))
     if args.chamber == "auto":

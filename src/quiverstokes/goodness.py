@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional
 
@@ -140,19 +141,20 @@ class EpsilonTensor:
     """Skew sign tensor on a set of index pairs."""
 
     n: int
-    domain: frozenset
     signs: tuple  # tuple of ((i, j), +-1) sorted by pair, for hashing
 
     @classmethod
     def from_dict(cls, n: int, domain, eps: dict) -> "EpsilonTensor":
         n = _size(n, 1, "rank n")
         dom = _read_domain(n, domain)
+        if not isinstance(eps, Mapping):
+            raise ValueError(f"eps must map pairs to signs, got {eps!r}")
         missing = sorted(dom - set(eps))
         if missing:
             raise ValueError(f"sign of pair {missing[0]} is missing")
         signs = tuple((pair, _unit(eps[pair], f"sign of pair {pair}"))
                       for pair in sorted(dom))
-        t = cls(n, dom, signs)
+        t = cls(n, signs)
         bad = t.triple_violations()
         if bad:
             raise ValueError(f"sign tensor violates triple conditions at {bad}")
@@ -160,6 +162,10 @@ class EpsilonTensor:
 
     def as_dict(self) -> dict:
         return dict(self.signs)
+
+    @property
+    def domain(self) -> frozenset:
+        return frozenset(pair for pair, _ in self.signs)
 
     def __getitem__(self, ij) -> int:
         i, j = ij
@@ -180,8 +186,7 @@ class EpsilonTensor:
 
         bad = []
         for i, j, k in itertools.combinations(range(1, self.n + 1), 3):
-            pairs = {(i, j), (i, k), (j, k)}
-            if not pairs <= self.domain:
+            if (i, j) not in d or (i, k) not in d or (j, k) not in d:
                 continue
             val = (1 + get(i, j) * get(j, k) + get(j, i) * get(i, k)
                    + get(i, k) * get(k, j))
@@ -190,8 +195,7 @@ class EpsilonTensor:
         return bad
 
     def flipped(self) -> "EpsilonTensor":
-        return EpsilonTensor(self.n, self.domain,
-                             tuple((p, -s) for p, s in self.signs))
+        return EpsilonTensor(self.n, tuple((p, -s) for p, s in self.signs))
 
 
 def epsilon_solutions(n: int, domain=None) -> list[EpsilonTensor]:
@@ -217,7 +221,7 @@ def epsilon_solutions(n: int, domain=None) -> list[EpsilonTensor]:
 
     def extend(t: int) -> None:
         if t == len(pairs):
-            out.append(EpsilonTensor(n, dom, tuple(zip(pairs, signs))))
+            out.append(EpsilonTensor(n, tuple(zip(pairs, signs))))
             return
         for b in (1, -1):
             if all(signs[ik] in (signs[ij], b) for ij, ik in closes[t]):
@@ -241,7 +245,6 @@ class SymbolicQuiver:
     """
 
     n: int
-    params: tuple[str, ...]
     arrows: tuple  # tuple of ((u, v), TruncatedPoly) sorted by (u, v)
 
     def substitute(self, values) -> Quiver:
@@ -356,7 +359,7 @@ def find_good_quivers(basis: Basis, lam: int = 1,
     for r, row in zip(keep.tolist(), (consts[keep] // d2).tolist()):
         arrows = sorted(filter(None, (arrow(u, v, row[u * n + v])
                                       for u in range(n) for v in range(u + 1, n))))
-        quiver = SymbolicQuiver(n, params, tuple(item for item, _ in arrows))
+        quiver = SymbolicQuiver(n, tuple(item for item, _ in arrows))
         keyed.append((tuple(sort_key for _, sort_key in arrows),
                       GoodQuiverSolution(quiver, tensors[r], params)))
     keyed.sort(key=lambda ks: ks[0])
@@ -382,7 +385,7 @@ def _clockwise_triangle_tops(q: Quiver) -> set[int]:
     return tops
 
 
-def mutation_basis(n: int, target: Quiver) -> Basis:
+def mutation_basis(target: Quiver) -> Basis:
     """Distinguished good basis for a quiver obtained by mutating the
     linear quiver, assembled from its local configurations.
 
@@ -391,10 +394,6 @@ def mutation_basis(n: int, target: Quiver) -> Basis:
     overlapping, with linear tails; and the two rank-3 cycle quivers coming
     from the annulus.  Raises UnrecognizedPattern otherwise.
     """
-    n = _as_int(n)
-    if target.n != n:
-        raise ValueError("rank mismatch")
-
     special = _rank3_cycle_basis(target)
     if special is not None:
         return special
@@ -417,6 +416,7 @@ def mutation_basis(n: int, target: Quiver) -> Basis:
             raise UnrecognizedPattern(
                 f"arrow {u}->{v} (x{mult}) not part of a recognized pattern")
 
+    n = target.n
     zero = LatticeVector((0,) * n)
     alphas: dict[int, LatticeVector] = {n + 1: zero, n + 2: zero}
 

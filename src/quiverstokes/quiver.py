@@ -21,22 +21,25 @@ from .algebra import LatticeVector, _as_int, _index, _size
 
 @dataclass(frozen=True)
 class Quiver:
-    n: int
     arrows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _size(self.n, 1, "rank n"))
         arrows = tuple(tuple(_size(a, 0, "arrow multiplicity") for a in row)
                        for row in self.arrows)
         object.__setattr__(self, "arrows", arrows)
-        if len(arrows) != self.n or any(len(r) != self.n for r in arrows):
+        n = _size(len(arrows), 1, "rank n")
+        if any(len(r) != n for r in arrows):
             raise ValueError("arrow matrix must be n x n")
-        for i in range(self.n):
+        for i in range(n):
             if arrows[i][i]:
                 raise ValueError(f"loop at vertex {i + 1}")
-            for j in range(self.n):
+            for j in range(n):
                 if arrows[i][j] and arrows[j][i]:
                     raise ValueError(f"2-cycle between {i + 1} and {j + 1}")
+
+    @property
+    def n(self) -> int:
+        return len(self.arrows)
 
     @classmethod
     def from_arrows(cls, n: int, pairs) -> "Quiver":
@@ -45,7 +48,7 @@ class Quiver:
         m = [[0] * n for _ in range(n)]
         for (u, v), k in pairs.items():
             m[_index(u, n, "vertex") - 1][_index(v, n, "vertex") - 1] += _as_int(k)
-        return cls(n, tuple(tuple(r) for r in m))
+        return cls(tuple(tuple(r) for r in m))
 
     def arrow_pairs(self) -> dict[tuple[int, int], int]:
         return {(i + 1, j + 1): self.arrows[i][j]
@@ -124,7 +127,7 @@ def mutate(q: Quiver, k: int) -> Quiver:
     path i -> k -> j, cancel opposite pairs.
     """
     n, a, k = q.n, q.arrows, _index(k, q.n, "vertex") - 1
-    return Quiver(n, tuple(
+    return Quiver(tuple(
         tuple(a[j][i] if k == i or k == j else
               max(a[i][j] - a[j][i] + a[i][k] * a[k][j] - a[j][k] * a[k][i], 0)
               for j in range(n))

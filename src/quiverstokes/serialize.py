@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import (Basis, LatticeVector, PolyMatrix, TruncatedPoly, _as_fraction,
-                      _as_int, _unit)
+                      _as_int, _size, _unit)
 from .braid import EquivalenceCertificate
 from .goodness import GoodQuiverSolution
 from .quiver import Quiver
@@ -95,7 +95,9 @@ def poly_from_json(data: dict, nvars: int) -> TruncatedPoly:
                          f"got {data!r}")
     terms = {}
     for key, val in data.items():
-        exps = tuple(key.split(",")) if key else ()
+        exps = tuple(_size(e, 0, "exponent") for e in key.split(",")) if key else ()
+        if exps in terms:
+            raise ValueError(f"a polynomial names exponent {exps} twice")
         terms[exps] = parse_frac(val, "coefficient")
     return TruncatedPoly(nvars, terms)
 
@@ -109,7 +111,10 @@ def pm_from_json(data: dict, nvars: int) -> PolyMatrix:
     n, rows = _int_field(data, "n"), _field(data, "entries")
     if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
         raise ValueError("field 'entries' must be a list of lists of polynomials")
-    return PolyMatrix(n, [[poly_from_json(c, nvars) for c in row] for row in rows])
+    entries = [[poly_from_json(c, nvars) for c in row] for row in rows]
+    if len(entries) != _size(n, 1, "matrix size"):
+        raise ValueError("entries must be an n x n array")
+    return PolyMatrix(entries)
 
 
 def rational_matrix_to_json(m) -> list:
@@ -129,8 +134,10 @@ def quiver_from_json(data: dict) -> Quiver:
     n = _int_field(data, "n")
     if n < 1:
         raise ValueError(f"field 'n' must be a positive integer, got {n}")
-    return Quiver(n, tuple(_ints(r, "arrows")
-                           for r in _rows(_field(data, "arrows"), "arrows")))
+    arrows = tuple(_ints(r, "arrows") for r in _rows(_field(data, "arrows"), "arrows"))
+    if len(arrows) != n:
+        raise ValueError("arrow matrix must be n x n")
+    return Quiver(arrows)
 
 
 def basis_to_json(b: Basis) -> dict:

@@ -165,13 +165,10 @@ def _clockwise(rays: list) -> list:
     return [v for v, _ in sorted(rays, key=functools.cmp_to_key(cmp))]
 
 
-def _rank_charge(n: int, Z) -> tuple:
-    """The rank-n charge Z read as exact rationals and scaled to integers by
-    ``_scaled_charge``; ChamberError when it has not n entries."""
-    Z = tuple((_as_fraction(x), _as_fraction(y)) for x, y in Z)
-    if len(Z) != n:
-        raise ChamberError(f"a rank-{n} charge needs {n} entries, got {len(Z)}")
-    return _scaled_charge(Z)
+def _integer_charge(Z) -> tuple:
+    """The charge Z read as exact rationals and scaled to integers by
+    ``_scaled_charge``."""
+    return _scaled_charge(tuple((_as_fraction(x), _as_fraction(y)) for x, y in Z))
 
 
 @dataclass(frozen=True)
@@ -469,8 +466,9 @@ def extension_actives(q: Quiver, Z) -> list[LatticeVector]:
     destabilizing sub S_v, so it is active exactly when
     arg Z_u > arg Z_v.
     """
-    n = q.n
-    zint = _rank_charge(n, Z)
+    n, zint = q.n, _integer_charge(Z)
+    if len(zint) != n:
+        raise ChamberError(f"a rank-{n} charge needs {n} entries, got {len(zint)}")
     act = [LatticeVector(tuple(1 if t == k else 0 for t in range(n)))
            for k in range(n)]
     for u in range(1, n + 1):
@@ -539,21 +537,22 @@ def _an_stable_rays(n: int, zint) -> list:
     return out
 
 
-def an_stable_intervals(n: int, Z) -> list[LatticeVector]:
+def an_stable_intervals(Z) -> list[LatticeVector]:
     """Stable interval classes of the linear quiver 1 -> 2 -> ... -> n.
 
     The indecomposable on [i, j] has exactly the right-closed subobjects
     [k, j], so it is stable iff arg Z([k, j]) < arg Z([i, j]) for all
     i < k <= j.  Z([i, j]) is a difference of prefix sums of the charge
-    scaled to integers.
+    scaled to integers; the rank is the length of Z.
     """
-    return [_interval_class(n, i, j)
-            for (i, j), _ in _an_stable_rays(n, _rank_charge(n, Z))]
+    zint = _integer_charge(Z)
+    return [_interval_class(len(zint), i, j)
+            for (i, j), _ in _an_stable_rays(len(zint), zint)]
 
 
-def an_chamber(n: int, Z) -> Chamber:
-    n = _size(n, 1, "rank n")
-    return Chamber(tuple(Z), tuple(an_stable_intervals(n, Z)))
+def an_chamber(Z) -> Chamber:
+    Z = tuple(Z)
+    return Chamber(Z, tuple(an_stable_intervals(Z)))
 
 
 def _charge_samples(n: int, count: int):
@@ -598,7 +597,7 @@ def enumerate_an_chambers(n: int, samples: int) -> list[Chamber]:
         except RayCollision:
             continue
         if key not in seen:
-            # an_chamber(n, Z), from the stable intervals already found
+            # an_chamber(Z), from the stable intervals already found
             seen[key] = Chamber(tuple(Z), tuple(intervals[ij] for ij, _ in rays))
     return list(seen.values())
 

@@ -117,14 +117,14 @@ def _family_fixtures():
     basis, over the level-2 chamber of the entry's charge."""
     for n, e in _family_entries():
         q = apply_word(linear_quiver(n), e["word"])
-        yield (e["id"], level2_stokes(q, mutation_basis(n, q), e["Z"]).product,
+        yield (e["id"], level2_stokes(q, mutation_basis(q), e["Z"]).product,
                pm_from_json(e["matrix"], nvars=n), e.get("note", ""))
 
 
 def _annulus_fixtures():
     """(id, pipeline product, fixture matrix, note) for both annulus quivers."""
     for e in _load("annulus.json")["quivers"]:
-        q = Quiver(len(e["arrows"]), tuple(tuple(r) for r in e["arrows"]))
+        q = Quiver(tuple(tuple(r) for r in e["arrows"]))
         basis = Basis([tuple(r) for r in e["basis"]])
         yield (e["id"], level2_stokes(q, basis, e["Z"]).product,
                pm_from_json(e["matrix"], nvars=q.n), "")
@@ -166,8 +166,8 @@ def check_an_jets() -> list[CheckLine]:
     basis = Basis.triangular(4)
     e = euler_form(linear_quiver(4))
     model = DTModel.an_intervals()
-    ch1 = an_chamber(4, [(3, 1), (1, 1), (-1, 1), (-3, 1)])
-    ch2 = an_chamber(4, [(-10, 1), (-1, 2), (1, 2), (1, 3)])
+    ch1 = an_chamber([(3, 1), (1, 1), (-1, 1), (-3, 1)])
+    ch2 = an_chamber([(-10, 1), (-1, 2), (1, 2), (1, 3)])
 
     def lift_line(id_, p, ok):
         try:

@@ -62,7 +62,7 @@ def test_criterion_2_an_stokes_matrices():
             q = linear_quiver(n)
             basis = Basis.triangular(n)
             # increasing phases: only the simple classes are stable
-            chamber = an_chamber(n, tuple(reversed(convex_charge(n))))
+            chamber = an_chamber(tuple(reversed(convex_charge(n))))
             assert len(chamber.active) == n
             data = stokes_product(basis, euler_form(q),
                                   DTModel.an_intervals(), chamber, None)
@@ -80,8 +80,8 @@ def test_criterion_3_a4_chamber_ambiguity():
         basis = Basis.triangular(4)
         e = euler_form(linear_quiver(4))
         model = DTModel.an_intervals()
-        ch1 = an_chamber(4, [(3, 1), (1, 1), (-1, 1), (-3, 1)])
-        ch2 = an_chamber(4, [(-10, 1), (-1, 2), (1, 2), (1, 3)])
+        ch1 = an_chamber([(3, 1), (1, 1), (-1, 1), (-3, 1)])
+        ch2 = an_chamber([(-10, 1), (-1, 2), (1, 2), (1, 3)])
         lifts3 = natural_lifts(basis, e, model, [ch1, ch2], 3)
         assert len(lifts3) == 2
         assert an_stokes(4) in lifts3
@@ -168,7 +168,7 @@ def test_criterion_7_property_suites():
                             m[i][j] = mult
                         else:
                             m[j][i] = mult
-            q = Quiver(n, tuple(tuple(r) for r in m))
+            q = Quiver(tuple(tuple(r) for r in m))
             k = rng.randint(1, n)
             mutated = mutate(q, k)  # constructor checks the invariants
             assert mutate(mutated, k) == q

@@ -269,8 +269,8 @@ class TestPolyMatrix:
 
     def test_identity_neutral(self):
         rng = random.Random(5)
-        a = PolyMatrix(2, [[rand_poly(rng, 2) + 1, rand_poly(rng, 2)],
-                           [rand_poly(rng, 2), rand_poly(rng, 2) + 1]])
+        a = PolyMatrix([[rand_poly(rng, 2) + 1, rand_poly(rng, 2)],
+                        [rand_poly(rng, 2), rand_poly(rng, 2) + 1]])
         i2 = PolyMatrix.identity(2, 2)
         assert i2 * a == a
         assert a * i2 == a
@@ -278,8 +278,8 @@ class TestPolyMatrix:
     def test_associativity_random(self):
         rng = random.Random(17)
         for _ in range(30):
-            mats = [PolyMatrix(2, [[rand_poly(rng, 2, 2, 2, 3) for _ in range(2)]
-                                   for _ in range(2)]) for _ in range(3)]
+            mats = [PolyMatrix([[rand_poly(rng, 2, 2, 2, 3) for _ in range(2)]
+                                for _ in range(2)]) for _ in range(3)]
             a, b, c = mats
             assert (a * b) * c == a * (b * c)
 

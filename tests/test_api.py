@@ -51,8 +51,41 @@ def test_result_fields_are_pinned():
             for name in RESULT_FIELDS} == RESULT_FIELDS
 
 
+# every other exported type, by what a caller hands it: the parameters of a
+# constructor, or the fields of a dataclass; a size or a field that another
+# value already gives comes back only together with these tables
+CONSTRUCTOR_PARAMETERS = {
+    "Basis": ["rows"],
+    "DTModel": ["kind", "fn"],
+    "EulerForm": ["matrix"],
+    "PolyMatrix": ["entries"],
+    "TruncatedPoly": ["nvars", "terms"],
+}
+VALUE_FIELDS = {
+    "BraidWord": ["moves"],
+    "Chamber": ["Z", "active", "_zint", "_order"],
+    "EpsilonTensor": ["n", "signs"],
+    "LatticeVector": ["coords"],
+    "Quiver": ["arrows"],
+    "SymbolicQuiver": ["n", "arrows"],
+}
+
+
+def test_constructor_parameters_and_value_fields_are_pinned():
+    classes = {name: getattr(quiverstokes, name) for name in quiverstokes.__all__
+               if inspect.isclass(getattr(quiverstokes, name))
+               and not issubclass(getattr(quiverstokes, name), Exception)
+               and name not in RESULT_FIELDS}
+    assert {name: list(inspect.signature(cls).parameters)
+            for name, cls in classes.items()
+            if not dataclasses.is_dataclass(cls)} == CONSTRUCTOR_PARAMETERS
+    assert {name: [f.name for f in dataclasses.fields(cls)]
+            for name, cls in classes.items()
+            if dataclasses.is_dataclass(cls)} == VALUE_FIELDS
+
+
 PARAMETERS = {
-    "an_chamber": ["n", "Z"],
+    "an_chamber": ["Z"],
     "an_stokes": ["n"],
     "apply_word": ["q", "word"],
     "beta": ["i", "A"],
@@ -70,7 +103,7 @@ PARAMETERS = {
     "lv_len": ["v"],
     "lv_monomial": ["v"],
     "mutate": ["q", "k"],
-    "mutation_basis": ["n", "target"],
+    "mutation_basis": ["target"],
     "mutation_class": ["q", "max_size"],
     "natural_lifts": ["basis", "e", "model", "chambers", "p"],
     "orbit_search": ["S1", "S2", "depth", "entry_bound"],

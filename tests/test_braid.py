@@ -116,9 +116,9 @@ def exact_matrices(draw, min_n=2, max_n=5):
     nvars = draw(st.integers(1, 3))
     poly = st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars), small,
                            max_size=3)
-    return PolyMatrix(n, [[TruncatedPoly.one(nvars) if r == c else
-                           TruncatedPoly(nvars, draw(poly))
-                           for c in range(n)] for r in range(n)])
+    return PolyMatrix([[TruncatedPoly.one(nvars) if r == c else
+                        TruncatedPoly(nvars, draw(poly))
+                        for c in range(n)] for r in range(n)])
 
 
 def blocked_at(A, i):
@@ -175,19 +175,19 @@ class TestExactMovesMatchOracle:
     BETA_ERRORS = [
         (1, F([[1, 0], [0, 1], [0, 0]]), "matrix must be square"),
         (1, F([[2, 0], [0, 1]]), "matrix must have unit diagonal"),
-        (1, PolyMatrix(2, [[TruncatedPoly.constant(2, 2), TruncatedPoly.zero(2)],
-                           [TruncatedPoly.zero(2), TruncatedPoly.one(2)]]),
+        (1, PolyMatrix([[TruncatedPoly.constant(2, 2), TruncatedPoly.zero(2)],
+                        [TruncatedPoly.zero(2), TruncatedPoly.one(2)]]),
          "matrix must have unit diagonal"),
         (0, F([[1, 1, 0], [0, 1, 1], [0, 0, 1]]), "braid index 0 out of range 1..2"),
         (3, an_stokes(3), "braid index 3 out of range 1..2"),
         (1, F([[1, 1], [1, 1]]),
          "matrix is not unipotent for any order at the braid position"),
-        (2, PolyMatrix(3, [[TruncatedPoly.one(1), TruncatedPoly.zero(1),
-                            TruncatedPoly.zero(1)],
-                           [TruncatedPoly.zero(1), TruncatedPoly.one(1),
-                            TruncatedPoly.variable(1, 1)],
-                           [TruncatedPoly.zero(1), TruncatedPoly.constant(1, 3),
-                            TruncatedPoly.one(1)]]),
+        (2, PolyMatrix([[TruncatedPoly.one(1), TruncatedPoly.zero(1),
+                         TruncatedPoly.zero(1)],
+                        [TruncatedPoly.zero(1), TruncatedPoly.one(1),
+                         TruncatedPoly.variable(1, 1)],
+                        [TruncatedPoly.zero(1), TruncatedPoly.constant(1, 3),
+                         TruncatedPoly.one(1)]]),
          "matrix is not unipotent for any order at the braid position"),
     ]
 

@@ -117,7 +117,7 @@ def brute_find_good_quivers(basis, lam=1, p=3):
             continue
         arrows = realize_arrows(simple, nparams)
         solutions.append(GoodQuiverSolution(
-            quiver=SymbolicQuiver(n, params, tuple(sorted(arrows.items()))),
+            quiver=SymbolicQuiver(n, tuple(sorted(arrows.items()))),
             eps=eps, params=params))
     solutions.sort(key=lambda s: tuple((uv, m.key()) for uv, m in s.quiver.arrows))
     return solutions
@@ -131,7 +131,7 @@ def solution_fields(sol):
     """Every field of a solution; polynomials by variable count and terms,
     coefficient types included."""
     q = sol.quiver
-    return (q.n, q.params, tuple((uv, poly_fields(m)) for uv, m in q.arrows),
+    return (q.n, tuple((uv, poly_fields(m)) for uv, m in q.arrows),
             sol.eps, sol.params)
 
 
@@ -341,6 +341,15 @@ class TestEpsilonSolutions:
         n, dom = case
         assert epsilon_solutions(n, dom) == brute_epsilon_solutions(n, dom)
 
+    @settings(max_examples=60, deadline=None)
+    @given(sub_domains())
+    def test_domain_is_the_pairs_given(self, case):
+        # a tensor's domain is read off its signs, as given to either builder
+        n, dom = case
+        for t in epsilon_solutions(n, dom):
+            assert t.domain == t.flipped().domain == frozenset(dom)
+            assert EpsilonTensor.from_dict(n, dom, t.as_dict()).domain == t.domain
+
     def test_invalid_tensor_rejected(self):
         with pytest.raises(ValueError):
             EpsilonTensor.from_dict(3, full_domain(3),
@@ -435,20 +444,20 @@ class TestFindGoodQuivers:
 class TestMutationBasis:
     def test_linear_gives_triangular(self):
         for n in range(2, 6):
-            assert mutation_basis(n, linear_quiver(n)) == Basis.triangular(n)
+            assert mutation_basis(linear_quiver(n)) == Basis.triangular(n)
 
     def test_cyclic_triangle_block(self):
         q = apply_word(linear_quiver(3), [2])
-        b = mutation_basis(3, q)
+        b = mutation_basis(q)
         assert [r.coords for r in b.rows] == [(1, 0, 1), (0, -1, 1), (0, 0, 1)]
 
     def test_annulus_unoriented_cycle(self):
         q = Quiver.from_arrows(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1})
-        assert mutation_basis(3, q) == Basis.alternating(3)
+        assert mutation_basis(q) == Basis.alternating(3)
 
     def test_overlapping_triangles(self):
         q = apply_word(linear_quiver(5), [4, 2])
-        b = mutation_basis(5, q)
+        b = mutation_basis(q)
         assert [r.coords for r in b.rows] == [
             (1, 0, 1, 0, 1), (0, -1, 1, 0, 1), (0, 0, 1, 0, 1),
             (0, 0, 0, -1, 1), (0, 0, 0, 0, 1)]
@@ -456,7 +465,7 @@ class TestMutationBasis:
     def test_unimodular_on_full_a4_class(self):
         for q in mutation_class(linear_quiver(4), 1000):
             try:
-                b = mutation_basis(4, q)
+                b = mutation_basis(q)
             except UnrecognizedPattern:
                 continue  # quivers with labels out of path order
             assert b.det() in (1, -1)
@@ -465,4 +474,4 @@ class TestMutationBasis:
         # path graph with labels out of order: 2 - 1 - 3
         q = Quiver.from_arrows(3, {(1, 2): 1, (3, 1): 1})
         with pytest.raises(UnrecognizedPattern):
-            mutation_basis(3, q)
+            mutation_basis(q)

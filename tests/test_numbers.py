@@ -17,13 +17,13 @@ from quiverstokes.braid import (BraidWord, apply_move, beta, beta_inv,
                                 orbit_search, perm_conj, sign_conj,
                                 verify_braid_group_relations)
 from quiverstokes.goodness import (EpsilonTensor, check_quadratic, epsilon_solutions,
-                                   find_good_quivers, mutation_basis)
+                                   find_good_quivers)
 from quiverstokes.quiver import (EulerForm, Quiver, euler_form, linear_quiver, mutate,
                                  mutation_class)
 from quiverstokes.serialize import (basis_from_json, chamber_from_json, frac_str,
                                     move_from_json, move_to_json, parse_frac,
                                     pm_from_json, poly_from_json, quiver_from_json,
-                                    quiver_to_json, rational_matrix_from_json)
+                                    rational_matrix_from_json)
 from quiverstokes.stokes import (Chamber, DTModel, an_chamber, an_stokes, auto_stokes,
                                  convex_charge, enumerate_an_chambers,
                                  factor_coefficient, factor_product, level2_stokes,
@@ -87,7 +87,7 @@ class TestRationalRule:
 class TestIntegerSites:
     @pytest.mark.parametrize("call", [
         lambda: TruncatedPoly(1.5, {(1,): 1}),
-        lambda: PolyMatrix(0, []),
+        lambda: PolyMatrix([]),
         lambda: PolyMatrix.identity(2, 1.5),
         lambda: pm_from_json({"n": 1.5, "entries": [[{}]]}, 1),
         lambda: poly_from_json({"1": "1_0"}, 1),
@@ -175,24 +175,22 @@ A3 = (Basis.triangular(3), euler_form(Q), DTModel.an_intervals())
 
 # (what, least, call): every size, count and bound read by `_size`
 SIZE_SITES = {
-    "PolyMatrix": ("matrix size", 1, lambda k: PolyMatrix(k, [[ONE]])),
+    "PolyMatrix.identity n": ("matrix size", 1, lambda k: PolyMatrix.identity(k, 2)),
     "orbit_search depth": ("orbit search depth", 0,
                            lambda k: orbit_search(A, A, depth=k)),
     "orbit_search entry_bound": ("orbit search entry bound", 1,
                                  lambda k: orbit_search(A, A, entry_bound=k)),
     "_Factors": ("truncation order", 1, lambda k: stokes_product(
-        *A3, an_chamber(3, convex_charge(3)), k)),
+        *A3, an_chamber(convex_charge(3)), k)),
     "an_stokes": ("rank n", 2, an_stokes),
     "epsilon_solutions": ("rank n", 2, epsilon_solutions),
     "check_quadratic": ("order p", 3, lambda k: check_quadratic(
         Basis.triangular(3), euler_form(Q), k)),
     "verify_braid_group_relations n": ("rank n", 3, verify_braid_group_relations),
     "mutation_class": ("max_size", 1, lambda k: mutation_class(Q, k)),
-    "Quiver": ("rank n", 1, lambda k: Quiver(k, ((0,),))),
     "Quiver.from_arrows": ("rank n", 1, lambda k: Quiver.from_arrows(k, {})),
     "linear_quiver": ("rank n", 1, linear_quiver),
     "convex_charge": ("rank n", 1, convex_charge),
-    "an_chamber": ("rank n", 1, lambda k: an_chamber(k, convex_charge(2))),
     "Basis.triangular": ("rank n", 1, Basis.triangular),
     "Basis.alternating": ("rank n", 1, Basis.alternating),
     "joyce_point": ("variable count", 1, joyce_point),
@@ -206,7 +204,7 @@ SIZE_SITES = {
                                   lambda k: PolyMatrix.identity(2, k)),
     "exponent": ("exponent", 0, lambda k: TruncatedPoly(1, {(k,): 1})),
     "arrow multiplicity": ("arrow multiplicity", 0,
-                           lambda k: Quiver(2, ((0, k), (0, 0)))),
+                           lambda k: Quiver(((0, k), (0, 0)))),
     "find_good_quivers p": ("order p", 3,
                             lambda k: find_good_quivers(Basis.triangular(3), 1, k)),
 }
@@ -233,27 +231,26 @@ class TestSizeSites:
         with pytest.raises(ValueError, match=r"^k must be at least 1, got 0$"):
             _size("0", 1, "k")
 
-    @pytest.mark.parametrize("empty", [lambda: Chamber((), ()), lambda: EulerForm(()),
-                                       lambda: Basis([])],
-                             ids=["Chamber", "EulerForm", "Basis"])
-    def test_rank_zero_is_refused(self, empty):
-        with pytest.raises(ValueError, match=r"^rank n must be at least 1, got 0$"):
+    @pytest.mark.parametrize("what,empty", [
+        ("rank n", lambda: Chamber((), ())), ("rank n", lambda: EulerForm(())),
+        ("rank n", lambda: Basis([])), ("rank n", lambda: Quiver(())),
+        ("matrix size", lambda: PolyMatrix([])), ("rank n", lambda: an_chamber(()))],
+        ids=["Chamber", "EulerForm", "Basis", "Quiver", "PolyMatrix", "an_chamber"])
+    def test_rank_zero_is_refused(self, what, empty):
+        with pytest.raises(ValueError, match=rf"^{what} must be at least 1, got 0$"):
             empty()
 
     def test_sizes_read_as_integers(self):
-        assert type(quiver_to_json(Quiver(1.0, ((0,),)))["n"]) is int
         assert linear_quiver(np.int64(3)) == linear_quiver(3.0) == Q
         assert Basis.alternating(3.0) == Basis.alternating(3)
-        assert an_chamber(2.0, convex_charge(2)) == an_chamber(2, convex_charge(2))
         assert joyce_point(np.int64(2)) == [1, 1]
         assert EpsilonTensor.from_dict(2.0, [(1, 2)], {(1, 2): 1}).n == 2
         report = verify_braid_group_relations(3, 2.0)
         assert report["samples"] == 2 and type(report["samples"]) is int
         assert verify_an_jet(3, np.int64(0))["ok"]
 
-    @pytest.mark.parametrize("call", [lambda k: verify_an_jet(k, 0),
-                                      lambda k: mutation_basis(k, Q)],
-                             ids=["verify_an_jet n", "mutation_basis n"])
+    @pytest.mark.parametrize("call", [lambda k: verify_an_jet(k, 0)],
+                             ids=["verify_an_jet n"])
     def test_range_checked_sizes(self, call):
         # a range test follows, so the integer is read by `_as_int`
         for k in (True, 2.5):
@@ -264,7 +261,7 @@ class TestSizeSites:
 
 ORDER_SITES = {
     "stokes_product": lambda p: stokes_product(
-        *A3, an_chamber(3, convex_charge(3)), p).product,
+        *A3, an_chamber(convex_charge(3)), p).product,
     "natural_lifts": lambda p: natural_lifts(*A3, enumerate_an_chambers(3, 20), p),
     "level2_stokes": lambda p: level2_stokes(
         Q, Basis.triangular(3), convex_charge(3), p).product,
@@ -433,13 +430,31 @@ class TestReaders:
          "field 'entries' must be a list of lists of polynomials"),
         (lambda: pm_from_json({"n": 1, "entries": [[5]]}, 1),
          "a polynomial must map exponent text to coefficients, got 5"),
+        (lambda: poly_from_json({"x,0": "1"}, 2), "exponent is not an integer: 'x'"),
+        (lambda: poly_from_json({"1,-1": "1"}, 2),
+         "exponent must be at least 0, got -1"),
+        (lambda: poly_from_json({"1": "1"}, 2), "exponent vector has wrong length"),
+        (lambda: poly_from_json({"1,0": "1", "01,0": "2"}, 2),
+         "a polynomial names exponent (1, 0) twice"),
+        (lambda: poly_from_json({"1,0": "1", "+1,0": "2"}, 2),
+         "a polynomial names exponent (1, 0) twice"),
+        (lambda: pm_from_json({"n": 2, "entries": [[{}]]}, 1),
+         "entries must be an n x n array"),
+        (lambda: pm_from_json({"n": 1, "entries": [[{}, {}], [{}, {}]]}, 1),
+         "entries must be an n x n array"),
         (lambda: chamber_from_json({"Z": [["-1", "1"], ["0", "1"], ["1", "1"]],
                                     "active": [], "dt": {(1, 0, 0): 1}}),
          "field 'dt' must map classes to counts"),
         (lambda: EpsilonTensor.from_dict(3, [(2, 3), (1, 3), (1, 2)], {(1, 2): 1}),
          "sign of pair (1, 3) is missing"),
-    ], ids=["poly list", "poly int key", "pm entries", "pm cell", "dt tuple key",
-            "epsilon pair"])
+        (lambda: EpsilonTensor.from_dict(2, [(1, 2)], [(1, 2)]),
+         "eps must map pairs to signs, got [(1, 2)]"),
+        (lambda: EpsilonTensor.from_dict(2, [(1, 2)], None),
+         "eps must map pairs to signs, got None"),
+    ], ids=["poly list", "poly int key", "pm entries", "pm cell", "poly exponent",
+            "poly negative exponent", "poly exponent length", "poly padded twice",
+            "poly signed twice", "pm n above rows", "pm n below rows",
+            "dt tuple key", "epsilon pair", "epsilon list", "epsilon none"])
     def test_library_input_gives_one_line(self, call, message):
         # readers and inputs the CLI never reaches; verify reads bundled data
         with pytest.raises(ValueError) as info:

@@ -143,7 +143,7 @@ class TestStokesProduct:
 
     def test_cyclic_triangle(self):
         q = apply_word(linear_quiver(3), [2])
-        b = mutation_basis(3, q)
+        b = mutation_basis(q)
         ch = level2_chamber(q, convex_charge(3))
         sd = stokes_product(b, euler_form(q), DTModel.from_quiver_extensions(q),
                             ch, None)
@@ -154,7 +154,7 @@ class TestStokesProduct:
     def test_a4_jet_mod_s3(self):
         q = linear_quiver(4)
         b = Basis.triangular(4)
-        ch = an_chamber(4, [(-10, 1), (-1, 2), (1, 2), (1, 3)])
+        ch = an_chamber([(-10, 1), (-1, 2), (1, 2), (1, 3)])
         sd = stokes_product(b, euler_form(q), DTModel.an_intervals(), ch, 3)
         expect = an_stokes(4).truncate(3)
         assert sd.product == expect
@@ -179,8 +179,8 @@ class TestNaturalLifts:
         self.basis = Basis.triangular(4)
         self.e = euler_form(linear_quiver(4))
         self.model = DTModel.an_intervals()
-        self.ch1 = an_chamber(4, [(3, 1), (1, 1), (-1, 1), (-3, 1)])
-        self.ch2 = an_chamber(4, [(-10, 1), (-1, 2), (1, 2), (1, 3)])
+        self.ch1 = an_chamber([(3, 1), (1, 1), (-1, 1), (-3, 1)])
+        self.ch2 = an_chamber([(-10, 1), (-1, 2), (1, 2), (1, 3)])
 
     def test_a4_two_values_mod_s3(self):
         lifts = natural_lifts(self.basis, self.e, self.model,
@@ -198,7 +198,7 @@ class TestNaturalLifts:
     def test_a2_single_value(self):
         b = Basis.triangular(2)
         e = euler_form(linear_quiver(2))
-        chambers = [an_chamber(2, [(-3, 1), (1, 1)]), an_chamber(2, [(1, 2), (-5, 1)])]
+        chambers = [an_chamber([(-3, 1), (1, 1)]), an_chamber([(1, 2), (-5, 1)])]
         lifts = natural_lifts(b, e, DTModel.an_intervals(), chambers, 3)
         assert lifts == [an_stokes(2)]
 
@@ -284,7 +284,7 @@ class TestChamberIndependence:
     def test_mutated_quiver_jets_agree_mod_s3(self):
         # order-3 jets of a good pair are the same in every valid chamber
         q = apply_word(linear_quiver(4), [2])
-        basis = mutation_basis(4, q)
+        basis = mutation_basis(q)
         e = euler_form(q)
         model = DTModel.from_quiver_extensions(q)
         jets = set()
@@ -315,7 +315,7 @@ class TestChamberIndependence:
 class TestPipelineEvaluations:
     def test_mu1mu3_a4_at_unit_point(self):
         q = apply_word(linear_quiver(4), [3, 1])
-        prod = stokes_mod.level2_stokes(q, mutation_basis(4, q),
+        prod = stokes_mod.level2_stokes(q, mutation_basis(q),
                                         [(-9, 2), (0, 2), (15, 2), (36, 2)]).product
         assert prod.evaluate(joyce_point(4)) == (
             (1, 1, -1, -1), (0, 1, -1, -1), (0, 0, 1, 0), (0, 0, 1, 1))
@@ -338,7 +338,7 @@ def an_chambers(draw):
     n = draw(st.integers(2, 4))
     Z = [(draw(st.integers(-12, 12)), draw(st.integers(1, 9))) for _ in range(n)]
     try:
-        chamber = an_chamber(n, Z)
+        chamber = an_chamber(Z)
     except (RayCollision, ChamberError):
         assume(False)
     counts = {v.coords: draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
@@ -411,7 +411,7 @@ class TestActiveOrderIsIrrelevant:
 
 class TestRankMismatch:
     def test_ray_order_rejects_a_longer_class(self):
-        ch = an_chamber(2, [(-1, 1), (1, 1)])
+        ch = an_chamber([(-1, 1), (1, 1)])
         with pytest.raises(ChamberError, match="rank 3"):
             ray_order(ch, [lv(1, 0, 5), lv(0, 1)])
 
@@ -423,14 +423,6 @@ class TestRankMismatch:
     def test_active_class_of_the_wrong_rank(self):
         with pytest.raises(ChamberError, match="rank 3"):
             Chamber(((-1, 1), (1, 1)), (lv(1, 0, 0),))
-
-    def test_an_chamber_with_too_many_charges(self):
-        with pytest.raises(ChamberError, match="needs 2 entries, got 3"):
-            an_chamber(2, [(-1, 1), (1, 1), (0, 1)])
-
-    def test_an_chamber_with_too_few_charges(self):
-        with pytest.raises(ChamberError, match="needs 3 entries, got 2"):
-            an_chamber(3, [(-1, 1), (1, 1)])
 
     @pytest.mark.parametrize("Z", [convex_charge(2), convex_charge(4)],
                              ids=["short", "long"])
@@ -545,7 +537,7 @@ class TestIntegerGeometryMatchesFractions:
     @given(charges(upper=False))
     def test_stable_sets(self, Z):
         n = len(Z)
-        assert [v.coords for v in an_stable_intervals(n, Z)] == \
+        assert [v.coords for v in an_stable_intervals(Z)] == \
             fraction_stable_intervals(n, Z)
 
     @settings(max_examples=300, deadline=None)
@@ -582,11 +574,12 @@ class TestIntegerGeometryMatchesFractions:
         Z = data.draw(charges())
         kZ = tuple((k * x, k * y) for x, y in Z)
         n = len(Z)
-        assert an_stable_intervals(n, Z) == an_stable_intervals(n, kZ)
+        assert an_stable_intervals(Z) == an_stable_intervals(kZ)
         classes = data.draw(classes_for(n))
         assert outcome(ray_order, Chamber(Z, ()), classes) == \
             outcome(ray_order, Chamber(kZ, ()), classes)
-        a, b = outcome(an_chamber, n, Z), outcome(an_chamber, n, kZ)
+        a, b = outcome(an_chamber, Z), outcome(an_chamber, kZ)
+        assert outcome(an_chamber, iter(Z)) == a  # a one-pass charge is read once
         if isinstance(a, Chamber):
             assert b.active == a.active
             assert ray_order(a, a.active) == ray_order(b, b.active)
@@ -678,7 +671,7 @@ def oracle_enumerate(n, samples):
     seen = {}
     for Z in itertools.chain(structured, stokes_mod._charge_samples(n, samples)):
         try:
-            ch = an_chamber(n, Z)
+            ch = an_chamber(Z)
         except (RayCollision, ChamberError):
             continue
         seen.setdefault(ch._order, ch)
@@ -741,7 +734,7 @@ class TestJetCheckMatchesOracle:
             ((0, 0), (0, 1), (1, 1)),              # a zero charge
             ((2, 1), (-3, 2), (1, 4)),
         ]
-        assert [outcome(an_chamber, 3, Z) for Z in samples[3:10]] == \
+        assert [outcome(an_chamber, Z) for Z in samples[3:10]] == \
             [RayCollision] * 4 + [ChamberError] * 3
         monkeypatch.setattr(stokes_mod, "_charge_samples",
                             lambda n, count: iter(samples))
@@ -866,7 +859,7 @@ class TestJetCheckErrors:
 
     def test_active_class_with_zero_count(self, monkeypatch):
         model = DTModel.table({(1, 0, 0): 0})
-        ch = an_chamber(3, [(-5, 1), (2, 3), (1, 1)])
+        ch = an_chamber([(-5, 1), (2, 3), (1, 1)])
         with pytest.raises(ChamberError, match="zero count"):
             stokes_product(Basis.triangular(3), euler_form(linear_quiver(3)),
                            model, ch)
