@@ -9,15 +9,16 @@ over the stack:
 * ``braid_apply`` makes one braiding move on every matrix of a stack: an
   update of rows i, i+1 followed by the same update of columns i, i+1.  It
   is the one braid move of the package: it runs on the int64 stacks of the
-  search and, unchanged, on object arrays of ``Fraction`` or
+  search and, unchanged, on object arrays of Python ``int``, ``Fraction`` or
   ``TruncatedPoly`` entries, which is how ``braid.beta`` and
-  ``braid.beta_inv`` move exact rational and polynomial matrices.
+  ``braid.beta_inv`` move exact integral, rational and polynomial matrices.
 * ``expand_frontier`` applies each of the 2(n-1) moves to a whole frontier.
 * ``sign_canonical`` picks, for every matrix of a stack, the lexicographically
   least sign conjugate ``d_r d_c a_rc``.  This is a switching-class problem on
   the signed support graph (Zaslavsky, "Signed graphs", 1982), solved by one
-  row-major scan with a union-find that tracks relative signs: n(n-1) steps,
-  each vectorized over the stack.
+  row-major scan with a union-find that tracks relative signs: the scan
+  visits the n(n-1) off-diagonal positions, each step vectorized over the
+  stack.
 
 The orbit search expands and canonicalizes ``CHUNK`` frontier states at a
 time.  One call per child spends the search's time in the interpreter; one
@@ -88,6 +89,8 @@ def sign_canonical(stack: np.ndarray):
     comp = np.tile(np.arange(n), (b, 1))
     for r in range(n):
         for c in range(n):
+            if c == r:  # a diagonal entry never joins two components
+                continue
             entry = np.sign(stack[:, r, c])
             lr, lc = comp[:, r], comp[:, c]
             join = (entry != 0) & (lr != lc)

@@ -17,13 +17,16 @@ X(A) A X(A) is the definition; no matrix product computes it.  Since X(A)
 differs from the identity only in rows and columns i, i+1, the move is one
 update of those two rows followed by the same update of those two columns:
 ``_kernels.braid_apply``, the same code for the int64 stacks of the orbit
-search and for the exact ``Fraction`` and ``TruncatedPoly`` entries handled
-here as numpy object arrays.
+search and for the exact entries handled here as numpy object arrays.
 
 ``_move`` is the one function that checks and applies a move to exact
 entries; every move, alone or in a ``BraidWord``, goes through it.
 ``_entries`` and ``_like`` are the only boundary between a matrix and its
-object array, and a word crosses it once, not once per move.
+object array, and a word crosses it once, not once per move.  A rational
+matrix whose entries are all integral crosses as Python ints, which are
+exact and never wrap, and moves as ints; any other holds ``Fraction`` or
+``TruncatedPoly`` values.  Either way a rational result comes back as
+``Fraction``s.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ Move = tuple  # ("braid", i, +1/-1) | ("perm", sigma) | ("sign", k or vec)
 # ---------------------------------------------------------------------------
 
 def as_rational_matrix(m) -> RationalMatrix:
-    rows = tuple(tuple(_as_fraction(x) for x in row) for row in m)
+    rows = tuple(tuple(map(_as_fraction, row)) for row in m)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
@@ -61,18 +64,26 @@ def as_rational_matrix(m) -> RationalMatrix:
 
 def _entries(A: MatrixLike) -> np.ndarray:
     """The exact entries of a rational or polynomial matrix as an (n, n)
-    object array of ``Fraction`` or ``TruncatedPoly`` values."""
-    rows = A.entries if isinstance(A, PolyMatrix) else as_rational_matrix(A)
+    object array: Python ints when every entry of a rational matrix is
+    integral (exact, and they never wrap), else ``Fraction`` or
+    ``TruncatedPoly`` values."""
+    if isinstance(A, PolyMatrix):
+        rows = A.entries
+    else:
+        rows = as_rational_matrix(A)
+        if all(x.denominator == 1 for row in rows for x in row):
+            rows = [[x.numerator for x in row] for row in rows]
     arr = np.empty((len(rows), len(rows)), dtype=object)
     arr[...] = rows
     return arr
 
 
 def _like(A: MatrixLike, arr: np.ndarray):
-    """``arr`` in the form of ``A``: a PolyMatrix, or a tuple of tuples."""
+    """``arr`` in the form of ``A``: a PolyMatrix, or a tuple of tuples of
+    ``Fraction``s."""
     if isinstance(A, PolyMatrix):
         return PolyMatrix(arr.tolist())
-    return tuple(map(tuple, arr.tolist()))
+    return tuple(tuple(map(_as_fraction, row)) for row in arr.tolist())
 
 
 def _move(mv: Move, a: np.ndarray) -> np.ndarray:
@@ -248,7 +259,7 @@ def _search_input(m) -> tuple[RationalMatrix, np.ndarray, tuple]:
     for x in (x for row in rows for x in row):
         if x.denominator != 1:
             raise ValueError("orbit search expects integer matrices")
-        if not _INT64.min <= x <= _INT64.max:
+        if not _INT64.min <= x.numerator <= _INT64.max:
             raise ValueError("orbit search entries must fit in int64")
     a = np.array([[x.numerator for x in row] for row in rows], dtype=np.int64)
     if (np.diagonal(a) != 1).any():
@@ -260,18 +271,26 @@ def _search_input(m) -> tuple[RationalMatrix, np.ndarray, tuple]:
     return rows, a, _inverse_permutation(order)
 
 
-def _target_set(up: np.ndarray) -> dict[bytes, tuple]:
-    """Sign class -> (sigma, signs) over the upper-triangular conjugates of
-    ``up``, each class with its least sigma, as sigma runs in order."""
+def _target_set(up: np.ndarray, source: np.ndarray) -> tuple:
+    """(targets, canon, signs): the sign class -> (sigma, signs) map over
+    the upper-triangular conjugates of ``up``, each class with its least
+    sigma, as sigma runs in order; and ``sign_canonical`` of ``source``,
+    which rides in the first kernel call."""
     targets: dict[bytes, tuple] = {}
     sigmas = sorted(map(_inverse_permutation,
                         _linear_extensions(len(up), _support(up))))
     for lo in range(0, len(sigmas), _kernels.CHUNK):
         block = sigmas[lo:lo + _kernels.CHUNK]
-        canons, signs = _kernels.sign_canonical(_conj_np(block, up))
+        stack = _conj_np(block, up)
+        if lo == 0:
+            stack = np.concatenate((source[None], stack))
+        canons, signs = _kernels.sign_canonical(stack)
+        if lo == 0:
+            source_form = canons[0], signs[0]
+            canons, signs = canons[1:], signs[1:]
         for sigma, canon, sign in zip(block, canons, signs):
             targets.setdefault(canon.tobytes(), (sigma, sign))
-    return targets
+    return targets, *source_form
 
 
 # Largest B with B + B^2 <= 2^63 - 1: one braid move maps entries of
@@ -440,9 +459,7 @@ def orbit_search(S1: MatrixLike, S2: MatrixLike, depth: int = 12,
         return OrbitSearchResult("found", cert, 0, 1, 0)
 
     n, up1, up2 = len(a1), _conj_np(tau1, a1), _conj_np(tau2, a2)
-    targets = _target_set(up2)
-
-    (canon0,), (signs0,) = _kernels.sign_canonical(up1[None])
+    targets, canon0, signs0 = _target_set(up2, up1)
     # a source in the target set is found without a move, whatever its size
     limit = _MOVE_ENTRY_LIMIT
     if canon0.tobytes() not in targets and (

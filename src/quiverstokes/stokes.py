@@ -485,7 +485,8 @@ def extension_actives(q: Quiver, Z) -> list[LatticeVector]:
 
 def level2_chamber(q: Quiver, Z) -> Chamber:
     """Chamber for Z whose actives are simples and stable two-simple sums."""
-    return Chamber(tuple(Z), tuple(extension_actives(q, Z)))
+    Z = tuple(Z)
+    return Chamber(Z, tuple(extension_actives(q, Z)))
 
 
 def level2_stokes(q: Quiver, basis: Basis, Z,

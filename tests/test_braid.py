@@ -121,10 +121,73 @@ def exact_matrices(draw, min_n=2, max_n=5):
                         for c in range(n)] for r in range(n)])
 
 
+def pap(sigma, A):
+    """Reference permutation conjugation: the full product P A P^-1."""
+    n = len(rows_of(A))
+    one, zero = constant(A, 1), constant(A, 0)
+    p = [[one if r == sigma[c] - 1 else zero for c in range(n)] for r in range(n)]
+    p_inv = [list(col) for col in zip(*p)]
+    return mat_mul(mat_mul(p, rows_of(A)), p_inv)
+
+
+def dad(d, A):
+    """Reference sign conjugation: the full product D A D, D = diag(d)."""
+    n = len(rows_of(A))
+    dm = [[constant(A, d[r]) if r == c else constant(A, 0) for c in range(n)]
+          for r in range(n)]
+    return mat_mul(mat_mul(dm, rows_of(A)), dm)
+
+
 def blocked_at(A, i):
     """Both entries of the braid pair at (i, i+1) nonzero."""
     a = rows_of(A)
     return a[i - 1][i] != 0 and a[i][i - 1] != 0
+
+
+@st.composite
+def integral_matrices(draw, min_n=2, max_n=5):
+    """Unit-diagonal rational matrices with integer entries, zeros common,
+    some beyond int64 and entries on both sides of the diagonal, given as
+    ints or as Fractions; or mixed: one off-diagonal entry not integral."""
+    n = draw(st.integers(min_n, max_n))
+    entry = st.one_of(st.just(0), st.integers(-6, 6),
+                      st.integers(-2 ** 70, 2 ** 70))
+    rows = [[1 if r == c else draw(entry) for c in range(n)] for r in range(n)]
+    if draw(st.booleans()):
+        r, c = draw(st.sampled_from([(r, c) for r in range(n) for c in range(n)
+                                     if r != c]))
+        rows[r][c] = draw(st.integers(-6, 6)) + Fraction(1, draw(st.integers(2, 5)))
+    elif draw(st.booleans()):
+        return tuple(map(tuple, rows))
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+@st.composite
+def move_words(draw, n, max_size=8):
+    """Words of every move form on n x n matrices."""
+    braid_move = st.tuples(st.just("braid"), st.integers(1, n - 1),
+                           st.sampled_from((1, -1)))
+    perm = st.tuples(st.just("perm"), st.permutations(range(1, n + 1)).map(tuple))
+    signs = st.tuples(st.just("sign"), st.one_of(
+        st.integers(1, n),
+        st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n).map(tuple)))
+    return draw(st.lists(st.one_of(braid_move, perm, signs), max_size=max_size))
+
+
+def oracle_move(mv, A):
+    """The move on A by its defining product: X A X, P A P^-1 or D A D."""
+    n = len(rows_of(A))
+    if mv[0] == "braid":
+        return xax(mv[1], A, mv[2] > 0)
+    if mv[0] == "perm":
+        return pap(mv[1], A)
+    d = mv[1] if isinstance(mv[1], tuple) else \
+        tuple(-1 if t == mv[1] else 1 for t in range(1, n + 1))
+    return dad(d, A)
+
+
+def all_fractions(out):
+    return all(type(x) is Fraction for row in out for x in row)
 
 
 class TestExactMovesMatchOracle:
@@ -147,21 +210,14 @@ class TestExactMovesMatchOracle:
     def test_perm_conj_is_pap_inverse(self, A, data):
         n = len(rows_of(A))
         sigma = data.draw(st.permutations(range(1, n + 1)))
-        one, zero = constant(A, 1), constant(A, 0)
-        p = [[one if r == sigma[c] - 1 else zero for c in range(n)]
-             for r in range(n)]
-        p_inv = [list(col) for col in zip(*p)]
-        assert rows_of(perm_conj(sigma, A)) == \
-            mat_mul(mat_mul(p, rows_of(A)), p_inv)
+        assert rows_of(perm_conj(sigma, A)) == pap(sigma, A)
 
     @settings(max_examples=150, deadline=None)
     @given(exact_matrices(), st.data())
     def test_sign_conj_is_dad(self, A, data):
         n = len(rows_of(A))
         d = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
-        dm = [[constant(A, d[r]) if r == c else constant(A, 0) for c in range(n)]
-              for r in range(n)]
-        assert rows_of(sign_conj(d, A)) == mat_mul(mat_mul(dm, rows_of(A)), dm)
+        assert rows_of(sign_conj(d, A)) == dad(d, A)
 
     def test_perm_length_must_match(self):
         rational = F([[1, 2, 3], [0, 1, 4], [0, 0, 1]])
@@ -201,6 +257,46 @@ class TestExactMovesMatchOracle:
     def test_beta_rejects_inexact_entries(self):
         with pytest.raises(TypeError, match="not an exact rational"):
             beta(1, ((1, 0.5), (0, 1)))
+
+
+class TestIntegralEntriesMatchOracle:
+    """Integral matrices move as Python ints and come back as Fractions;
+    a matrix with one non-integral entry moves as Fractions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(integral_matrices(), st.data())
+    def test_each_move_is_its_product(self, A, data):
+        n = len(A)
+        i = data.draw(st.integers(1, n - 1))
+        for fn, forward in ((beta, True), (beta_inv, False)):
+            if blocked_at(A, i):
+                with pytest.raises(ValueError, match="braid position"):
+                    fn(i, A)
+                continue
+            out = fn(i, A)
+            assert out == tuple(map(tuple, xax(i, A, forward)))
+            assert all_fractions(out)
+        sigma = data.draw(st.permutations(range(1, n + 1)))
+        d = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        for out, want in ((perm_conj(sigma, A), pap(sigma, A)),
+                          (sign_conj(d, A), dad(d, A))):
+            assert list(map(list, out)) == want
+            assert all_fractions(out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(integral_matrices(), st.data())
+    def test_words_are_their_moves_products(self, A, data):
+        moves, current = [], A
+        for mv in data.draw(move_words(len(A))):
+            if mv[0] == "braid" and blocked_at(current, mv[1]):
+                continue
+            out = apply_move(mv, current)
+            assert list(map(list, out)) == oracle_move(mv, current)
+            assert all_fractions(out)
+            moves.append(mv)
+            current = out
+        out = BraidWord(tuple(moves)).apply(A)
+        assert out == current and all_fractions(out)
 
 
 class TestBraidRelations:
@@ -491,6 +587,17 @@ class TestOrbitSearch:
     def test_rejects_entries_beyond_int64(self):
         with pytest.raises(ValueError, match="int64"):
             orbit_search(((1, 2 ** 70), (0, 1)), ((1, 1), (0, 1)))
+
+    @pytest.mark.parametrize("big", [2 ** 63, -2 ** 63 - 1])
+    def test_first_failing_entry_names_the_fault(self, big):
+        # entries are read row by row, and the first that fails decides
+        half = Fraction(1, 2)
+        with pytest.raises(ValueError, match="^orbit search entries must fit in int64$"):
+            braid._search_input(((1, big), (half, 1)))
+        with pytest.raises(ValueError, match="^orbit search expects integer matrices$"):
+            braid._search_input(((1, half), (big, 1)))
+        for edge in (2 ** 63 - 1, -2 ** 63):
+            assert braid._search_input(((1, edge), (0, 1)))[1][0, 1] == edge
 
     def test_rejects_entries_a_move_could_wrap(self):
         # a forward move at i = 1 maps entry (2, 3) = 2^40 to -2^80, which
@@ -826,6 +933,16 @@ def assert_same_targets(got, want):
         assert np.array_equal(got[key][1], signs)
 
 
+def assert_target_set(up, source):
+    """``_target_set`` gives the permutation scan's targets, and the
+    source's sign-canonical form as ``sign_canonical`` alone gives it."""
+    targets, canon, signs = braid._target_set(up, source)
+    assert_same_targets(targets, scan_target_set(up))
+    (want_canon,), (want_signs,) = _kernels.sign_canonical(source[None])
+    assert np.array_equal(canon, want_canon)
+    assert np.array_equal(signs, want_signs)
+
+
 class TestTargetSet:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 7), st.data())
@@ -836,19 +953,32 @@ class TestTargetSet:
         for i, forward in data.draw(st.lists(
                 st.tuples(st.integers(1, n - 1), st.booleans()), max_size=5)):
             a = (beta if forward else beta_inv)(i, a)
+        source = np.array(a, dtype=np.int64)
         a = perm_conj(data.draw(st.permutations(range(1, n + 1))), a)
         a = np.array(sign_conj(data.draw(st.lists(
             st.sampled_from((1, -1)), min_size=n, max_size=n)), a), dtype=np.int64)
         up = braid._conj_np(braid._search_input(a)[2], a)
-        assert_same_targets(braid._target_set(up), scan_target_set(up))
+        assert_target_set(up, source)
 
     @settings(max_examples=150, deadline=None)
     @given(unit_diagonal_stacks(max_n=6, upper=True))
     def test_sparse_matrices_match_the_permutation_scan(self, stack):
         # sparse supports allow many orders, and a sign class often holds
         # several sigma, of which the least must be kept
-        up = stack[0]
-        assert_same_targets(braid._target_set(up), scan_target_set(up))
+        assert_target_set(stack[0], stack[-1])
+
+    def test_the_source_rides_in_the_first_of_several_chunks(self, monkeypatch):
+        # the identity of rank 6 allows all 720 orders, three kernel calls;
+        # the source adds none
+        calls, canonical = [], _kernels.sign_canonical
+        monkeypatch.setattr(_kernels, "sign_canonical",
+                            lambda stack: calls.append(len(stack)) or canonical(stack))
+        source = np.array(an_stokes(6).evaluate(joyce_point(6)), dtype=np.int64)
+        up = np.eye(6, dtype=np.int64)
+        braid._target_set(up, source)
+        assert calls == [_kernels.CHUNK + 1, _kernels.CHUNK, 720 - 2 * _kernels.CHUNK]
+        monkeypatch.undo()
+        assert_target_set(up, source)
 
 
 class TestMoveJson:

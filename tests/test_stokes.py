@@ -431,6 +431,10 @@ class TestRankMismatch:
                                                rf"entries, got {len(Z)}$"):
             level2_chamber(linear_quiver(3), Z)
 
+    def test_level2_chamber_reads_a_one_pass_charge_once(self):
+        q, Z = linear_quiver(2), ((-1, 1), (1, 1))
+        assert level2_chamber(q, iter(Z)) == level2_chamber(q, Z)
+
 
 # ---------------------------------------------------------------------------
 # Reference ray geometry on Fractions: the sums the chambers evaluated
