@@ -63,7 +63,12 @@ def _as_fraction(x) -> Fraction:
     number under ``_as_int``, or text ``p`` or ``p/q`` whose parts are
     integer text under ``_as_int`` and q != 0.  Other text raises
     ValueError; any other value, a non-integral float or a bool say, raises
-    TypeError."""
+    TypeError.  A Fraction and an int, the values the package builds
+    itself, are answered before the abstract-base-class tests."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
     if not isinstance(x, str):
@@ -168,6 +173,25 @@ def lv_monomial(v: LatticeVector) -> "TruncatedPoly":
 # ---------------------------------------------------------------------------
 # Sparse polynomials
 # ---------------------------------------------------------------------------
+
+def _add_product(terms: dict, left: dict, right: dict) -> dict:
+    """Add the product of the terms ``left`` and ``right`` into ``terms``,
+    dropping coefficients that cancel; returns ``terms``."""
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = tuple(map(operator.add, e1, e2))
+            c = c1 * c2
+            v = terms.get(e)
+            if v is None:
+                terms[e] = c
+                continue
+            v += c
+            if v:
+                terms[e] = v
+            else:
+                del terms[e]
+    return terms
+
 
 class TruncatedPoly:
     """Exact sparse polynomial over Q.
@@ -284,23 +308,16 @@ class TruncatedPoly:
             return TruncatedPoly._from_valid(
                 self.nvars, {e: v * c for e, v in self.terms.items()} if c else {})
         other = self._coerce(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(operator.add, e1, e2))
-                c = c1 * c2
-                v = terms.get(e)
-                if v is None:
-                    terms[e] = c
-                    continue
-                v += c
-                if v:
-                    terms[e] = v
-                else:
-                    del terms[e]
-        return TruncatedPoly._from_valid(self.nvars, terms)
+        return TruncatedPoly._from_valid(self.nvars,
+                                         _add_product({}, self.terms, other.terms))
 
     __rmul__ = __mul__
+
+    def _plus_product(self, a: "TruncatedPoly", b: "TruncatedPoly") -> "TruncatedPoly":
+        """self + a * b in one pass, for valid operands of one variable
+        count: no intermediate product is built."""
+        return TruncatedPoly._from_valid(
+            self.nvars, _add_product(dict(self.terms), a.terms, b.terms))
 
     # -- queries ------------------------------------------------------------
 
@@ -311,11 +328,12 @@ class TruncatedPoly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
+        # a polynomial first: it never reaches the abstract-base-class test
+        if isinstance(other, TruncatedPoly):
+            return self.nvars == other.nvars and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
             return self.terms == ({(0,) * self.nvars: other} if other else {})
-        if not isinstance(other, TruncatedPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return NotImplemented
 
     def __hash__(self):
         # a constant equals its scalar (see __eq__), so it hashes as one
@@ -420,9 +438,7 @@ class PolyMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return (self.n == other.n and
-                all(self.entries[i][j] == other.entries[i][j]
-                    for i in range(self.n) for j in range(self.n)))
+        return self.n == other.n and self.entries == other.entries
 
     def __hash__(self):
         return hash(self.key())

@@ -17,7 +17,15 @@ chamber sorts its active classes clockwise once, when it is built, and the
 factors of every product over it are read off that order.  Within one
 call, each factor coefficient is built once; a set of chambers shares one
 product table, which multiplies out each distinct ordered factor sequence
-once, and the linear-quiver jet check builds each distinct chamber once.
+once.
+
+The linear-quiver chambers come from one exact integer array pass over all
+sampled charges: prefix sums give every interval ray, and one tensor of
+cross products gives every stability test, collision and clockwise rank.
+The pass runs on int64 when a bound proves that no cross product wraps, and
+on Python ints (``dtype=object``) otherwise, through the same code.  Each
+distinct chamber is built once, from values the pass has checked, and is
+not checked a second time.
 """
 
 from __future__ import annotations
@@ -25,9 +33,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
+
+import numpy as np
 
 from .algebra import (Basis, LatticeVector, PolyMatrix, TruncatedPoly,
                       _as_fraction, _as_int, _index, _index_order, _size,
@@ -129,9 +140,10 @@ class DTModel:
 # Exact ray geometry
 # ---------------------------------------------------------------------------
 
-def _in_upper(x, y) -> bool:
-    """Membership in the semi-closed upper half plane {y > 0} u {y = 0, x < 0}."""
-    return y > 0 or (y == 0 and x < 0)
+def _in_upper(x, y):
+    """Membership in the semi-closed upper half plane {y > 0} u {y = 0, x < 0},
+    of one integer point or elementwise over integer arrays."""
+    return (y > 0) | ((y == 0) & (x < 0))
 
 
 def _cross(a: tuple, b: tuple) -> int:
@@ -214,6 +226,23 @@ class Chamber:
             rays.append((v.coords, (x, y)))
         object.__setattr__(self, "_order", tuple(_clockwise(rays)))
 
+    @classmethod
+    def _from_valid(cls, Z: tuple, active: tuple, zint: tuple,
+                    order: tuple) -> "Chamber":
+        """Wrap values already checked, without a check or a copy.
+
+        ``Z`` must be Fraction pairs read by ``_as_fraction``, in the
+        semi-closed upper half plane; ``zint`` its ``_scaled_charge``;
+        ``active`` LatticeVectors whose rays lie in the upper half plane,
+        pairwise on distinct rays; ``order`` their coordinates clockwise.
+        """
+        chamber = object.__new__(cls)
+        object.__setattr__(chamber, "Z", Z)
+        object.__setattr__(chamber, "active", active)
+        object.__setattr__(chamber, "_zint", zint)
+        object.__setattr__(chamber, "_order", order)
+        return chamber
+
     @property
     def n(self) -> int:
         return len(self.Z)
@@ -284,20 +313,31 @@ class StokesData:
 class _Factors:
     """The elementary factors of one basis, Euler form, count model and
     truncation order, shared by the chambers of one call: each difference
-    alpha_i - alpha_j is formed once and each exact coefficient built once.
-    The differences are distinct, because the rows of a basis are
-    independent.  The order p only selects factors: a class of length >= p
-    has a coefficient of degree >= p, which vanishes mod (s)^p."""
+    alpha_i - alpha_j is looked up by its coordinates, and the factor of a
+    difference some chamber holds is built once.  The differences are
+    distinct, because the rows of a basis are independent.  The order p
+    only selects factors: a class of length >= p has a coefficient of
+    degree >= p, which vanishes mod (s)^p."""
 
     def __init__(self, basis: Basis, e: EulerForm, model: DTModel,
                  p: Optional[int]):
         p = None if p is None else _size(p, 1, "truncation order")
         self.basis, self.e, self.model, self.p = basis, e, model, p
-        self.diffs = {}
-        for i, j in itertools.permutations(range(1, basis.n + 1), 2):
-            d = basis.diff(i, j)
-            self.diffs[d.coords] = (i, j, d)
+        rows = [r.coords for r in basis.rows]
+        self.diffs = {tuple(a - b for a, b in zip(rows[i - 1], rows[j - 1])): (i, j)
+                      for i, j in itertools.permutations(range(1, basis.n + 1), 2)}
+        # (i, j) -> coefficient, or None for a factor dropped at order p
         self.coeffs = {}
+
+    def _coefficient(self, i: int, j: int) -> Optional[TruncatedPoly]:
+        d = self.basis.diff(i, j)
+        if self.p is not None and lv_len(d) >= self.p:
+            return None
+        dt = self.model.dt(d)
+        if dt == 0:
+            raise ChamberError(
+                f"active class {d.coords} has zero count under the model")
+        return factor_coefficient(i, j, self.basis, self.e, dt)
 
     def ordered(self, chamber: Chamber) -> list:
         """The chamber's factors (i, j, coefficient) in its clockwise order,
@@ -306,25 +346,22 @@ class _Factors:
         actives all have their ray in the upper half plane."""
         if chamber.n != self.basis.n:
             raise ValueError("chamber and basis rank mismatch")
-        # Z(a_j - a_i) = -Z(a_i - a_j), so the pairs i < j find every zero
-        for i, j, d in self.diffs.values():
-            if i < j and chamber._ray(d) == (0, 0):
-                raise ChamberError(f"difference {d.coords} has Z = 0")
+        # Z(a_i - a_j) = Z(a_i) - Z(a_j): a difference has Z = 0 exactly
+        # when two basis rows share their integer ray
+        rays = [chamber._ray(row) for row in self.basis.rows]
+        if len(set(rays)) < len(rays):
+            i, j = next((i, j) for i, j in itertools.combinations(
+                range(1, len(rays) + 1), 2) if rays[i - 1] == rays[j - 1])
+            raise ChamberError(f"difference {self.basis.diff(i, j).coords} has Z = 0")
         out = []
         for c in chamber._order:
-            if c not in self.diffs:
+            ij = self.diffs.get(c)
+            if ij is None:
                 continue
-            i, j, d = self.diffs[c]
-            if self.p is not None and lv_len(d) >= self.p:
-                continue
-            if (i, j) not in self.coeffs:
-                dt = self.model.dt(d)
-                if dt == 0:
-                    raise ChamberError(
-                        f"active class {d.coords} has zero count under the model")
-                self.coeffs[i, j] = factor_coefficient(i, j, self.basis, self.e,
-                                                       dt)
-            out.append((i, j, self.coeffs[i, j]))
+            if ij not in self.coeffs:
+                self.coeffs[ij] = self._coefficient(*ij)
+            if self.coeffs[ij] is not None:
+                out.append((*ij, self.coeffs[ij]))
         return out
 
     def products(self, chambers: Iterable[Chamber]) -> list:
@@ -345,8 +382,9 @@ def _elementary_product(n: int, nvars: int, factors) -> PolyMatrix:
     """prod_k (I + c_k E_{i_k j_k}) over (i, j, c) in factors, leftmost first.
 
     Right-multiplying by I + c E_ij adds c times column i to column j, so
-    each factor costs one column update instead of a matrix product.  Zero
-    coefficients are skipped.
+    each factor costs one column update instead of a matrix product, each
+    entry updated in one pass (``_plus_product``).  Zero coefficients are
+    skipped.
     """
     m = PolyMatrix.identity(n, nvars)
     rows = m.entries
@@ -355,7 +393,7 @@ def _elementary_product(n: int, nvars: int, factors) -> PolyMatrix:
             continue
         for row in rows:
             if not row[i - 1].is_zero():
-                row[j - 1] = row[j - 1] + row[i - 1] * c
+                row[j - 1] = row[j - 1]._plus_product(row[i - 1], c)
     return m
 
 
@@ -518,37 +556,58 @@ def _interval_class(n: int, i: int, j: int) -> LatticeVector:
     return LatticeVector(tuple(1 if i - 1 <= t <= j - 1 else 0 for t in range(n)))
 
 
-def _an_stable_rays(n: int, zint) -> list:
-    """((i, j), integer ray of Z([i, j])) for the stable intervals of the
-    linear quiver, by (i, j), from the rank-n charge scaled to integers."""
-    px, py = [0], [0]
-    for x, y in zint:
-        px.append(px[-1] + x)
-        py.append(py[-1] + y)
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            wx, wy = px[j] - px[i - 1], py[j] - py[i - 1]
-            for k in range(i, j):
-                # arg Z([k + 1, j]) < arg Z([i, j]), by a cross product
-                if (px[j] - px[k]) * wy <= (py[j] - py[k]) * wx:
-                    break
-            else:
-                out.append(((i, j), (wx, wy)))
-    return out
+def _intervals(n: int) -> list:
+    """The intervals (i, j), 1 <= i <= j <= n, in (i, j) order."""
+    return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+
+
+def _exact_stack(n: int, blocks) -> np.ndarray:
+    """Blocks of rank-n integer charges as one (S, n, 2) array: int64 when
+    a bound proves that no product wraps (a coordinate is at most M, an
+    interval ray at most n M, a cross product of two rays at most
+    2 (n M)^2), and Python ints on ``dtype=object`` otherwise."""
+    bound = max(operator.index(np.abs(b).max(initial=0)) for b in blocks)
+    dtype = np.int64 if 2 * (n * bound) ** 2 < 2 ** 63 else object
+    return np.concatenate([b.astype(dtype) for b in blocks])
+
+
+def _an_stable_rays(zint: np.ndarray) -> tuple:
+    """(cross, stable) for the linear quiver on an (S, n, 2) stack of
+    integer charges, over the intervals of ``_intervals(n)``.
+
+    ``cross`` (S, m, m) holds ``_cross`` of the rays Z([i, j]) of every two
+    intervals, the rays being differences of prefix sums.  ``stable``
+    (S, m) tells whether [i, j] is stable: the indecomposable on [i, j] has
+    exactly the right-closed subobjects [k, j], so it is stable iff
+    arg Z([k + 1, j]) < arg Z([i, j]), a positive cross product, for every
+    i <= k < j.  The stack's dtype is the arithmetic, int64 or Python ints.
+    """
+    count, n, _ = zint.shape
+    ij = _intervals(n)
+    at = {iv: t for t, iv in enumerate(ij)}
+    prefix = np.zeros((count, n + 1, 2), dtype=zint.dtype)
+    prefix[:, 1:] = np.cumsum(zint, axis=1)
+    lo, hi = np.array(ij, dtype=np.intp).reshape(-1, 2).T
+    rays = prefix[:, hi] - prefix[:, lo - 1]
+    # a x b = a . (b_y, -b_x), one batched product
+    cross = rays @ np.stack([rays[..., 1], -rays[..., 0]], axis=1)
+    # tests[[k + 1, j], [i, j]] for the triples i <= k < j
+    tests = np.zeros((len(ij), len(ij)), dtype=bool)
+    for i, j in ij:
+        tests[[at[k + 1, j] for k in range(i, j)], at[i, j]] = True
+    return cross, ~((cross <= 0) & tests).any(axis=1)
 
 
 def an_stable_intervals(Z) -> list[LatticeVector]:
-    """Stable interval classes of the linear quiver 1 -> 2 -> ... -> n.
-
-    The indecomposable on [i, j] has exactly the right-closed subobjects
-    [k, j], so it is stable iff arg Z([k, j]) < arg Z([i, j]) for all
-    i < k <= j.  Z([i, j]) is a difference of prefix sums of the charge
-    scaled to integers; the rank is the length of Z.
-    """
+    """Stable interval classes of the linear quiver 1 -> 2 -> ... -> n, by
+    ``_an_stable_rays`` on the charge scaled to integers; the rank is the
+    length of Z."""
     zint = _integer_charge(Z)
-    return [_interval_class(len(zint), i, j)
-            for (i, j), _ in _an_stable_rays(len(zint), zint)]
+    n = len(zint)
+    _, stable = _an_stable_rays(
+        _exact_stack(n, [np.array(zint, dtype=object).reshape(1, n, 2)]))
+    return [_interval_class(n, i, j)
+            for (i, j), ok in zip(_intervals(n), stable[0]) if ok]
 
 
 def an_chamber(Z) -> Chamber:
@@ -556,51 +615,112 @@ def an_chamber(Z) -> Chamber:
     return Chamber(Z, tuple(an_stable_intervals(Z)))
 
 
-def _charge_samples(n: int, count: int):
-    """Deterministic pseudo-random integer charges in the upper half plane."""
-    state = 20240915
+def _charge_samples(n: int, count: int) -> np.ndarray:
+    """Deterministic pseudo-random integer charges in the upper half plane,
+    as a (count, n, 2) int64 array.
 
-    def rnd(lo, hi):
-        nonlocal state
-        state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-        return lo + (state >> 33) % (hi - lo + 1)
+    Each simple class draws x in -12..12, then y in 1..9, from the 64-bit
+    LCG s -> a s + c mod 2^64 seeded at 20240915, a draw in lo..hi being
+    lo + (s >> 33) mod (hi - lo + 1).  All 2 n count states come in one
+    pass, by jump-ahead in wrapping uint64:
+    s_t = a^t s_0 + c (1 + a + ... + a^(t - 1)).
+    """
+    power = np.multiply.accumulate(
+        np.full(2 * n * count, 6364136223846793005, dtype=np.uint64))
+    geometric = np.cumsum(power) - power + np.uint64(1)
+    state = (power * np.uint64(20240915)
+             + np.uint64(1442695040888963407) * geometric)
+    draw = (state >> np.uint64(33)).reshape(count, n, 2) \
+        % np.array([25, 9], dtype=np.uint64)
+    return draw.astype(np.int64) + np.array([-12, 1])
 
-    for _ in range(count):
-        yield tuple((rnd(-12, 12), rnd(1, 9)) for _ in range(n))
+
+def _charge_block(n: int, charges) -> tuple:
+    """(values, scaled) for a block of rank-n charges, as (S, n, 2) arrays:
+    the charges as given, and scaled to integers.  An integer array is its
+    own scaled charge; other charges, of int or Fraction entries, are read
+    by ``_integer_charge`` one by one, on ``dtype=object``."""
+    if isinstance(charges, np.ndarray) and charges.dtype.kind == "i":
+        return charges, charges
+    rows = list(charges)
+    return (np.array(rows, dtype=object).reshape(len(rows), n, 2),
+            np.array([_integer_charge(Z) for Z in rows],
+                     dtype=object).reshape(len(rows), n, 2))
+
+
+def _an_chamber_keys(zint: np.ndarray) -> tuple:
+    """(ok, key) for an (S, n, 2) stack of integer charges.
+
+    ``ok`` (S,) tells whether a chamber accepts the charge: every Z_k in
+    the semi-closed upper half plane and no two stable intervals on one ray.
+    ``key`` (S, m) holds the clockwise rank of each stable interval and -1
+    for the others, so it fixes the stable set and its clockwise order.
+    """
+    cross, stable = _an_stable_rays(zint)
+    upper = _in_upper(zint[..., 0], zint[..., 1]).all(axis=1)
+    pair = stable[:, :, None] & stable[:, None, :]
+    # the diagonal of cross is zero, so a shared ray is one zero more
+    collide = (pair & (cross == 0)).sum(axis=(1, 2)) > stable.sum(axis=1)
+    # rays in the upper half plane: cross[b, a] < 0 puts b before a
+    rank = (pair & (cross < 0)).sum(axis=1)
+    return upper & ~collide, np.where(stable, rank, -1)
+
+
+# entries of one (S, m, m) cross tensor in the key pass; charges beyond it
+# are keyed in chunks
+_KEY_PASS_ENTRIES = 1 << 17
 
 
 def enumerate_an_chambers(n: int, samples: int) -> list[Chamber]:
     """Distinct linear-quiver chambers found by deterministic sampling.
 
-    Chambers are keyed by the clockwise order of their stable intervals,
-    found in integers before anything is built; a charge that a chamber
-    would reject (one outside the upper half plane, or two stable intervals
-    on one ray) is skipped, and each distinct chamber is built once, from
-    the first charge that gives it.  Structured monotone charges are always
-    included.
+    Structured monotone charges, then ``samples`` charges from
+    ``_charge_samples``, are stacked into one (S, n, 2) integer array, each
+    scaled once by the lcm of its denominators, and keyed in one exact
+    array pass (``_an_chamber_keys``): int64 when a bound proves that no
+    cross product wraps, Python ints on ``dtype=object`` otherwise.  A
+    charge that a chamber would reject (one outside the upper half plane,
+    or two stable intervals on one ray) is skipped.  Keys are compared as
+    bytes, and each distinct chamber is built once, from the first charge
+    that gives it and the values the pass found, and not checked again.
     """
-    structured = [
+    n = _size(n, 1, "rank n")
+    samples = _size(samples, 0, "sample count")
+    # integral charges, held as ints like the samples
+    structured = [_scaled_charge(Z) for Z in (
         convex_charge(n),
         tuple(reversed(convex_charge(n))),
         tuple((Fraction(-10 * 3 ** k), Fraction(1 + k)) for k in range(n)),
-        tuple((Fraction(10 * 3 ** (n - k)), Fraction(1 + k)) for k in range(n)),
-    ]
-    intervals = {(i, j): _interval_class(n, i, j)
-                 for i in range(1, n + 1) for j in range(i, n + 1)}
-    seen = {}
-    for Z in itertools.chain(structured, _charge_samples(n, samples)):
-        zint = _scaled_charge(Z)
-        if not all(_in_upper(x, y) for x, y in zint):
-            continue
-        rays = _an_stable_rays(n, zint)
-        try:
-            key = tuple(_clockwise(rays))
-        except RayCollision:
-            continue
-        if key not in seen:
-            # an_chamber(Z), from the stable intervals already found
-            seen[key] = Chamber(tuple(Z), tuple(intervals[ij] for ij, _ in rays))
-    return list(seen.values())
+        tuple((Fraction(10 * 3 ** (n - k)), Fraction(1 + k)) for k in range(n)))]
+    blocks = [_charge_block(n, structured),
+              _charge_block(n, _charge_samples(n, samples))]
+    values = np.concatenate([v for v, _ in blocks])
+    zint = _exact_stack(n, [scaled for _, scaled in blocks])
+    ij = _intervals(n)
+    step = max(1, _KEY_PASS_ENTRIES // len(ij) ** 2)
+    parts = [_an_chamber_keys(zint[s:s + step]) for s in range(0, len(zint), step)]
+    key = np.concatenate([k for _, k in parts])
+    rows = np.flatnonzero(np.concatenate([ok for ok, _ in parts]))
+    # keys compared as bytes; the first row of each key, in first-seen order
+    packed, width = key[rows].tobytes(), key.itemsize * key.shape[1]
+    first = {}
+    for s, t in zip(rows.tolist(), range(0, len(packed), width)):
+        first.setdefault(packed[t:t + width], s)
+    chosen = list(first.values())
+    picked = values[chosen]
+    # each distinct value of the chosen charges is read once
+    read = {v: _as_fraction(v) for v in set(picked.ravel().tolist())}
+    intervals = [_interval_class(n, i, j) for i, j in ij]
+    chambers = []
+    for Z, zi, rank in zip(picked.tolist(), zint[chosen].tolist(),
+                           key[chosen].tolist()):
+        active = [t for t, r in enumerate(rank) if r >= 0]
+        chambers.append(Chamber._from_valid(
+            tuple((read[x], read[y]) for x, y in Z),
+            tuple(map(intervals.__getitem__, active)), tuple(map(tuple, zi)),
+            tuple(intervals[t].coords
+                  for t in sorted(active, key=rank.__getitem__))))
+    return chambers
 
 
 def verify_an_jet(n: int, samples: int = 400) -> dict:
@@ -610,11 +730,12 @@ def verify_an_jet(n: int, samples: int = 400) -> dict:
     Each distinct chamber is built once, and the chambers share one product
     table, so each distinct ordered factor sequence is multiplied out once;
     every product is compared with an_stokes(n), so none is checked for
-    unipotency.  Returns a report dict; ``ok`` is True when every chamber
-    product equals an_stokes(n) and the natural lifts at order n+1 take a
-    single value; ``mismatched_chambers`` counts chambers,
-    ``distinct_products`` products and ``lift_values_mod_n_plus_1`` the
-    distinct products mod (s)^(n+1), so chambers that disagree give a
+    unipotency, and only the mismatched ones are reduced mod (s)^(n+1), as
+    the matched ones are one lift value.  Returns a report dict; ``ok`` is
+    True when every chamber product equals an_stokes(n) and the natural
+    lifts at order n+1 take a single value; ``mismatched_chambers`` counts
+    chambers, ``distinct_products`` products and ``lift_values_mod_n_plus_1``
+    the distinct products mod (s)^(n+1), so chambers that disagree give a
     failing report rather than an error.
     """
     n, samples = _as_int(n), _size(samples, 0, "sample count")
@@ -622,14 +743,20 @@ def verify_an_jet(n: int, samples: int = 400) -> dict:
         raise ValueError("desk-scale check supports 2 <= n <= 5")
     chambers = enumerate_an_chambers(n, samples)
     # an interval has length <= n, so no factor is dropped at order n + 1
-    # and the natural lift of a chamber is its exact product
-    if any(lv_len(v) > n for ch in chambers for v in ch.active):
+    # and the natural lift of a chamber is its exact product; the clockwise
+    # orders hold the active classes, each distinct one checked once
+    classes = set().union(*(ch._order for ch in chambers))
+    if any(lv_len(LatticeVector(c)) > n for c in classes):
         raise ChamberError(f"chamber with an active class longer than {n}")
     products = _Factors(Basis.triangular(n), euler_form(linear_quiver(n)),
                         DTModel.an_intervals(), None).products(chambers)
     expected = an_stokes(n)
-    mismatches = sum(count for prod, count in products if prod != expected)
-    lifts = {prod.truncate(n + 1) for prod, _ in products}
+    matched = [prod == expected for prod, _ in products]
+    mismatches = sum(count for (_, count), ok in zip(products, matched) if not ok)
+    lifts = {prod.truncate(n + 1)
+             for (prod, _), ok in zip(products, matched) if not ok}
+    if any(matched):
+        lifts.add(expected.truncate(n + 1))
     ok = not mismatches and len(lifts) == 1
     return {
         "n": n,

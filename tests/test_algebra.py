@@ -208,6 +208,19 @@ class TestArithmeticKeepsTheInvariant:
         for op, r in zip((operator.add, operator.sub, operator.mul), results):
             assert list(r.terms.items()) == list(reference(op, a, b).terms.items())
 
+    @settings(max_examples=300, deadline=None)
+    @given(poly_cases(), st.integers(0, 3))
+    def test_plus_product_is_the_sum_with_the_product(self, case, pick):
+        # the fused update of the elementary products; terms that cancel
+        # inside the product or against the summand are dropped
+        a, b, _, _ = case
+        c = [a, b, -(a * b), b * b][pick]
+        before = [dict(x.terms) for x in (a, b, c)]
+        r = c._plus_product(a, b)
+        assert r == reference(operator.add, c, reference(operator.mul, a, b))
+        assert all(type(v) is Fraction and v != 0 for v in r.terms.values())
+        assert [x.terms for x in (a, b, c)] == before
+
 
 class TestArithmeticSkipsTheCheck:
     """Values built from valid polynomials never pass through __init__."""

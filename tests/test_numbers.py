@@ -199,6 +199,9 @@ SIZE_SITES = {
     "verify_braid_group_relations samples": (
         "sample count", 0, lambda k: verify_braid_group_relations(3, k)),
     "verify_an_jet samples": ("sample count", 0, lambda k: verify_an_jet(3, k)),
+    "enumerate_an_chambers n": ("rank n", 1, lambda k: enumerate_an_chambers(k, 0)),
+    "enumerate_an_chambers samples": ("sample count", 0,
+                                      lambda k: enumerate_an_chambers(3, k)),
     "TruncatedPoly nvars": ("variable count", 0, lambda k: TruncatedPoly(k, {})),
     "PolyMatrix.identity nvars": ("variable count", 0,
                                   lambda k: PolyMatrix.identity(2, k)),

@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -489,6 +490,24 @@ def fraction_stable_intervals(n, Z):
     return out
 
 
+def interval_rule(Z):
+    """The stable intervals (i, j) of the linear quiver, one charge at a
+    time: prefix sums of the charge scaled to integers, and one cross
+    product per subobject [k + 1, j] of [i, j]."""
+    zint = stokes_mod._integer_charge(Z)
+    px, py = [0], [0]
+    for x, y in zint:
+        px.append(px[-1] + x)
+        py.append(py[-1] + y)
+    out = []
+    for i in range(1, len(zint) + 1):
+        for j in range(i, len(zint) + 1):
+            wx, wy = px[j] - px[i - 1], py[j] - py[i - 1]
+            if all((px[j] - px[k]) * wy > (py[j] - py[k]) * wx for k in range(i, j)):
+                out.append((i, j))
+    return out
+
+
 def fraction_chamber_error(Z, active):
     """The exception type a chamber on (Z, active) raises, or None."""
     if not all(in_upper(x, y) for x, y in Z):
@@ -515,14 +534,17 @@ def outcome(fn, *args):
 
 # small numerators and mixed denominators make shared rays common
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+# the same times 3^40, so that a charge scaled to integers passes the bound
+# below which the key pass runs on int64
+huge_rationals = rationals.map(lambda x: x * 3 ** 40)
 
 
 @st.composite
-def charges(draw, upper=True):
+def charges(draw, upper=True, values=rationals):
     n = draw(st.integers(2, 6))
     Z = []
     for _ in range(n):
-        x, y = draw(rationals), draw(rationals)
+        x, y = draw(values), draw(values)
         if upper and not in_upper(x, y):
             x, y = (-x, -y) if (x, y) != (0, 0) else (Fraction(-1), Fraction(0))
         Z.append((x, y))
@@ -543,6 +565,13 @@ class TestIntegerGeometryMatchesFractions:
         n = len(Z)
         assert [v.coords for v in an_stable_intervals(Z)] == \
             fraction_stable_intervals(n, Z)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(charges(upper=False), charges(upper=False, values=huge_rationals)))
+    def test_stable_sets_follow_the_interval_rule(self, Z):
+        n = len(Z)
+        assert [v.coords for v in an_stable_intervals(Z)] == \
+            [stokes_mod._interval_class(n, i, j).coords for i, j in interval_rule(Z)]
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -659,6 +688,23 @@ class TestEnumerateAnChambers:
         digest = hashlib.sha256(json.dumps(keys).encode()).hexdigest()
         assert (len(chambers), digest) == self.PINNED[n]
 
+    # SHA-256 of the charges as nested lists, recorded while each LCG state
+    # was drawn one at a time
+    SAMPLES = {
+        2: "37bf1c4c0d150d4e65fb8e77a2dfcdb8b1c4aedd6a8cc1b311e0a794bd9d9fe5",
+        3: "2862ec5a7e44ff3ea6fe1958976627a37ff356bb94f399ec1ca90336fa68b47e",
+        4: "e0186e51f1f9393f140ba9232090d23288f4f65f7946d8f351b4652c90e40326",
+        5: "eb9b15da59230439e56a63bf48b0c69e266083d8aefe2f9cedf6b51b579a6cd0",
+    }
+
+    @pytest.mark.parametrize("n", sorted(SAMPLES))
+    def test_pinned_charge_samples(self, n):
+        charges = [np.asarray(Z).tolist() for Z in stokes_mod._charge_samples(n, 400)]
+        digest = hashlib.sha256(json.dumps(charges).encode()).hexdigest()
+        assert digest == self.SAMPLES[n]
+        # a prefix of the draws is the shorter sample
+        assert stokes_mod._charge_samples(n, 7).tolist() == charges[:7]
+
 
 # ---------------------------------------------------------------------------
 # Reference jet check: a chamber built for every sample and keyed on its
@@ -759,6 +805,37 @@ class TestJetCheckMatchesOracle:
                        lambda n, count: iter(samples))
             assert chamber_records(enumerate_an_chambers(n, 0)) == \
                 chamber_records(oracle_enumerate(n, 0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(charge_lists(), st.data())
+    def test_charges_beyond_the_int64_bound(self, case, data):
+        # positive multiples by 3^40 keep every chamber and push the scaled
+        # charges past the int64-safe bound, so the pass runs on Python ints
+        n, samples = case
+        picks = data.draw(st.sets(st.integers(0, len(samples) - 1), min_size=1)
+                          if samples else st.just(set()))
+        samples = [tuple((x * 3 ** 40, y * 3 ** 40) for x, y in Z)
+                   if k in picks else Z for k, Z in enumerate(samples)]
+        if any(samples[k] != ((0, 0),) * n for k in picks):
+            scaled = stokes_mod._charge_block(n, samples)[1]
+            assert stokes_mod._exact_stack(n, [scaled]).dtype == object
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stokes_mod, "_charge_samples",
+                       lambda n, count: iter(samples))
+            assert chamber_records(enumerate_an_chambers(n, 0)) == \
+                chamber_records(oracle_enumerate(n, 0))
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_chunks_key_the_same_chambers(self, n, monkeypatch):
+        whole = chamber_records(enumerate_an_chambers(n, 60))
+        monkeypatch.setattr(stokes_mod, "_KEY_PASS_ENTRIES", 1)
+        assert chamber_records(enumerate_an_chambers(n, 60)) == whole
+
+    def test_each_chamber_is_built_unchecked(self, monkeypatch):
+        # the public constructor's checks are not run again on values the
+        # key pass has checked
+        monkeypatch.setattr(Chamber, "__post_init__", None)
+        assert len(enumerate_an_chambers(5, 400)) == 247
 
 
 class TestVerifyAnJetBuildsEachProductOnce:
@@ -916,6 +993,22 @@ class TestJetCheckErrors:
             f"lifts={rep['lift_values_mod_n_plus_1']}",
             "mismatches=241 lifts=19",
             "products disagree mod (s)^3", "products disagree mod (s)^5"]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("count", [2, -1])
+    def test_some_chambers_match_and_some_do_not(self, n, count, monkeypatch):
+        # a changed count on [1, 2] leaves the chambers without that factor
+        # on the bidiagonal matrix: the matched products give one lift value
+        # and every mismatched one is truncated, as the oracle does
+        intervals = DTModel.an_intervals()
+        changed = stokes_mod._interval_class(n, 1, 2)
+        model = DTModel("changed", lambda v: intervals.dt(v)
+                        * (count if v == changed else 1))
+        monkeypatch.setattr(DTModel, "an_intervals", lambda: model)
+        rep = verify_an_jet(n, 150)
+        assert rep == oracle_verify_an_jet(n, 150)
+        assert 0 < rep["mismatched_chambers"] < rep["chambers"]
+        assert rep["lift_values_mod_n_plus_1"] > 1
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_mismatches_count_chambers_not_sequences(self, n, monkeypatch):
