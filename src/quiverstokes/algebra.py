@@ -166,8 +166,7 @@ def lv_len(v: LatticeVector) -> int:
 
 def lv_monomial(v: LatticeVector) -> "TruncatedPoly":
     """The monomial with exponent vector (|a1|, ..., |an|) and coefficient 1."""
-    exps = tuple(abs(a) for a in v.coords)
-    return TruncatedPoly.monomial(len(v.coords), exps, Fraction(1))
+    return TruncatedPoly.monomial(abs(a) for a in v.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +257,10 @@ class TruncatedPoly:
         return cls(nvars, {exps: Fraction(1)})
 
     @classmethod
-    def monomial(cls, nvars: int, exps: Iterable[int], coeff=1) -> "TruncatedPoly":
-        return cls(nvars, {tuple(exps): _as_fraction(coeff)})
+    def monomial(cls, exps: Iterable[int], coeff=1) -> "TruncatedPoly":
+        """coeff * s^exps, in as many variables as there are exponents."""
+        exps = tuple(exps)
+        return cls(len(exps), {exps: _as_fraction(coeff)})
 
     # -- ring operations ----------------------------------------------------
 

@@ -90,7 +90,9 @@ def _move(mv: Move, a: np.ndarray) -> np.ndarray:
     """The move ``mv`` checked against and applied to the (n, n) object
     array ``a`` of exact entries; a braid move is forward when mv[2] is +1
     and backward when it is -1."""
-    kind, n = mv[0], len(a)
+    kind, n = mv[0] if mv else None, len(a)
+    if len(mv) != (3 if kind == "braid" else 2):
+        raise ValueError(f"unknown move {mv!r}")
     if kind == "braid":
         if any(a[k, k] != 1 for k in range(n)):
             raise ValueError("matrix must have unit diagonal")

@@ -179,20 +179,12 @@ class EpsilonTensor:
         raise KeyError(f"pair {ij} outside domain")
 
     def triple_violations(self) -> list:
+        """The triples i < j < k with all three pairs in the domain and
+        eps_ik neither eps_ij nor eps_jk, the rule of ``epsilon_solutions``."""
         d = self.as_dict()
-
-        def get(i, j):
-            return d[(i, j)] if (i, j) in d else -d[(j, i)]
-
-        bad = []
-        for i, j, k in itertools.combinations(range(1, self.n + 1), 3):
-            if (i, j) not in d or (i, k) not in d or (j, k) not in d:
-                continue
-            val = (1 + get(i, j) * get(j, k) + get(j, i) * get(i, k)
-                   + get(i, k) * get(k, j))
-            if val != 0:
-                bad.append((i, j, k))
-        return bad
+        return [(i, j, k) for i, j, k in itertools.combinations(range(1, self.n + 1), 3)
+                if (i, j) in d and (j, k) in d and (i, k) in d
+                and d[i, k] not in (d[i, j], d[j, k])]
 
     def flipped(self) -> "EpsilonTensor":
         return EpsilonTensor(self.n, tuple((p, -s) for p, s in self.signs))

@@ -13,11 +13,11 @@ ordered clockwise: strictly decreasing argument in (0, pi], leftmost factor
 first.  All ray comparisons are exact sign tests: every charge is scaled
 once by the least common multiple of its denominators, which keeps every
 argument, and rays are compared by integer dot and cross products.  A
-chamber sorts its active classes clockwise once, when it is built, and the
-factors of every product over it are read off that order.  Within one
-call, each factor coefficient is built once; a set of chambers shares one
-product table, which multiplies out each distinct ordered factor sequence
-once.
+chamber holds its active classes once, sorted clockwise when it is built
+(``ray_order`` is that sort), and every product over it reads that order.
+Within one call, each factor coefficient is built once; a set of chambers
+shares one product table, which multiplies out each distinct ordered
+factor sequence once.
 
 The linear-quiver chambers come from one exact integer array pass over all
 sampled charges: prefix sums give every interval ray, and one tensor of
@@ -151,36 +151,32 @@ def _cross(a: tuple, b: tuple) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _scaled_charge(Z) -> tuple:
-    """D * Z as ints, with D the lcm of the denominators of Z's int or
-    Fraction coordinates: scaling by D > 0 keeps every argument, so every
-    ray test uses the integers."""
+def _read_charge(Z) -> tuple:
+    """(Z, zint): the charge read as exact rationals by ``_as_fraction``,
+    and D * Z as ints, with D the lcm of its denominators: scaling by D > 0
+    keeps every argument, so every ray test uses the integers."""
+    Z = tuple((_as_fraction(x), _as_fraction(y)) for x, y in Z)
     scale = math.lcm(*(c.denominator for z in Z for c in z))
-    return tuple((x.numerator * (scale // x.denominator),
-                  y.numerator * (scale // y.denominator)) for x, y in Z)
+    return Z, tuple((x.numerator * (scale // x.denominator),
+                     y.numerator * (scale // y.denominator)) for x, y in Z)
 
 
 def _clockwise(rays: list) -> list:
-    """The labels of (label, integer ray) pairs by strictly decreasing
-    argument in (0, pi].
+    """The classes of (LatticeVector, integer ray) pairs by strictly
+    decreasing argument in (0, pi].
 
     A comparison sort compares every two entries that end up adjacent, so
-    two labels on one ray always meet, and raise RayCollision.  One cross
+    two classes on one ray always meet, and raise RayCollision.  One cross
     product decides a comparison: zero collides, negative puts a first.
     """
     def cmp(a, b):
         cross = _cross(a[1], b[1])
         if cross == 0:
-            raise RayCollision(f"classes {a[0]} and {b[0]} lie on the same ray")
+            raise RayCollision(
+                f"classes {a[0].coords} and {b[0].coords} lie on the same ray")
         return -1 if cross < 0 else 1
 
     return [v for v, _ in sorted(rays, key=functools.cmp_to_key(cmp))]
-
-
-def _integer_charge(Z) -> tuple:
-    """The charge Z read as exact rationals and scaled to integers by
-    ``_scaled_charge``."""
-    return _scaled_charge(tuple((_as_fraction(x), _as_fraction(y)) for x, y in Z))
 
 
 @dataclass(frozen=True)
@@ -192,24 +188,21 @@ class Chamber:
     recorded with their ray in the upper half plane and must have pairwise
     distinct rays.  Rays are compared on the charge scaled to integers by
     the lcm of its denominators; ``Z`` keeps the exact rationals.
-    ``active`` keeps the given order; the chamber also keeps the coordinates
-    of its actives in clockwise order, sorted once at construction.
+    ``active`` is held clockwise, sorted once at construction; the given
+    order is not kept.
     """
 
     Z: tuple
     active: tuple
     _zint: tuple = field(init=False, repr=False, compare=False)
-    _order: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        Z = tuple((_as_fraction(x), _as_fraction(y)) for x, y in self.Z)
+        Z, zint = _read_charge(self.Z)
         _size(len(Z), 1, "rank n")
-        zint = _scaled_charge(Z)
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "_zint", zint)
         act = tuple(v if isinstance(v, LatticeVector) else LatticeVector(tuple(v))
                     for v in self.active)
-        object.__setattr__(self, "active", act)
         for x, y in zint:
             if not _in_upper(x, y):
                 raise ChamberError("central charge leaves the upper half plane")
@@ -223,24 +216,22 @@ class Chamber:
             if not _in_upper(x, y):
                 raise ChamberError(
                     f"active class {v.coords} has its ray outside the upper half plane")
-            rays.append((v.coords, (x, y)))
-        object.__setattr__(self, "_order", tuple(_clockwise(rays)))
+            rays.append((v, (x, y)))
+        object.__setattr__(self, "active", tuple(_clockwise(rays)))
 
     @classmethod
-    def _from_valid(cls, Z: tuple, active: tuple, zint: tuple,
-                    order: tuple) -> "Chamber":
+    def _from_valid(cls, Z: tuple, active: tuple, zint: tuple) -> "Chamber":
         """Wrap values already checked, without a check or a copy.
 
-        ``Z`` must be Fraction pairs read by ``_as_fraction``, in the
-        semi-closed upper half plane; ``zint`` its ``_scaled_charge``;
-        ``active`` LatticeVectors whose rays lie in the upper half plane,
-        pairwise on distinct rays; ``order`` their coordinates clockwise.
+        ``Z`` and ``zint`` must be as ``_read_charge`` gives them, with Z in
+        the semi-closed upper half plane; ``active`` LatticeVectors whose
+        rays lie in the upper half plane, pairwise on distinct rays, in
+        clockwise order.
         """
         chamber = object.__new__(cls)
         object.__setattr__(chamber, "Z", Z)
         object.__setattr__(chamber, "active", active)
         object.__setattr__(chamber, "_zint", zint)
-        object.__setattr__(chamber, "_order", order)
         return chamber
 
     @property
@@ -263,19 +254,19 @@ class Chamber:
 def ray_order(chamber: Chamber, classes: Iterable[LatticeVector]) -> list[LatticeVector]:
     """Sort classes by strictly decreasing argument of their ray in (0, pi].
 
-    Classes whose ray lies in the lower half plane are replaced by their
-    negatives first.  Raises RayCollision when two inputs share a ray and
-    ChamberError when a class evaluates to zero or has the wrong rank.
+    The classes are sorted as a chamber's actives, each negated first when
+    its ray lies in the lower half plane.  Raises RayCollision when two
+    inputs share a ray and ChamberError when a class has Z = 0 or the wrong
+    rank.
     """
     fixed = []
     for v in classes:
+        v = v if isinstance(v, LatticeVector) else LatticeVector(tuple(v))
         x, y = chamber._ray(v)
         if (x, y) == (0, 0):
             raise ChamberError(f"class {v.coords} has Z = 0")
-        if not _in_upper(x, y):
-            v, x, y = -v, -x, -y
-        fixed.append((v.coords, (x, y)))
-    return [LatticeVector(c) for c in _clockwise(fixed)]
+        fixed.append(v if _in_upper(x, y) else -v)
+    return list(Chamber(chamber.Z, tuple(fixed)).active)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +345,8 @@ class _Factors:
                 range(1, len(rays) + 1), 2) if rays[i - 1] == rays[j - 1])
             raise ChamberError(f"difference {self.basis.diff(i, j).coords} has Z = 0")
         out = []
-        for c in chamber._order:
-            ij = self.diffs.get(c)
+        for v in chamber.active:
+            ij = self.diffs.get(v.coords)
             if ij is None:
                 continue
             if ij not in self.coeffs:
@@ -426,7 +417,7 @@ def natural_lifts(basis: Basis, e: EulerForm, model: DTModel,
     All returned matrices agree mod (s)^p (checked, LiftDisagreement
     otherwise).
     """
-    table = _Factors(basis, e, model, p)
+    table = _Factors(basis, e, model, _size(p, 1, "truncation order"))
     values = {prod for prod, _ in table.products(chambers)}
     if len({m.truncate(table.p) for m in values}) > 1:
         raise LiftDisagreement("chamber products disagree below the stated order")
@@ -504,7 +495,7 @@ def extension_actives(q: Quiver, Z) -> list[LatticeVector]:
     destabilizing sub S_v, so it is active exactly when
     arg Z_u > arg Z_v.
     """
-    n, zint = q.n, _integer_charge(Z)
+    n, zint = q.n, _read_charge(Z)[1]
     if len(zint) != n:
         raise ChamberError(f"a rank-{n} charge needs {n} entries, got {len(zint)}")
     act = [LatticeVector(tuple(1 if t == k else 0 for t in range(n)))
@@ -602,7 +593,7 @@ def an_stable_intervals(Z) -> list[LatticeVector]:
     """Stable interval classes of the linear quiver 1 -> 2 -> ... -> n, by
     ``_an_stable_rays`` on the charge scaled to integers; the rank is the
     length of Z."""
-    zint = _integer_charge(Z)
+    zint = _read_charge(Z)[1]
     n = len(zint)
     _, stable = _an_stable_rays(
         _exact_stack(n, [np.array(zint, dtype=object).reshape(1, n, 2)]))
@@ -639,12 +630,12 @@ def _charge_block(n: int, charges) -> tuple:
     """(values, scaled) for a block of rank-n charges, as (S, n, 2) arrays:
     the charges as given, and scaled to integers.  An integer array is its
     own scaled charge; other charges, of int or Fraction entries, are read
-    by ``_integer_charge`` one by one, on ``dtype=object``."""
+    by ``_read_charge`` one by one, on ``dtype=object``."""
     if isinstance(charges, np.ndarray) and charges.dtype.kind == "i":
         return charges, charges
     rows = list(charges)
     return (np.array(rows, dtype=object).reshape(len(rows), n, 2),
-            np.array([_integer_charge(Z) for Z in rows],
+            np.array([_read_charge(Z)[1] for Z in rows],
                      dtype=object).reshape(len(rows), n, 2))
 
 
@@ -687,7 +678,7 @@ def enumerate_an_chambers(n: int, samples: int) -> list[Chamber]:
     n = _size(n, 1, "rank n")
     samples = _size(samples, 0, "sample count")
     # integral charges, held as ints like the samples
-    structured = [_scaled_charge(Z) for Z in (
+    structured = [_read_charge(Z)[1] for Z in (
         convex_charge(n),
         tuple(reversed(convex_charge(n))),
         tuple((Fraction(-10 * 3 ** k), Fraction(1 + k)) for k in range(n)),
@@ -714,12 +705,11 @@ def enumerate_an_chambers(n: int, samples: int) -> list[Chamber]:
     chambers = []
     for Z, zi, rank in zip(picked.tolist(), zint[chosen].tolist(),
                            key[chosen].tolist()):
-        active = [t for t, r in enumerate(rank) if r >= 0]
+        active = sorted((t for t, r in enumerate(rank) if r >= 0),
+                        key=rank.__getitem__)
         chambers.append(Chamber._from_valid(
             tuple((read[x], read[y]) for x, y in Z),
-            tuple(map(intervals.__getitem__, active)), tuple(map(tuple, zi)),
-            tuple(intervals[t].coords
-                  for t in sorted(active, key=rank.__getitem__))))
+            tuple(map(intervals.__getitem__, active)), tuple(map(tuple, zi))))
     return chambers
 
 
@@ -743,10 +733,10 @@ def verify_an_jet(n: int, samples: int = 400) -> dict:
         raise ValueError("desk-scale check supports 2 <= n <= 5")
     chambers = enumerate_an_chambers(n, samples)
     # an interval has length <= n, so no factor is dropped at order n + 1
-    # and the natural lift of a chamber is its exact product; the clockwise
-    # orders hold the active classes, each distinct one checked once
-    classes = set().union(*(ch._order for ch in chambers))
-    if any(lv_len(LatticeVector(c)) > n for c in classes):
+    # and the natural lift of a chamber is its exact product; each distinct
+    # active class, keyed by its coordinates, is checked once
+    classes = {v.coords: v for ch in chambers for v in ch.active}
+    if any(lv_len(v) > n for v in classes.values()):
         raise ChamberError(f"chamber with an active class longer than {n}")
     products = _Factors(Basis.triangular(n), euler_form(linear_quiver(n)),
                         DTModel.an_intervals(), None).products(chambers)

@@ -86,7 +86,7 @@ def test_criterion_3_a4_chamber_ambiguity():
         assert len(lifts3) == 2
         assert an_stokes(4) in lifts3
         other = next(m for m in lifts3 if m != an_stokes(4))
-        assert other.entries[0][3] == TruncatedPoly.monomial(4, (1, 1, 1, 0))
+        assert other.entries[0][3] == TruncatedPoly.monomial((1, 1, 1, 0))
         assert all(other.entries[i][j] == an_stokes(4).entries[i][j]
                    for i in range(4) for j in range(4) if (i, j) != (0, 3))
         lifts5 = natural_lifts(basis, e, model, [ch1, ch2], 5)

@@ -42,10 +42,10 @@ class TestLatticeVector:
 
     def test_monomial_examples(self):
         m = lv_monomial(LatticeVector((1, 1, 0)))
-        assert m == TruncatedPoly.monomial(3, (1, 1, 0))
+        assert m == TruncatedPoly.monomial((1, 1, 0))
         assert lv_monomial(LatticeVector((0, 0, 0))) == TruncatedPoly.one(3)
         assert lv_monomial(LatticeVector((-1, 1, 0))) == \
-            TruncatedPoly.monomial(3, (1, 1, 0))
+            TruncatedPoly.monomial((1, 1, 0))
 
     def test_negation_involution_and_len(self):
         rng = random.Random(11)
@@ -57,7 +57,7 @@ class TestLatticeVector:
             assert lv_len(v + w) <= lv_len(v) + lv_len(w)
             prod = lv_monomial(v) * lv_monomial(w)
             exps = tuple(abs(a) + abs(b) for a, b in zip(v.coords, w.coords))
-            assert prod == TruncatedPoly.monomial(4, exps)
+            assert prod == TruncatedPoly.monomial(exps)
 
 
 class TestTruncatedPoly:
@@ -67,8 +67,8 @@ class TestTruncatedPoly:
         assert ((one - s1) * (one + s1)).truncate(3) == \
             TruncatedPoly(2, {(0, 0): 1, (2, 0): -1})
         # s1*s2*s3 is exact, and vanishes mod (s)^3
-        a = TruncatedPoly.monomial(3, (1, 1, 0))
-        assert a * s(3, 3) == TruncatedPoly.monomial(3, (1, 1, 1))
+        a = TruncatedPoly.monomial((1, 1, 0))
+        assert a * s(3, 3) == TruncatedPoly.monomial((1, 1, 1))
         assert (a * s(3, 3)).truncate(3).is_zero()
         # exact binomial square
         t = s(2, 1) + s(2, 2)
@@ -275,7 +275,7 @@ class TestPolyMatrix:
         expect.entries[1][2] = -s(3, 2)
         assert prod == expect
         # (I - s1 E12)(I - s1 s2 E13)(I - s2 E23) = same matrix
-        e13 = PolyMatrix.elementary(3, 1, 3, -TruncatedPoly.monomial(3, (1, 1, 0)))
+        e13 = PolyMatrix.elementary(3, 1, 3, -TruncatedPoly.monomial((1, 1, 0)))
         alt = (PolyMatrix.elementary(3, 1, 2, -s(3, 1)) * e13
                * PolyMatrix.elementary(3, 2, 3, -s(3, 2)))
         assert alt == expect

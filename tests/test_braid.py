@@ -1008,6 +1008,17 @@ class TestMoveJson:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             move_from_json(data)
 
+    @pytest.mark.parametrize("mv", [("braid", 1), ("braid", 1, 1, 1), ("perm",),
+                                    ("perm", (2, 1, 3), 1), ("sign",), (),
+                                    ("flip", 1)])
+    def test_move_of_the_wrong_shape_is_refused(self, mv):
+        A = F([[1, 2, 3], [0, 1, 5], [0, 0, 1]])
+        message = f"unknown move {mv!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            apply_move(mv, A)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BraidWord((("sign", 1), mv)).apply(A)
+
     @pytest.mark.parametrize("direction", [0, 2, True])
     def test_other_braid_directions_are_refused(self, direction):
         # written as "-" or "+" they would read back as a different move

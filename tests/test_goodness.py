@@ -36,6 +36,18 @@ def brute_epsilon_solutions(n, domain=None):
     return out
 
 
+def four_term_violations(n, eps):
+    """The triples i < j < k whose three pairs are all in ``eps`` and break
+    1 + e_ij e_jk + e_ji e_ik + e_ik e_kj = 0, with e_ji = -e_ij."""
+    def get(i, j):
+        return eps[(i, j)] if (i, j) in eps else -eps[(j, i)]
+
+    return [(i, j, k) for i, j, k in itertools.combinations(range(1, n + 1), 3)
+            if {(i, j), (j, k), (i, k)} <= eps.keys()
+            and 1 + get(i, j) * get(j, k) + get(j, i) * get(i, k)
+            + get(i, k) * get(k, j) != 0]
+
+
 def param_poly(nparams, index, const=0):
     terms = {}
     if const:
@@ -354,6 +366,22 @@ class TestEpsilonSolutions:
         with pytest.raises(ValueError):
             EpsilonTensor.from_dict(3, full_domain(3),
                                     {(1, 2): 1, (2, 3): 1, (1, 3): -1})
+
+    def test_directed_three_cycle_is_named(self):
+        # 1 -> 2 -> 3 -> 1: eps_13 is neither eps_12 nor eps_23
+        message = "sign tensor violates triple conditions at [(1, 2, 3)]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EpsilonTensor.from_dict(3, [(1, 2), (2, 3), (1, 3)],
+                                    {(1, 2): 1, (2, 3): 1, (1, 3): -1})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 5).flatmap(lambda n: st.tuples(
+        st.just(n), st.dictionaries(st.sampled_from(sorted(full_domain(n))),
+                                    st.sampled_from([1, -1])))))
+    def test_triple_violations_match_the_four_term_identity(self, case):
+        n, eps = case
+        t = EpsilonTensor(n, tuple(sorted(eps.items())))
+        assert t.triple_violations() == four_term_violations(n, eps)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("sign", [2, 0, -2])

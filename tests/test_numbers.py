@@ -292,6 +292,13 @@ class TestTruncationOrder:
         for p in (1, 2, 3, 4):
             assert ORDER_SITES["stokes_product"](p) == an_stokes(3).truncate(p)
 
+    def test_natural_lifts_needs_an_order(self):
+        # None means "exact" to the other sites, so it is not one of their
+        # misread orders; a lift is taken at some order
+        with pytest.raises(ValueError, match=r"^truncation order is not an "
+                                             r"integer: None$"):
+            ORDER_SITES["natural_lifts"](None)
+
 
 class TestPairSites:
     """Sign-tensor domains and factor positions read each index with
