@@ -6,12 +6,11 @@ implementation of each kernel, and each works on a stack ``(B, n, n)`` of
 matrices at once; its Python-level loops run over matrix positions, never
 over the stack:
 
-* ``braid_apply`` makes one braiding move on every matrix of a stack: an
-  update of rows i, i+1 followed by the same update of columns i, i+1.  It
-  is the one braid move of the package: it runs on the int64 stacks of the
-  search and, unchanged, on object arrays of Python ``int``, ``Fraction`` or
-  ``TruncatedPoly`` entries, which is how ``braid.beta`` and
-  ``braid.beta_inv`` move exact integral, rational and polynomial matrices.
+* ``braid_apply`` makes one braiding move on every matrix of an int64
+  stack: an update of rows i, i+1 followed by the same update of columns
+  i, i+1.  It serves ``expand_frontier`` alone; exact integral, rational
+  and polynomial matrices move by ``braid._braid_rows`` on Python row
+  lists, which shares no code with it.
 * ``expand_frontier`` applies each of the 2(n-1) moves to a whole frontier.
 * ``sign_canonical`` picks, for every matrix of a stack, the lexicographically
   least sign conjugate ``d_r d_c a_rc``.  This is a switching-class problem on
@@ -40,7 +39,8 @@ def _block(u: np.ndarray, v: np.ndarray, m: np.ndarray, forward: bool):
 
 
 def braid_apply(stack: np.ndarray, i: int, forward: bool) -> np.ndarray:
-    """Braiding move at rows/cols (i, i+1), 0-based, on a stack of matrices.
+    """Braiding move at rows/cols (i, i+1), 0-based, on an int64 stack of
+    matrices.
 
     Each matrix A becomes X A X, where X is the identity with the block
     [[0, 1], [1, -m]] (forward) or [[-m, 1], [1, 0]] (backward) at (i, i+1)

@@ -15,18 +15,23 @@ moves carries one to the other exactly.
 
 X(A) A X(A) is the definition; no matrix product computes it.  Since X(A)
 differs from the identity only in rows and columns i, i+1, the move is one
-update of those two rows followed by the same update of those two columns:
-``_kernels.braid_apply``, the same code for the int64 stacks of the orbit
-search and for the exact entries handled here as numpy object arrays.
+update of those two rows followed by the same update of those two columns.
+It is made twice, by code that shares nothing: ``_kernels.braid_apply`` on
+the int64 stacks of the orbit search, and ``_braid_rows`` here on exact
+entries held as Python row lists.  ``_braid_rows`` changes only rows and
+columns i, i+1, writes the 2 x 2 block with no arithmetic (it is the block
+of A negated off its diagonal) and forms no product with a zero factor.
 
 ``_move`` is the one function that checks and applies a move to exact
-entries; every move, alone or in a ``BraidWord``, goes through it.
-``_entries`` and ``_like`` are the only boundary between a matrix and its
-object array, and a word crosses it once, not once per move.  A rational
-matrix whose entries are all integral crosses as Python ints, which are
-exact and never wrap, and moves as ints; any other holds ``Fraction`` or
-``TruncatedPoly`` values.  Either way a rational result comes back as
-``Fraction``s.
+entries; every move, alone or in a ``BraidWord``, goes through it, and a
+move never writes to the rows it is given.  ``_entries`` and ``_like`` are
+the only boundary between a matrix and its rows, and a word crosses it
+once, not once per move.  A rational matrix whose entries are all integral
+crosses as Python ints, which are exact and never wrap, and moves as ints;
+any other holds ``Fraction`` or ``TruncatedPoly`` values.  Either way a
+rational result comes back as ``Fraction``s.  ``_move_kind`` is the one
+shape rule for a move tuple, which ``BraidWord.inverse`` and
+``serialize.move_to_json`` read too.
 """
 
 from __future__ import annotations
@@ -62,44 +67,95 @@ def as_rational_matrix(m) -> RationalMatrix:
     return rows
 
 
-def _entries(A: MatrixLike) -> np.ndarray:
-    """The exact entries of a rational or polynomial matrix as an (n, n)
-    object array: Python ints when every entry of a rational matrix is
-    integral (exact, and they never wrap), else ``Fraction`` or
-    ``TruncatedPoly`` values."""
+def _entries(A: MatrixLike) -> list:
+    """The exact entries of a rational or polynomial matrix as its rows:
+    Python ints when every entry of a rational matrix is integral (exact,
+    and they never wrap), else ``Fraction`` or ``TruncatedPoly`` values.
+    The rows may be A's own; no move writes to the rows it is given."""
     if isinstance(A, PolyMatrix):
-        rows = A.entries
-    else:
-        rows = as_rational_matrix(A)
-        if all(x.denominator == 1 for row in rows for x in row):
-            rows = [[x.numerator for x in row] for row in rows]
-    arr = np.empty((len(rows), len(rows)), dtype=object)
-    arr[...] = rows
-    return arr
+        return A.entries
+    rows = as_rational_matrix(A)
+    if all(x.denominator == 1 for row in rows for x in row):
+        return [[x.numerator for x in row] for row in rows]
+    return rows
 
 
-def _like(A: MatrixLike, arr: np.ndarray):
-    """``arr`` in the form of ``A``: a PolyMatrix, or a tuple of tuples of
+def _like(A: MatrixLike, rows: list):
+    """``rows`` in the form of ``A``: a PolyMatrix, or a tuple of tuples of
     ``Fraction``s."""
     if isinstance(A, PolyMatrix):
-        return PolyMatrix(arr.tolist())
-    return tuple(tuple(map(_as_fraction, row)) for row in arr.tolist())
+        return PolyMatrix(rows)
+    return tuple(tuple(map(_as_fraction, row)) for row in rows)
 
 
-def _move(mv: Move, a: np.ndarray) -> np.ndarray:
-    """The move ``mv`` checked against and applied to the (n, n) object
-    array ``a`` of exact entries; a braid move is forward when mv[2] is +1
-    and backward when it is -1."""
-    kind, n = mv[0] if mv else None, len(a)
-    if len(mv) != (3 if kind == "braid" else 2):
+def _move_kind(mv: Move) -> str:
+    """The kind of the move tuple ``mv``, "braid", "perm" or "sign", when it
+    has that kind's length (3 for a braid move, else 2); anything else is
+    an unknown move."""
+    kind = mv[0] if mv else None
+    if not (kind == "braid" and len(mv) == 3
+            or kind in ("perm", "sign") and len(mv) == 2):
         raise ValueError(f"unknown move {mv!r}")
+    return kind
+
+
+def _braid_rows(a: list, i: int, forward: bool) -> list:
+    """The rows of X A X for the rows ``a`` of a unit-diagonal matrix A,
+    with X the identity but for the block [[0, 1], [1, -m]] (forward) or
+    [[-m, 1], [1, 0]] (backward) at rows and columns i, i+1 (0-based),
+    where m = p + q for p = A[i][i+1] and q = A[i+1][i].
+
+    X A mixes only rows i, i+1 and (X A) X only columns i, i+1, each by
+    one map on a pair (u, v) of entries, u in row (column) i and v in row
+    (column) i+1: (u, v) -> (v, u - m v) forward and (v - m u, u)
+    backward.  An entry off both pairs is left alone, and one in exactly
+    one of them meets one map.  The block [[1, p], [q, 1]] meets both.
+    Forward, the rows give [[q, 1], [1 - m q, p - m]] and then the columns
+
+        [[1, q - m], [p - m, 1 - m q - m (p - m)]];
+
+    backward, the rows give [[q - m, 1 - m p], [1, p]] and then the columns
+
+        [[1 - m p - m (q - m), q - m], [p - m, 1]].
+
+    Both are [[1, -p], [-q, 1]], since m = p + q makes q - m = -p,
+    p - m = -q and 1 - m (p + q) + m^2 = 1.  So the block is negated off
+    its diagonal with no arithmetic, and a pair whose multiplied entry (v
+    forward, u backward), or m, is zero is swapped with no product formed.
+    ``a`` is read, never written.
+    """
+    n, j = len(a), i + 1
+    p, q = a[i][j], a[j][i]
+    m = p + q
+    out = [list(row) for row in a]
+    top, bottom = out[i], out[j]
+
+    def pair(u, v):
+        if forward:
+            return v, (u - m * v if m and v else u)
+        return (v - m * u if m and u else v), u
+
+    for k in range(n):
+        if k != i and k != j:
+            top[k], bottom[k] = pair(top[k], bottom[k])
+            row = out[k]
+            row[i], row[j] = pair(row[i], row[j])
+    top[j], bottom[i] = -p, -q
+    return out
+
+
+def _move(mv: Move, a: list) -> list:
+    """The move ``mv`` checked against and applied to the rows ``a`` of
+    exact entries, giving new rows; a braid move is forward when mv[2] is
+    +1 and backward when it is -1."""
+    kind, n = _move_kind(mv), len(a)
     if kind == "braid":
-        if any(a[k, k] != 1 for k in range(n)):
+        if any(a[k][k] != 1 for k in range(n)):
             raise ValueError("matrix must have unit diagonal")
         i, direction = _index(mv[1], n - 1, "braid index"), _unit(mv[2], "braid direction")
-        if a[i - 1, i] != 0 and a[i, i - 1] != 0:
+        if a[i - 1][i] != 0 and a[i][i - 1] != 0:
             raise ValueError("matrix is not unipotent for any order at the braid position")
-        return _kernels.braid_apply(a[None], i - 1, direction > 0)[0]
+        return _braid_rows(a, i - 1, direction > 0)
     if kind == "perm":
         sigma = tuple(_as_int(s) for s in mv[1])
         if sorted(sigma) != list(range(1, len(sigma) + 1)):
@@ -107,17 +163,19 @@ def _move(mv: Move, a: np.ndarray) -> np.ndarray:
         if len(sigma) != n:
             raise ValueError(f"permutation of length {len(sigma)} for a "
                              f"{n} x {n} matrix")
-        return _conj_np(sigma, a)
-    if kind == "sign":
-        if np.ndim(mv[1]) == 0:
-            k = _index(mv[1], n, "sign index")
-            d = tuple(-1 if t == k - 1 else 1 for t in range(n))
-        else:
-            d = tuple(_unit(x, "sign") for x in mv[1])
-            if len(d) != n:
-                raise ValueError("sign vector must consist of +-1 of length n")
-        return a * np.outer(d, d)
-    raise ValueError(f"unknown move {mv!r}")
+        # entry (r, c) moves to (sigma(r), sigma(c))
+        inv = [k - 1 for k in _inverse_permutation(sigma)]
+        return [[row[c] for c in inv] for row in (a[r] for r in inv)]
+    if np.ndim(mv[1]) == 0:
+        k = _index(mv[1], n, "sign index")
+        d = tuple(-1 if t == k - 1 else 1 for t in range(n))
+    else:
+        d = tuple(_unit(x, "sign") for x in mv[1])
+        if len(d) != n:
+            raise ValueError("sign vector must consist of +-1 of length n")
+    # d_r d_c a_rc: a negation where d_r != d_c
+    return [[-x if dr != dc else x for dc, x in zip(d, row)]
+            for dr, row in zip(d, a)]
 
 
 def apply_move(mv: Move, A: MatrixLike):
@@ -179,7 +237,8 @@ class BraidWord:
     moves: tuple
 
     def apply(self, A: MatrixLike):
-        """The moves, left to right, on one array of A's entries."""
+        """The moves, left to right, on A's rows: A is read once, into
+        Python ints when it is integral, and the result is written once."""
         a = _entries(A)
         for mv in self.moves:
             a = _move(mv, a)
@@ -188,9 +247,10 @@ class BraidWord:
     def inverse(self) -> "BraidWord":
         out = []
         for mv in reversed(self.moves):
-            if mv[0] == "braid":
+            kind = _move_kind(mv)
+            if kind == "braid":
                 out.append(("braid", mv[1], -mv[2]))
-            elif mv[0] == "perm":
+            elif kind == "perm":
                 out.append(("perm", _inverse_permutation(mv[1])))
             else:
                 out.append(mv)
@@ -513,25 +573,31 @@ def random_unipotent(n: int, rng, bound: int = 5) -> RationalMatrix:
 
 def verify_braid_group_relations(n: int, samples: int = 100,
                                  seed: int = 7) -> dict:
-    """Check the braid and commutation relations as actions on random
-    unipotent upper-triangular integer matrices."""
+    """Check the braid, commutation and inverse relations as actions on
+    random unipotent upper-triangular integer matrices, each side of a
+    relation replayed as one ``BraidWord``."""
     import random as _random
     n, samples = _size(n, 3, "rank n"), _size(samples, 0, "sample count")
     rng = _random.Random(seed)
     failures = []
+
+    def word(a, *moves):
+        """a after the forward (k > 0) or backward braid moves at |k|, in
+        order, replayed as one word."""
+        return BraidWord(tuple(("braid", abs(k), 1 if k > 0 else -1)
+                               for k in moves)).apply(a)
+
     for t in range(samples):
         a = random_unipotent(n, rng)
         for i in range(1, n - 1):
-            lhs = beta(i, beta(i + 1, beta(i, a)))
-            rhs = beta(i + 1, beta(i, beta(i + 1, a)))
-            if lhs != rhs:
+            if word(a, i, i + 1, i) != word(a, i + 1, i, i + 1):
                 failures.append(("braid", t, i))
         for i in range(1, n):
             for j in range(i + 2, n):
-                if beta(i, beta(j, a)) != beta(j, beta(i, a)):
+                if word(a, j, i) != word(a, i, j):
                     failures.append(("commute", t, (i, j)))
         for i in range(1, n):
-            if beta_inv(i, beta(i, a)) != a or beta(i, beta_inv(i, a)) != a:
+            if word(a, i, -i) != a or word(a, -i, i) != a:
                 failures.append(("inverse", t, i))
     return {"n": n, "samples": samples, "failures": failures,
             "ok": not failures}

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import (Basis, LatticeVector, PolyMatrix, TruncatedPoly, _as_fraction,
                       _as_int, _size, _unit)
-from .braid import EquivalenceCertificate
+from .braid import EquivalenceCertificate, _move_kind
 from .goodness import GoodQuiverSolution
 from .quiver import Quiver
 from .stokes import Chamber, DTModel, StokesData
@@ -189,16 +189,16 @@ def solution_to_json(sol: GoodQuiverSolution) -> dict:
 def move_to_json(mv) -> dict:
     """A braid, permutation or sign move as JSON; a braid direction is +1
     or -1 by ``algebra._unit``, and a sign move keeps its form, a 1-based
-    index or a vector of signs."""
-    if mv[0] == "braid":
+    index or a vector of signs.  A tuple of another shape is refused by
+    ``braid._move_kind``, as a move would refuse it."""
+    kind = _move_kind(mv)
+    if kind == "braid":
         direction = "+" if _unit(mv[2], "braid direction") > 0 else "-"
         return {"braid": _as_int(mv[1]), "dir": direction}
-    if mv[0] == "perm":
+    if kind == "perm":
         return {"perm": [_as_int(s) for s in mv[1]]}
-    if mv[0] == "sign":
-        return {"sign": _as_int(mv[1]) if np.ndim(mv[1]) == 0
-                else [_as_int(s) for s in mv[1]]}
-    raise ValueError(f"unknown move {mv!r}")
+    return {"sign": _as_int(mv[1]) if np.ndim(mv[1]) == 0
+            else [_as_int(s) for s in mv[1]]}
 
 
 def move_from_json(data: dict):

@@ -390,6 +390,8 @@ OWNERS = {
     "_linear_extensions": {"algebra", ("braid", "_target_set")},
     "_clockwise": {("stokes", "__post_init__")},
     "_read_charge": {"stokes"},
+    "braid_apply": {("_kernels", "expand_frontier")},
+    "_braid_rows": {("braid", "_move")},
 }
 
 
@@ -412,8 +414,9 @@ def calls_outside_owners(tree, module) -> list:
 def test_decisions_have_one_owner():
     # no linter is installed; on ast alone: the auto chamber, the good-quiver
     # and polynomial layouts, the matrix grid, the least linear extension,
-    # the clockwise sort and the charge reader are each decided by one
-    # function or module, which every other caller reaches through it
+    # the clockwise sort, the charge reader and each of the two braid moves,
+    # int64 and exact, are each decided by one function or module, which
+    # every other caller reaches through it
     hits = []
     for path in sorted(Path(quiverstokes.__file__).parent.glob("*.py")):
         hits += calls_outside_owners(ast.parse(path.read_text()), path.stem)

@@ -259,6 +259,61 @@ class TestExactMovesMatchOracle:
             beta(1, ((1, 0.5), (0, 1)))
 
 
+def counted_products(monkeypatch, cls) -> list:
+    """Every later ``cls.__mul__`` call, as its (left, right) factors."""
+    calls, mul = [], cls.__mul__
+
+    def counting(self, other):
+        calls.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counting)
+    return calls
+
+
+def sparse_poly_unipotent(n, rng):
+    """A unit-diagonal upper-triangular polynomial matrix in two variables
+    with about half of its entries above the diagonal zero."""
+    return PolyMatrix([[TruncatedPoly.one(2) if r == c else
+                        TruncatedPoly(2, {(rng.randint(0, 2), rng.randint(0, 2)):
+                                          rng.choice((-2, -1, 1, 2))})
+                        if c > r and rng.random() < 0.5 else TruncatedPoly.zero(2)
+                        for c in range(n)] for r in range(n)])
+
+
+class TestExactMoveSkipsZeros:
+    """A braid move on exact entries multiplies by m only the nonzero
+    entries of one row and one column off the 2 x 2 block: row and column
+    i+1 forward, i backward (1-based i)."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: an_stokes(6), lambda: sparse_poly_unipotent(6, random.Random(5))],
+        ids=["an_stokes_6", "sparse_6"])
+    def test_no_polynomial_product_has_a_zero_factor(self, monkeypatch, make):
+        A = make()
+        calls = counted_products(monkeypatch, TruncatedPoly)
+        for i in range(1, 6):
+            beta(i, A), beta_inv(i, A)
+        assert calls and all(left and right for left, right in calls)
+
+    def test_fraction_products_are_the_nonzero_multiplied_entries(self, monkeypatch):
+        rng, n = random.Random(13), 6
+        # nonzero superdiagonal, so m != 0 at every braid position, zeros
+        # elsewhere above the diagonal, and entries that are not integral
+        A = tuple(tuple(Fraction(1) if r == c else
+                        Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((2, 3)))
+                        if c == r + 1 or c > r and rng.random() < 0.5 else Fraction(0)
+                        for c in range(n)) for r in range(n))
+        calls = counted_products(monkeypatch, Fraction)
+        for i in range(1, n):
+            off = [t for t in range(n) if t not in (i - 1, i)]
+            for fn, k in ((beta, i), (beta_inv, i - 1)):
+                calls.clear()
+                fn(i, A)
+                nonzero = sum(1 for t in off if A[k][t]) + sum(1 for t in off if A[t][k])
+                assert len(calls) == nonzero
+
+
 class TestIntegralEntriesMatchOracle:
     """Integral matrices move as Python ints and come back as Fractions;
     a matrix with one non-integral entry moves as Fractions."""
@@ -1018,6 +1073,10 @@ class TestMoveJson:
             apply_move(mv, A)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             BraidWord((("sign", 1), mv)).apply(A)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BraidWord((("sign", 1), mv)).inverse()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            move_to_json(mv)
 
     @pytest.mark.parametrize("direction", [0, 2, True])
     def test_other_braid_directions_are_refused(self, direction):
